@@ -83,7 +83,6 @@ from .qudit import (
     q_binom,
     q_factorial,
     q_int,
-    qudit_matrix,
     qudit_universal_nf,
 )
 

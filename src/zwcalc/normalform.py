@@ -27,7 +27,7 @@ from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
 from . import term as _term
 from .term import ArityError, Gen, Generator, Par, Seq, Term, _Empty
-from .semantics import SparseMap, make_map
+from .semantics import SparseMap, json_fields, json_word, make_map
 
 Row = tuple[RingElement, str]
 
@@ -283,7 +283,10 @@ def to_json_dict(a: NormalForm) -> dict:
 
 
 def from_json_dict(data: dict, ring: RingDescriptor) -> NormalForm:
-    rows = tuple(
-        (_ring.parse_literal(ring, r["v"]), r["w"]) for r in data["rows"]
-    )
-    return canonicalize(PreNormalForm(data["d"], data["n"], rows))
+    d, n, rows = json_fields(data, ("d", int), ("n", int), ("rows", list))
+    pre = []
+    for r in rows:
+        v, w = json_fields(r, ("v", str), ("w", str))
+        # any digit is a letter here: canonicalize drops the ones >= d
+        pre.append((_ring.parse_literal(ring, v), json_word(w, 10)))
+    return canonicalize(PreNormalForm(d, n, tuple(pre)))

@@ -3,20 +3,29 @@
 Everything here is driven by ``q = exp(2 pi i / d)``, a primitive d-th
 root of unity.  The deformed integers ``[n] = 1 + q + ... + q^(n-1)``
 vanish at ``n = d``, which truncates the particle ladder to d levels.
+Words spell one level per character, so d runs from 2 to 10.
 
-Generator matrices (levels ``j, k, n`` run over ``0 .. d-1``):
+:func:`generator_entries` is the one generator table; ``interpret``
+reads it on the qudit path.  With levels ``j, k, n`` in ``0 .. d-1``:
 
-* crossing      ``x: |k>|j> -> q^(jk) |j>|k>`` and its inverse;
-* split         ``w: |n> -> sum_k binom(n, k)_q^(1/2) |k>|n-k>``;
-* counit        ``v: |0> -> 1``, other levels to 0;
-* merge         the transpose of ``w`` in the fixed basis;
-* antipode      ``|n> -> (-1)^n q^(n(n-1)/2) |n>``;
-* copy          ``|n> -> sqrt([n]!) |n>|n>`` and the matching discard
-  ``sum_k 1/sqrt([k]!) <k|``.
+* crossing  ``x: |k>|j> -> q^(jk) |j>|k>``, and ``xinv`` its inverse;
+* split     ``w(1,2): |n> -> sum_k binom(n, k)_q^(1/2) |k>|n-k>``, merge
+  ``w(2,1)`` its transpose, wider W spiders split/merge trees;
+* Z spider  ``z(k,m)[u]`` scales level l by ``sqrt([l]!)^(k+m-2) u^l``.
 
-Square roots always take the principal branch.  All checks are numeric,
-within the tolerance carried by :class:`QParams`; exactness is not
-available because the coefficients mix roots of unity with real radicals.
+Binomial roots take the branch of the symmetric q-binomial (Kassel,
+*Quantum Groups*), ``q^(k(n-k)/4) sqrt(prod_{l=1..k} sin(pi(n-k+l)/d) /
+sin(pi l/d))``, so that products of roots along a tree stay consistent
+at every d; it equals the principal root for d <= 6.  ``sqrt([n]!)``
+takes the principal branch.
+
+:func:`law_terms` gives the bialgebra law ``(w(1,2) * w(1,2)) ; (id * x
+* id) ; (w(2,1) * w(2,1)) = w(2,1) ; w(1,2)`` and the Hopf law ``w(1,2) ;
+(antipode * id) ; w(2,1) = bra(0) ; ket(0)`` as term pairs, which the
+checks interpret and compare entrywise.  The commutation law ``a a+ = 1
++ q a+ a``, with ``a+ = (ket(1) * id) ; w(2,1)`` and ``a`` its transpose,
+has a sum on one side, so it compares interpreted maps.  All checks are
+numeric, within the tolerance carried by :class:`QParams`.
 
 With d = 2 the split/merge pair specialises to the familiar qubit
 beam-splitter comonoid and its transpose.
@@ -28,14 +37,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import NamedTuple
 
 from . import ring as _ring
 from .ring import RingDescriptor
 from . import term as _term
 from .term import ArityError, Generator, Term
-from .semantics import SparseMap
+from .semantics import SparseMap, first_difference, interpret, make_map
 from .normalform import NormalForm, PreNormalForm, canonicalize
 
 
@@ -51,6 +59,8 @@ class QParams:
     def __post_init__(self):
         if self.d < 2:
             raise QuditError("dimension must be >= 2")
+        if self.d > 10:
+            raise QuditError(f"dimension {self.d} > 10: words spell one level per character")
         if not self.tolerance > 0:
             raise QuditError("tolerance must be positive")
         q = self.q
@@ -68,77 +78,53 @@ class QParams:
         return _ring.C(self.tolerance)
 
 
-def _q_int(q: complex, n: int) -> complex:
-    return sum(q ** k for k in range(n))
+def q_int(n: int, p: QParams) -> complex:
+    return sum(p.q ** k for k in range(n))
 
 
-def _q_factorial(q: complex, n: int) -> complex:
-    out = 1 + 0j
-    for k in range(1, n + 1):
-        out *= _q_int(q, k)
-    return out
+def q_factorial(n: int, p: QParams) -> complex:
+    return math.prod((q_int(k, p) for k in range(1, n + 1)), start=1 + 0j)
 
 
-def _q_binom(q: complex, n: int, k: int) -> complex:
+def q_binom(n: int, k: int, p: QParams) -> complex:
     """Product form binom(n, k) = prod_l [n-k+l]/[l]; safe wherever the
     denominator q-integers are nonzero (always for k below the order of q)."""
     if k < 0 or k > n:
         raise QuditError(f"binomial index k={k} outside 0..{n}")
-    out = 1 + 0j
-    for l in range(1, k + 1):
-        out *= _q_int(q, n - k + l) / _q_int(q, l)
-    return out
+    return math.prod((q_int(n - k + l, p) / q_int(l, p) for l in range(1, k + 1)),
+                     start=1 + 0j)
 
 
-def q_int(n: int, p: QParams) -> complex:
-    return _q_int(p.q, n)
+class QBinomialTable(NamedTuple):
+    """q-integers and factorials for levels 0..d, and for levels below d
+    the binomials, their square roots and the roots of the factorials."""
+
+    ints: list
+    factorials: list
+    binomials: list
+    sqrt_binomials: list
+    sqrt_factorials: list
 
 
-def q_factorial(n: int, p: QParams) -> complex:
-    return _q_factorial(p.q, n)
-
-
-def q_binom(n: int, k: int, p: QParams) -> complex:
-    return _q_binom(p.q, n, k)
-
-
-@dataclass(frozen=True)
-class QBinomialTable:
-    """Cached q-integers, factorials, binomials and their principal square
-    roots for all levels below d."""
-
-    p: QParams
-
-    @property
-    def ints(self):
-        return _table(self.p)[0]
-
-    @property
-    def factorials(self):
-        return _table(self.p)[1]
-
-    @property
-    def binomials(self):
-        return _table(self.p)[2]
-
-    @property
-    def sqrt_binomials(self):
-        return _table(self.p)[3]
-
-    @property
-    def sqrt_factorials(self):
-        return _table(self.p)[4]
+def _sqrt_binom(d: int, n: int, k: int) -> complex:
+    """The symmetric-branch root of binom(n, k)_q; every sine is positive
+    because n < d."""
+    ratio = math.prod(math.sin(math.pi * (n - k + l) / d) / math.sin(math.pi * l / d)
+                      for l in range(1, k + 1))
+    return cmath.exp(2j * math.pi * k * (n - k) / (4 * d)) * math.sqrt(ratio)
 
 
 @lru_cache(maxsize=None)
-def _table(p: QParams):
-    d, q = p.d, p.q
-    ints = [_q_int(q, n) for n in range(d + 1)]
-    facts = [_q_factorial(q, n) for n in range(d + 1)]
-    binom = [[_q_binom(q, n, k) for k in range(n + 1)] for n in range(d)]
-    sqrt_binom = [[cmath.sqrt(v) for v in row] for row in binom]
-    sqrt_fact = [cmath.sqrt(v) for v in facts[:d]]
-    return ints, facts, binom, sqrt_binom, sqrt_fact
+def binomial_table(p: QParams) -> QBinomialTable:
+    d = p.d
+    facts = [q_factorial(n, p) for n in range(d + 1)]
+    return QBinomialTable(
+        ints=[q_int(n, p) for n in range(d + 1)],
+        factorials=facts,
+        binomials=[[q_binom(n, k, p) for k in range(n + 1)] for n in range(d)],
+        sqrt_binomials=[[_sqrt_binom(d, n, k) for k in range(n + 1)] for n in range(d)],
+        sqrt_factorials=[cmath.sqrt(v) for v in facts[:d]],
+    )
 
 
 def check_q_vandermonde(p: QParams, n: int, j: int, k: int) -> bool:
@@ -146,14 +132,10 @@ def check_q_vandermonde(p: QParams, n: int, j: int, k: int) -> bool:
     evaluated numerically on both sides."""
     if not (0 <= j <= n and 0 <= k <= n and n < p.d):
         raise QuditError("need j, k <= n < d")
-    q = p.q
-    lhs = _q_binom(q, n, k)
-    rhs = 0j
-    for i in range(k + 1):
-        if i > j or k - i > n - j:
-            continue
-        rhs += q ** ((j - i) * (k - i)) * _q_binom(q, j, i) * _q_binom(q, n - j, k - i)
-    return abs(lhs - rhs) <= p.tolerance
+    b = binomial_table(p).binomials
+    rhs = sum(p.q ** ((j - i) * (k - i)) * b[j][i] * b[n - j][k - i]
+              for i in range(k + 1) if i <= j and k - i <= n - j)
+    return abs(b[n][k] - rhs) <= p.tolerance
 
 
 def classical_vandermonde(n: int, j: int, k: int) -> bool:
@@ -162,116 +144,6 @@ def classical_vandermonde(n: int, j: int, k: int) -> bool:
     rhs = sum(math.comb(j, i) * math.comb(n - j, k - i)
               for i in range(min(j, k) + 1) if k - i <= n - j)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# dense generator matrices (numpy, basis index = big-endian digit word)
-
-
-def x_matrix(p: QParams) -> np.ndarray:
-    d, q = p.d, p.q
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for j in range(d):
-            out[j * d + k, k * d + j] = q ** (j * k)
-    return out
-
-
-def xinv_matrix(p: QParams) -> np.ndarray:
-    return x_matrix(p).conj().T
-
-
-def w_matrix(p: QParams) -> np.ndarray:
-    d = p.d
-    sq = QBinomialTable(p).sqrt_binomials
-    out = np.zeros((d * d, d), dtype=complex)
-    for n in range(d):
-        for k in range(n + 1):
-            out[k * d + (n - k), n] += sq[n][k]
-    return out
-
-
-def merge_matrix(p: QParams) -> np.ndarray:
-    d = p.d
-    sq = QBinomialTable(p).sqrt_binomials
-    out = np.zeros((d, d * d), dtype=complex)
-    for k in range(d):
-        for j in range(d - k):
-            out[k + j, k * d + j] = sq[k + j][k]
-    return out
-
-
-def counit_effect(p: QParams) -> np.ndarray:
-    out = np.zeros((1, p.d), dtype=complex)
-    out[0, 0] = 1
-    return out
-
-
-def antipode_matrix(p: QParams) -> np.ndarray:
-    d, q = p.d, p.q
-    return np.diag([(-1) ** n * q ** (n * (n - 1) // 2) for n in range(d)])
-
-
-def copy_matrix(p: QParams) -> np.ndarray:
-    d = p.d
-    c = QBinomialTable(p).sqrt_factorials
-    out = np.zeros((d * d, d), dtype=complex)
-    for n in range(d):
-        out[n * d + n, n] = c[n]
-    return out
-
-
-def white_discard_effect(p: QParams) -> np.ndarray:
-    c = QBinomialTable(p).sqrt_factorials
-    out = np.zeros((1, p.d), dtype=complex)
-    for k in range(p.d):
-        out[0, k] = 1 / c[k]
-    return out
-
-
-def creation_matrix(p: QParams) -> np.ndarray:
-    d = p.d
-    ints = QBinomialTable(p).ints
-    out = np.zeros((d, d), dtype=complex)
-    for n in range(d - 1):
-        out[n + 1, n] = cmath.sqrt(ints[n + 1])
-    return out
-
-
-def annihilation_matrix(p: QParams) -> np.ndarray:
-    # transpose in the fixed basis: the same sqrt([n]) coefficients
-    return creation_matrix(p).T
-
-
-def dense_to_sparse(arr: np.ndarray, n_in: int, n_out: int, p: QParams) -> SparseMap:
-    ring = p.ring()
-    d = p.d
-    entries = {}
-    rows, cols = arr.shape
-    for r in range(rows):
-        for c in range(cols):
-            v = complex(arr[r, c])
-            if abs(v) > p.tolerance:
-                out_w = _index_to_word(r, n_out, d)
-                in_w = _index_to_word(c, n_in, d)
-                entries[(out_w, in_w)] = _ring.complex_value(ring, v)
-    return SparseMap(ring, d, n_in, n_out, entries)
-
-
-def _index_to_word(idx: int, length: int, d: int) -> str:
-    digits = []
-    for _ in range(length):
-        digits.append(str(idx % d))
-        idx //= d
-    return "".join(reversed(digits))
-
-
-def qudit_matrix(g: Generator | Term, p: QParams) -> SparseMap:
-    """The sparse matrix of one generator at dimension d."""
-    if isinstance(g, _term.Gen):
-        g = g.gen
-    n_in, n_out, entries = generator_entries(g, p.ring(), p.d)
-    return SparseMap(p.ring(), p.d, n_in, n_out, entries)
 
 
 def _bounded_words(length: int, max_sum: int, d: int):
@@ -287,7 +159,7 @@ def _bounded_words(length: int, max_sum: int, d: int):
 def _tree_coeff(word: str, p: QParams) -> complex:
     """Coefficient of a split/merge tree leg pattern: the product of
     binomial square roots along the partial sums."""
-    sq = QBinomialTable(p).sqrt_binomials
+    sq = binomial_table(p).sqrt_binomials
     total = 0
     coeff = 1 + 0j
     for ch in word:
@@ -358,7 +230,7 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int):
         if g.label.ring != ring:
             raise _ring.RingMismatchError(f"label {g.label} does not live in {ring}")
         lam = complex(g.label.value)
-        c = QBinomialTable(p).sqrt_factorials
+        c = binomial_table(p).sqrt_factorials
         ent = {}
         for l in range(d):
             v = c[l] ** (k + m - 2) * lam ** l
@@ -395,68 +267,76 @@ class QuditCheckReport:
         return f"{self.name} d={self.d}: {flag} (max error {self.max_error:.3g}) {self.detail}".rstrip()
 
 
-def check_bialgebra(p: QParams, w_override: np.ndarray | None = None) -> QuditCheckReport:
+def law_terms(d: int) -> dict[str, tuple[Term, Term]]:
+    """The bialgebra and Hopf laws at dimension d, by report name, as
+    (lhs, rhs) term pairs; see the module docstring."""
+    split, merge, wire = _term.wspider(1, 2), _term.wspider(2, 1), _term.ID
+    return {
+        "bialgebra": (
+            _term.seq_all([split @ split, wire @ _term.X @ wire, merge @ merge]),
+            merge >> split),
+        "antipode-hopf": (
+            _term.seq_all([split, antipode_term(d) @ wire, merge]),
+            _term.bra(0, d) >> _term.ket(0, d)),
+    }
+
+
+def _law_report(name: str, p: QParams, lhs: SparseMap, rhs: SparseMap,
+                other_error: float = 0.0, detail: str = "") -> QuditCheckReport:
+    """Compare two maps entrywise; a failure names the first differing
+    entry, as the rule checker does."""
+    a = {key: complex(v.value) for key, v in lhs.entries.items()}
+    b = {key: complex(v.value) for key, v in rhs.entries.items()}
+    err = max([other_error] + [abs(a.get(key, 0) - b.get(key, 0)) for key in a.keys() | b.keys()])
+    witness = first_difference(lhs, rhs) if err > p.tolerance else None
+    if witness is not None:
+        out_w, in_w, lv, rv = witness
+        detail = f"{detail} first difference at (out={out_w!r}, in={in_w!r}): {lv} vs {rv}"
+    return QuditCheckReport(name, p.d, err <= p.tolerance, err, detail.strip())
+
+
+def check_bialgebra(p: QParams) -> QuditCheckReport:
     """Split and merge satisfy the bialgebra square with the crossing as
     braiding; also re-checks the underlying binomial identity directly."""
     d, q = p.d, p.q
-    W = w_matrix(p) if w_override is None else w_override
-    M = W.T if w_override is not None else merge_matrix(p)  # transpose in the fixed basis
-    Id = np.eye(d)
-    lhs = np.kron(M, M) @ np.kron(np.kron(Id, x_matrix(p)), Id) @ np.kron(W, W)
-    rhs = W @ M
-    err = float(np.max(np.abs(lhs - rhs)))
-    detail = ""
-    if w_override is None:
-        worst = 0.0
-        for n in range(d):
-            for j in range(n + 1):
-                for k in range(n + 1):
-                    l2 = cmath.sqrt(_q_binom(q, n, j)) * cmath.sqrt(_q_binom(q, n, k))
-                    r2 = sum(
-                        q ** ((k - i) * (j - i))
-                        * cmath.sqrt(_q_binom(q, j, i))
-                        * cmath.sqrt(_q_binom(q, n - j, k - i))
-                        * cmath.sqrt(_q_binom(q, k, i))
-                        * cmath.sqrt(_q_binom(q, n - k, j - i))
-                        for i in range(k + 1)
-                        if i <= j and k - i <= n - j and j - i <= n - k
-                    )
-                    worst = max(worst, abs(l2 - r2))
-        err = max(err, worst)
-        detail = f"coefficient identity error {worst:.3g}"
-    return QuditCheckReport("bialgebra", d, err <= p.tolerance, err, detail)
+    sq = binomial_table(p).sqrt_binomials
+    worst = 0.0
+    for n in range(d):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                l2 = sq[n][j] * sq[n][k]
+                r2 = sum(
+                    q ** ((k - i) * (j - i))
+                    * sq[j][i] * sq[n - j][k - i] * sq[k][i] * sq[n - k][j - i]
+                    for i in range(k + 1)
+                    if i <= j and k - i <= n - j and j - i <= n - k
+                )
+                worst = max(worst, abs(l2 - r2))
+    lhs, rhs = law_terms(d)["bialgebra"]
+    return _law_report("bialgebra", p, interpret(lhs, p.ring(), d),
+                       interpret(rhs, p.ring(), d), worst,
+                       f"coefficient identity error {worst:.3g}")
 
 
-def check_commutation(p: QParams, bosonic_levels: int = 8) -> QuditCheckReport:
-    """a a+ = 1 + q a+ a at the deformation q, and the flat q = 1 ladder
-    commutator on a truncated space away from the cut-off."""
-    d, q = p.d, p.q
-    a = annihilation_matrix(p)
-    adag = creation_matrix(p)
-    err = float(np.max(np.abs(a @ adag - (np.eye(d) + q * (adag @ a)))))
-    # bosonic truncation: sqrt(n+1) ladder, checked below the boundary
-    n = bosonic_levels
-    ad1 = np.zeros((n, n))
-    for lvl in range(n - 1):
-        ad1[lvl + 1, lvl] = math.sqrt(lvl + 1)
-    comm = ad1.T @ ad1 - ad1 @ ad1.T  # a a+ - a+ a on the truncated space
-    boso_err = float(np.max(np.abs((comm - np.eye(n))[: n - 1, : n - 1])))
-    err = max(err, boso_err)
-    return QuditCheckReport(
-        "commutation", d, err <= p.tolerance, err,
-        f"bosonic truncation error {boso_err:.3g}")
+def check_commutation(p: QParams) -> QuditCheckReport:
+    """a a+ = 1 + q a+ a at the deformation q, for the creation map
+    a+ = (ket(1) * id) ; w(2,1) and its transpose a."""
+    d, ring = p.d, p.ring()
+    create = (_term.ket(1, d) @ _term.ID) >> _term.wspider(2, 1)
+    annihilate = _term.wspider(1, 2) >> (_term.bra(1, d) @ _term.ID)
+    q = _ring.complex_value(ring, p.q)
+    rhs = {(str(n), str(n)): _ring.one(ring) for n in range(d)}
+    for key, v in interpret(annihilate >> create, ring, d).entries.items():
+        rhs[key] = rhs.get(key, _ring.zero(ring)) + q * v
+    return _law_report("commutation", p, interpret(create >> annihilate, ring, d),
+                       make_map(ring, d, 1, 1, rhs))
 
 
 def check_antipode(p: QParams) -> QuditCheckReport:
     """The antipode closes the Hopf loop: merge (t x id) split = unit counit."""
-    W = w_matrix(p)
-    M = merge_matrix(p)
-    t = antipode_matrix(p)
-    h = M @ np.kron(t, np.eye(p.d)) @ W
-    expected = np.zeros((p.d, p.d))
-    expected[0, 0] = 1
-    err = float(np.max(np.abs(h - expected)))
-    return QuditCheckReport("antipode-hopf", p.d, err <= p.tolerance, err)
+    lhs, rhs = law_terms(p.d)["antipode-hopf"]
+    return _law_report("antipode-hopf", p, interpret(lhs, p.ring(), p.d),
+                       interpret(rhs, p.ring(), p.d))
 
 
 def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
@@ -465,10 +345,10 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
     one wire per level, everything merged at the top.
 
     Merging k parallel particles yields sqrt([k]!) |k> up to the branch
-    cuts of the square roots, so the label of row i is its amplitude
-    divided by the merge tree's actual coefficient for each leg bundle
-    (the principal-root product, which may differ from sqrt([k_ij]!) by
-    a sign once the binomial arguments wrap past pi).
+    of the square root, so the label of row i is its amplitude divided
+    by the merge tree's actual coefficient for each leg bundle (the
+    product of binomial roots, which may differ from the principal
+    sqrt([k_ij]!) by a sign once its argument wraps past pi).
     """
     if state.n_in != 0:
         raise ArityError("universal construction takes a state")

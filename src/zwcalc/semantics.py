@@ -176,15 +176,17 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     if d > 2 and ring.kind != _ring.COMPLEX_APPROX:
         raise UnsupportedOperationError(
             "dimensions above 2 need the approximate complex ring")
-    qudit_path = ring.kind == _ring.COMPLEX_APPROX
+    qudit = None
+    if ring.kind == _ring.COMPLEX_APPROX:
+        from . import qudit  # deferred: qudit builds on this module
+
+        qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
 
     def go(u: Term) -> SparseMap:
         if isinstance(u, _Empty):
             return SparseMap(ring, d, 0, 0, {("", ""): _ring.one(ring)})
         if isinstance(u, Gen):
-            if qudit_path:
-                from . import qudit  # deferred: qudit builds on this module
-
+            if qudit is not None:
                 n_in, n_out, ent = qudit.generator_entries(u.gen, ring, d)
             else:
                 if u.gen.label is not None and u.gen.label.ring != ring:
@@ -267,9 +269,28 @@ def to_json_dict(a: SparseMap) -> dict:
     return {"d": a.d, "in": a.n_in, "out": a.n_out, "entries": entries}
 
 
+def json_fields(data, *spec) -> list:
+    """The values of a JSON object's fields, given as (key, type) pairs;
+    a missing field or a wrongly typed one raises RingError."""
+    if not isinstance(data, dict) or any(
+            not isinstance(data.get(k), t) or isinstance(data.get(k), bool) for k, t in spec):
+        fields = ", ".join(f"{k!r}: {t.__name__}" for k, t in spec)
+        raise _ring.RingError(f"expected a JSON object with fields {fields}")
+    return [data[k] for k, _ in spec]
+
+
+def json_word(word: str, d: int) -> str:
+    """A word read from JSON, checked to spell levels below d."""
+    if not set(word) <= set("0123456789"[:d]):
+        raise _ring.RingError(f"word {word!r} has a letter that is not a level below d={d}")
+    return word
+
+
 def from_json_dict(data: dict, ring: RingDescriptor) -> SparseMap:
-    entries = {
-        (e["out"], e["in"]): _ring.parse_literal(ring, e["v"])
-        for e in data["entries"]
-    }
-    return make_map(ring, data["d"], data["in"], data["out"], entries)
+    d, n_in, n_out, rows = json_fields(
+        data, ("d", int), ("in", int), ("out", int), ("entries", list))
+    entries = {}
+    for e in rows:
+        out_w, in_w, v = json_fields(e, ("out", str), ("in", str), ("v", str))
+        entries[(json_word(out_w, d), json_word(in_w, d))] = _ring.parse_literal(ring, v)
+    return make_map(ring, d, n_in, n_out, entries)

@@ -5,10 +5,16 @@ numpy object arrays over plain Python ints, and composes with matmul and
 kron.  It shares no code with the package's sparse interpreter, so
 agreement between the two is meaningful.  Capped at 4 total wires
 (2^4 x 2^4 = 256 entries, comfortably below the 4096-entry budget).
+
+For qudits it keeps the closed-form crossing, split and merge matrices
+(basis index = big-endian digit word), built from q-integers without the
+package's split/merge trees.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 
 import numpy as np
@@ -108,6 +114,55 @@ def dense_equal(a: np.ndarray, b: np.ndarray) -> bool:
         zring.ring_equal(a[i, j], b[i, j])
         for i in range(a.shape[0]) for j in range(a.shape[1])
     )
+
+
+# --- closed-form qudit generators ---------------------------------------------
+
+def qudit_sqrt_binom(d: int, n: int, k: int) -> complex:
+    """binom(n, k)_q from its q-integers, rooted on the symmetric branch:
+    for n < d the binomial is q^(k(n-k)/2) times a positive real."""
+    q = cmath.exp(2j * cmath.pi / d)
+    b = 1
+    for l in range(1, k + 1):
+        b *= sum(q ** i for i in range(n - k + l)) / sum(q ** i for i in range(l))
+    return q ** (k * (n - k) / 4) * math.sqrt(abs(b))
+
+
+def qudit_x(d: int) -> np.ndarray:
+    """x: |k>|j> -> q^(jk) |j>|k>."""
+    q = cmath.exp(2j * cmath.pi / d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for j in range(d):
+            out[j * d + k, k * d + j] = q ** (j * k)
+    return out
+
+
+def qudit_split(d: int) -> np.ndarray:
+    """w(1,2): |n> -> sum_k binom(n, k)_q^(1/2) |k>|n-k>."""
+    out = np.zeros((d * d, d), dtype=complex)
+    for n in range(d):
+        for k in range(n + 1):
+            out[k * d + (n - k), n] = qudit_sqrt_binom(d, n, k)
+    return out
+
+
+def qudit_merge(d: int) -> np.ndarray:
+    """w(2,1): |k>|j> -> binom(k+j, k)_q^(1/2) |k+j>, zero past the top level."""
+    out = np.zeros((d, d * d), dtype=complex)
+    for k in range(d):
+        for j in range(d - k):
+            out[k + j, k * d + j] = qudit_sqrt_binom(d, k + j, k)
+    return out
+
+
+def qudit_to_dense(m) -> np.ndarray:
+    """A complex-ring sparse map as a d^n_out x d^n_in complex matrix."""
+    d = m.d
+    out = np.zeros((d ** m.n_out, d ** m.n_in), dtype=complex)
+    for (w, u), v in m.entries.items():
+        out[int(w or "0", d), int(u or "0", d)] = complex(v.value)
+    return out
 
 
 # --- random well-arity terms ------------------------------------------------

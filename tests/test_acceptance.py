@@ -117,11 +117,16 @@ def test_c07_qudit_tables():
     tol = 1e-9
     checks = []
 
-    def w_entry(d, level, out_word):
-        p = zq.QParams(d)
-        m = zq.qudit_matrix(term.wspider(1, 2), p)
-        got = m.entries.get((out_word, str(level)))
+    def entry(t, d, out_word, in_word):
+        m = interpret(t, zq.QParams(d).ring(), d)
+        got = m.entries.get((out_word, in_word))
         return complex(got.value) if got is not None else 0j
+
+    def w_entry(d, level, out_word):
+        return entry(term.wspider(1, 2), d, out_word, str(level))
+
+    def t_entry(d, level):
+        return entry(zq.antipode_term(d), d, str(level), str(level))
 
     checks.append(abs(w_entry(2, 1, "01") - 1) <= tol)
     checks.append(abs(w_entry(2, 1, "11") - 0) <= tol)
@@ -130,16 +135,13 @@ def test_c07_qudit_tables():
     checks.append(abs(w_entry(4, 2, "11")
                       - 2 ** 0.25 * cmath.exp(1j * cmath.pi / 8)) <= tol)
     checks.append(abs(w_entry(4, 3, "12") - cmath.exp(1j * cmath.pi / 4)) <= tol)
-    t3 = zq.antipode_matrix(zq.QParams(3))
-    checks.append(abs(t3[1, 1] + 1) <= tol)
-    checks.append(abs(t3[2, 2] - cmath.exp(2j * cmath.pi / 3)) <= tol)
-    t4 = zq.antipode_matrix(zq.QParams(4))
-    checks.append(abs(t4[2, 2] - 1j) <= tol)
+    checks.append(abs(t_entry(3, 1) + 1) <= tol)
+    checks.append(abs(t_entry(3, 2) - cmath.exp(2j * cmath.pi / 3)) <= tol)
+    checks.append(abs(t_entry(4, 2) - 1j) <= tol)
     # top level at d=4: the Hopf property forces -q^3 = +i here
-    checks.append(abs(t4[3, 3] - 1j) <= tol)
+    checks.append(abs(t_entry(4, 3) - 1j) <= tol)
     checks.append(zq.check_antipode(zq.QParams(4)).passed)
-    t2 = zq.antipode_matrix(zq.QParams(2))
-    checks.append(abs(t2[1, 1] + 1) <= tol)
+    checks.append(abs(t_entry(2, 1) + 1) <= tol)
     _verdict(7, "explicit d=2,3,4 tables", all(checks))
 
 
@@ -190,8 +192,11 @@ def test_c10_negative_controls():
     reports = [zrules.check_rule(zrules.mutate(i), Z) for i in sample]
     ok = (len(reports) >= 10
           and all(not r.passed and r.witness is not None for r in reports))
-    p = zq.QParams(3)
-    w = zq.w_matrix(p).copy()
-    w[1 * 3 + 1, 2] *= 1.01
-    ok = ok and not zq.check_bialgebra(p, w_override=w).passed
+    # the d=3 bialgebra law with a stray 1.01 scaling on one output
+    C = zq.QParams(3).ring()
+    lhs, rhs = zq.law_terms(3)["bialgebra"]
+    bad = lhs >> (term.zspider(1, 1, ring.complex_value(C, 1.01)) @ term.ID)
+    rep = zrules.check_rule(zrules.RuleInstance(
+        "bialgebra", "d=3", bad, rhs, term.render(bad), term.render(rhs)), C, 3)
+    ok = ok and not rep.passed and rep.witness is not None
     _verdict(10, "negative controls bite", ok)

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from zwcalc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -64,6 +72,37 @@ def test_check_qudit(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["failed"] == 0 and data["d"] == 4
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_check_qudit_every_dimension(capsys, d):
+    code, out, _ = run(capsys, "check-qudit", "--d", str(d))
+    assert code == 0 and json.loads(out)["failed"] == 0
+
+
+@pytest.mark.parametrize("d", ["1", "11"])
+def test_check_qudit_rejects_dimension(capsys, d):
+    code, out, err = run(capsys, "check-qudit", "--d", d)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("state", [
+    '{"d": 3}',
+    '[{"d": 3}]',
+    '{"d": 3, "in": 0, "out": 1, "entries": [{"out": 1, "in": "", "v": "1"}]}',
+    '{"d": 3, "in": 0, "out": 1, "entries": [{"out": "7", "in": "", "v": "1"}]}',
+    '{"d": "3", "in": 0, "out": 1, "entries": []}',
+])
+def test_universal_rejects_malformed_json(capsys, state):
+    code, out, err = run(capsys, "universal", "--d", "3", state)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c",
+                    "import zwcalc, zwcalc.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_universal_verb(capsys):

@@ -5,36 +5,46 @@ import random
 import numpy as np
 import pytest
 
-from zwcalc import ring, term
-from zwcalc.semantics import interpret, map_equal
+from zwcalc import ring, rules, term
+from zwcalc.semantics import SparseMap, dagger, interpret, make_map, map_equal
 from zwcalc.qudit import (
-    QBinomialTable,
     QParams,
     QuditError,
-    annihilation_matrix,
-    antipode_matrix,
+    _law_report,
     antipode_term,
+    binomial_table,
     check_antipode,
     check_bialgebra,
     check_commutation,
     check_q_vandermonde,
     classical_vandermonde,
-    creation_matrix,
-    merge_matrix,
+    law_terms,
     q_binom,
     q_factorial,
     q_int,
-    qudit_matrix,
     qudit_universal_nf,
-    w_matrix,
-    x_matrix,
 )
 
+import helpers
+
 TOL = 1e-9
+DIMS = range(2, 11)
 
 
 def close(a, b, tol=TOL):
     return abs(a - b) <= tol
+
+
+def entry(t, d, out_w, in_w):
+    """One coefficient of a term's map at dimension d, zero when absent."""
+    got = interpret(t, QParams(d).ring(), d).entries.get((out_w, in_w))
+    return complex(got.value) if got is not None else 0j
+
+
+def diagonal(d, values):
+    R = QParams(d).ring()
+    return make_map(R, d, 1, 1, {
+        (str(n), str(n)): ring.complex_value(R, v) for n, v in enumerate(values)})
 
 
 def test_qparams_validation():
@@ -44,6 +54,11 @@ def test_qparams_validation():
         QParams(1)
     with pytest.raises(QuditError):
         QParams(3, tolerance=0.0)
+    # words spell one level per character, so level 10 cannot be written
+    with pytest.raises(QuditError, match="one level per character"):
+        QParams(11)
+    with pytest.raises(QuditError, match="one level per character"):
+        interpret(term.wspider(1, 2), ring.C(), 11)
 
 
 def test_q_integers():
@@ -66,7 +81,8 @@ def test_q_binom_value_at_d3():
 
 def test_table_caching_and_sqrt():
     p = QParams(3)
-    tab = QBinomialTable(p)
+    tab = binomial_table(p)
+    assert binomial_table(QParams(3)) is tab
     assert close(tab.ints[3], 0)
     assert close(tab.factorials[0], 1)
     assert close(tab.sqrt_binomials[2][1], cmath.exp(1j * cmath.pi / 6))
@@ -90,50 +106,40 @@ def test_vandermonde_classical():
 
 
 def test_split_tables_match_known_values():
-    w3 = w_matrix(QParams(3))
-    assert close(w3[0 * 3 + 2, 2], 1)
-    assert close(w3[1 * 3 + 1, 2], cmath.exp(1j * cmath.pi / 6))
-    assert close(w3[2 * 3 + 0, 2], 1)
-    w4 = w_matrix(QParams(4))
-    assert close(w4[1 * 4 + 1, 2], 2 ** 0.25 * cmath.exp(1j * cmath.pi / 8))
-    assert close(w4[1 * 4 + 2, 3], cmath.exp(1j * cmath.pi / 4))
-    assert close(w4[2 * 4 + 1, 3], cmath.exp(1j * cmath.pi / 4))
+    split = term.wspider(1, 2)
+    assert close(entry(split, 3, "02", "2"), 1)
+    assert close(entry(split, 3, "11", "2"), cmath.exp(1j * cmath.pi / 6))
+    assert close(entry(split, 3, "20", "2"), 1)
+    assert close(entry(split, 4, "11", "2"), 2 ** 0.25 * cmath.exp(1j * cmath.pi / 8))
+    assert close(entry(split, 4, "12", "3"), cmath.exp(1j * cmath.pi / 4))
+    assert close(entry(split, 4, "21", "3"), cmath.exp(1j * cmath.pi / 4))
     # d = 2 split is the familiar beam splitter
-    w2 = w_matrix(QParams(2))
-    assert close(w2[0 * 2 + 1, 1], 1) and close(w2[1 * 2 + 0, 1], 1)
-    assert close(w2[1 * 2 + 1, 1], 0)
+    assert close(entry(split, 2, "01", "1"), 1) and close(entry(split, 2, "10", "1"), 1)
+    assert close(entry(split, 2, "11", "1"), 0)
 
 
 def test_antipode_values():
-    t3 = antipode_matrix(QParams(3))
-    assert close(t3[1, 1], -1)
-    assert close(t3[2, 2], cmath.exp(2j * cmath.pi / 3))
-    t4 = antipode_matrix(QParams(4))
-    assert close(t4[2, 2], 1j)
+    assert close(entry(antipode_term(3), 3, "1", "1"), -1)
+    assert close(entry(antipode_term(3), 3, "2", "2"), cmath.exp(2j * cmath.pi / 3))
+    assert close(entry(antipode_term(4), 4, "2", "2"), 1j)
     # |3> picks up -q^3 = i; this also closes the Hopf loop (see below)
-    assert close(t4[3, 3], 1j)
+    assert close(entry(antipode_term(4), 4, "3", "3"), 1j)
     assert check_antipode(QParams(4)).passed
 
 
 def test_antipode_diagram_matches_formula():
     for d in (2, 3, 4):
         p = QParams(d)
-        m = interpret(antipode_term(d), p.ring(), d)
-        t = antipode_matrix(p)
-        for i in range(d):
-            got = m.entries.get((str(i), str(i)))
-            assert got is not None and close(complex(got.value), t[i, i])
+        formula = [(-1) ** n * p.q ** (n * (n - 1) // 2) for n in range(d)]
+        assert map_equal(interpret(antipode_term(d), p.ring(), d), diagonal(d, formula))
 
 
 def test_antipode_squared():
-    p2 = QParams(2)
-    assert np.allclose(antipode_matrix(p2) @ antipode_matrix(p2), np.eye(2))
-    for d in (3, 4, 5):
+    for d in (2, 3, 4, 5):
         p = QParams(d)
-        sq = antipode_matrix(p) @ antipode_matrix(p)
-        expect = np.diag([p.q ** (n * (n - 1)) for n in range(d)])
-        assert np.allclose(sq, expect, atol=TOL)
-        assert not np.allclose(sq, np.eye(d), atol=TOL)
+        sq = interpret(term.seq_all([antipode_term(d)] * 2), p.ring(), d)
+        assert map_equal(sq, diagonal(d, [p.q ** (n * (n - 1)) for n in range(d)]))
+        assert map_equal(sq, diagonal(d, [1] * d)) == (d == 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -141,66 +147,84 @@ def test_crossing_order_and_inverse(d):
     # the crossing is swap . diag(q^(jk)); the diagonal part has order d
     # and the permutation part order 2, so x^d is the identity for even d
     # and the plain swap for odd d, with x^(2d) always the identity
-    p = QParams(d)
-    x = x_matrix(p)
-    xd = np.linalg.matrix_power(x, d)
-    swap = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            swap[b * d + a, a * d + b] = 1
+    R = QParams(d).ring()
+
+    def power(n):
+        return interpret(term.seq_all([term.X] * n), R, d)
+
+    wires = interpret(term.identity(2), R, d)
+    xinv = interpret(term.XINV, R, d)
+    assert map_equal(xinv, dagger(interpret(term.X, R, d)))
     if d % 2 == 0:
-        assert np.allclose(xd, np.eye(d * d), atol=TOL)
-        assert np.allclose(np.linalg.matrix_power(x, d - 1), x.conj().T, atol=TOL)
+        assert map_equal(power(d), wires)
+        assert map_equal(power(d - 1), xinv)
     else:
-        assert np.allclose(xd, swap, atol=TOL)
-        assert np.allclose(np.linalg.matrix_power(x, 2 * d), np.eye(d * d), atol=TOL)
-        assert np.allclose(np.linalg.matrix_power(x, 2 * d - 1), x.conj().T, atol=TOL)
-    prod = interpret(term.X >> term.XINV, p.ring(), d)
-    assert map_equal(prod, interpret(term.identity(2), p.ring(), d))
-    assert qudit_matrix(term.XINV, p).entries  # sanity
+        assert map_equal(power(d), interpret(term.SWAP, R, d))
+        assert map_equal(power(2 * d), wires)
+        assert map_equal(power(2 * d - 1), xinv)
+    assert map_equal(interpret(term.X >> term.XINV, R, d), wires)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_comonoid_laws(d):
-    p = QParams(d)
-    W = w_matrix(p)
-    Id = np.eye(d)
-    coassoc_l = np.kron(W, Id) @ W
-    coassoc_r = np.kron(Id, W) @ W
-    assert np.allclose(coassoc_l, coassoc_r, atol=TOL)
-    swap = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            swap[b * d + a, a * d + b] = 1
-    assert np.allclose(swap @ W, W, atol=TOL)  # cocommutative with plain swap
-    counit = np.zeros((1, d))
-    counit[0, 0] = 1
-    assert np.allclose(np.kron(counit, Id) @ W, Id, atol=TOL)
-    assert np.allclose(np.kron(Id, counit) @ W, Id, atol=TOL)
+    R = QParams(d).ring()
+    split, wire, counit = term.wspider(1, 2), term.ID, term.bra(0, d)
+
+    def same(a, b):
+        return map_equal(interpret(a, R, d), interpret(b, R, d))
+
+    assert same(split >> (split @ wire), split >> (wire @ split))
+    assert same(split >> term.SWAP, split)  # cocommutative with plain swap
+    assert same(split >> (counit @ wire), wire)
+    assert same(split >> (wire @ counit), wire)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", DIMS)
 def test_bialgebra(d):
     rep = check_bialgebra(QParams(d))
     assert rep.passed, str(rep)
 
 
 def test_bialgebra_negative_control():
+    # the d=3 law with its left side damaged two ways, each failing at a
+    # known first entry: the inverse crossing in place of x, and a stray
+    # 1.01 scaling of level 1 on one output
     p = QParams(3)
-    w = w_matrix(p).copy()
-    w[1 * 3 + 1, 2] *= 1.01  # scale a single coefficient
-    rep = check_bialgebra(p, w_override=w)
-    assert not rep.passed
+    R = p.ring()
+    lhs, rhs = law_terms(3)["bialgebra"]
+    split, merge, wire = term.wspider(1, 2), term.wspider(2, 1), term.ID
+    damaged = [
+        (term.seq_all([split @ split, wire @ term.XINV @ wire, merge @ merge]), ("11", "11")),
+        (lhs >> (term.zspider(1, 1, ring.complex_value(R, 1.01)) @ wire), ("10", "01")),
+    ]
+    for bad, where in damaged:
+        inst = rules.RuleInstance("bialgebra", "d=3", bad, rhs,
+                                  term.render(bad), term.render(rhs))
+        rep = rules.check_rule(inst, R, 3)
+        assert not rep.passed and rep.witness[:2] == where
+        law = _law_report("bialgebra", p, interpret(bad, R, 3), interpret(rhs, R, 3))
+        assert not law.passed and law.max_error > TOL
+        assert f"(out={where[0]!r}, in={where[1]!r})" in law.detail
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", DIMS)
+def test_antipode_hopf(d):
+    rep = check_antipode(QParams(d))
+    assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("d", DIMS)
 def test_commutation(d):
     p = QParams(d)
     rep = check_commutation(p)
     assert rep.passed, str(rep)
-    a, adag = annihilation_matrix(p), creation_matrix(p)
     if d == 2:
-        assert np.allclose(a @ adag, np.eye(2) - adag @ a, atol=TOL)
+        # q = -1: a a+ = 1 - a+ a
+        create = (term.ket(1, 2) @ term.ID) >> term.wspider(2, 1)
+        annihilate = term.wspider(1, 2) >> (term.bra(1, 2) @ term.ID)
+        a_adag = helpers.qudit_to_dense(interpret(create >> annihilate, p.ring(), 2))
+        adag_a = helpers.qudit_to_dense(interpret(annihilate >> create, p.ring(), 2))
+        assert np.allclose(a_adag, np.eye(2) - adag_a, atol=TOL)
 
 
 def test_bosonic_truncation():
@@ -212,38 +236,38 @@ def test_bosonic_truncation():
     a = adag.T
     comm = a @ adag - adag @ a
     assert np.allclose(comm[: n - 1, : n - 1], np.eye(n - 1), atol=TOL)
-    assert check_commutation(QParams(5), bosonic_levels=8).passed
+    assert check_commutation(QParams(5)).passed
 
 
 def test_merge_is_transpose_of_split():
     for d in (2, 3, 4, 5):
-        p = QParams(d)
-        assert np.allclose(merge_matrix(p), w_matrix(p).T, atol=TOL)
+        R = QParams(d).ring()
+        split = interpret(term.wspider(1, 2), R, d)
+        transposed = SparseMap(R, d, 2, 1, {(u, w): v for (w, u), v in split.entries.items()})
+        assert map_equal(interpret(term.wspider(2, 1), R, d), transposed)
 
 
 def test_spider_entries_match_dense_matrices():
     # two routes to the same maps: combinatorial tree entries vs the
-    # dense split/merge/crossing formulas
-    from zwcalc.qudit import dense_to_sparse
+    # closed-form split/merge/crossing matrices of the dense oracle
     for d in (2, 3, 4, 5):
-        p = QParams(d)
-        assert map_equal(qudit_matrix(term.wspider(1, 2), p),
-                         dense_to_sparse(w_matrix(p), 1, 2, p))
-        assert map_equal(qudit_matrix(term.wspider(2, 1), p),
-                         dense_to_sparse(merge_matrix(p), 2, 1, p))
-        assert map_equal(qudit_matrix(term.X, p),
-                         dense_to_sparse(x_matrix(p), 2, 2, p))
+        R = QParams(d).ring()
+        for t, dense in ((term.wspider(1, 2), helpers.qudit_split(d)),
+                         (term.wspider(2, 1), helpers.qudit_merge(d)),
+                         (term.X, helpers.qudit_x(d))):
+            assert np.allclose(helpers.qudit_to_dense(interpret(t, R, d)), dense, atol=TOL)
 
 
 def test_qudit_spider_entries():
     p = QParams(3)
-    m = qudit_matrix(term.wspider(2, 1), p)
+    R = p.ring()
+    m = interpret(term.wspider(2, 1), R, 3)
     got = m.entries[("2", "11")]
     assert close(complex(got.value), cmath.sqrt(q_int(2, p) * q_int(1, p)))
-    z = qudit_matrix(term.zspider(1, 1, ring.complex_value(p.ring(), 2 + 0j)), p)
+    z = interpret(term.zspider(1, 1, ring.complex_value(R, 2 + 0j)), R, 3)
     for lvl in range(3):
         assert close(complex(z.entries[(str(lvl), str(lvl))].value), 2 ** lvl)
-    disc = qudit_matrix(term.zspider(1, 0, ring.one(p.ring())), p)
+    disc = interpret(term.zspider(1, 0, ring.one(R)), R, 3)
     c2 = cmath.sqrt(q_factorial(2, p))
     assert close(complex(disc.entries[("", "2")].value), 1 / c2)
 
