@@ -73,9 +73,14 @@ def _cmd_roundtrip(args) -> int:
     ring = _ring_from_flags(args)
     t = _term.parse(args.term, ring)
     m = _nf.normalize(t, ring)
+    via_nf = m.to_sparse(ring)
     direct = _sem.interpret(t, ring, 2)
-    agree = _sem.map_equal(m.to_sparse(ring), direct)
-    _emit({"term": args.term, "agree": agree}, args)
+    agree = _sem.map_equal(via_nf, direct)
+    data = {"term": args.term, "agree": agree}
+    if not agree:
+        # [out, in, normalize value, interpret value]
+        data["witness"] = list(_sem.first_difference(via_nf, direct))
+    _emit(data, args)
     return 0 if agree else 1
 
 

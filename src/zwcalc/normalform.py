@@ -13,15 +13,19 @@ wires whose word is the input word followed by the output word.
 :class:`MapNormalForm` remembers the split.
 
 ``normalize`` never consults the interpreter.  It recurses over the term
-with hardcoded normal forms for the generators, pairing rows for tensor
-products, and filtering rows on equal letters for wire pluggings; the
-test suite checks it against :func:`zwcalc.semantics.interpret`, which
-walks a completely different path.
+with hardcoded normal forms for the generators.  A ``;`` chain is joined
+factor by factor: the running rows meet each parallel layer block by
+block, matching letters on every block's inputs, so identity padding
+costs nothing and a layer's own normal form is never built.  A bare
+``*`` pairs the rows of its two sides.  The test suite checks the result
+against :func:`zwcalc.semantics.interpret`, which walks a completely
+different path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
@@ -157,10 +161,12 @@ class MapNormalForm:
         return make_map(ring, d, self.n_in, self.n_out, entries)
 
 
+@lru_cache(maxsize=1024)
 def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     """Hardcoded dimension-2 normal forms of the generators, as bent
     states.  Transposing any wires of a spider leaves its bent state
-    unchanged, so one table per spider covers every transpose."""
+    unchanged, so one table per spider covers every transpose.  Normal
+    forms are immutable, so each table is built once per ring."""
     one = _ring.one(ring)
     kind = g.kind
     if kind == "id":
@@ -192,7 +198,11 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
 
 def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     """Rewrite a dimension-2 term to its canonical normal form by
-    structural recursion, without evaluating it."""
+    structural recursion, without evaluating it.
+
+    Each factor after the first of a ``;`` chain is plugged in block by
+    block (see :func:`_plug`), with one canonicalization per factor; only
+    a ``*`` outside such a layer builds its tensor product."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
     if isinstance(t, _Empty):
@@ -214,27 +224,58 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
         factors = _term.seq_factors(t)
         acc = normalize(factors[0], ring)
         for f in factors[1:]:
-            acc = _plug(acc, normalize(f, ring))
+            acc = _plug(acc, _term.par_factors(f), ring)
         return acc
     raise ArityError(f"not a term: {t!r}")
 
 
-def _plug(a: MapNormalForm, b: MapNormalForm) -> MapNormalForm:
-    """Sequential composition on normal forms: tensor followed by tracing
-    each middle pair keeps exactly the row pairs whose middle words agree
-    letterwise, so join on the middle words directly instead of
-    materialising the rejected pairs."""
-    if a.n_out != b.n_in:
+def _plug(a: MapNormalForm, blocks: list[Term], ring: RingDescriptor) -> MapNormalForm:
+    """Plug the outputs of ``a`` into a parallel layer of blocks, block by
+    block, without building the layer's own normal form.
+
+    Tensoring and then tracing each middle pair keeps exactly the row
+    pairs whose middle words agree letterwise, so join on the middle word
+    directly: cut it into one segment per block, look each segment up
+    among the block's rows by their input letters, and for every match
+    append the block's output letters and multiply the coefficients.
+    Identity wires copy their segment unchanged, so the rows stay
+    proportional to ``a`` and never to 2^width.
+    """
+    if a.n_out != sum(b.n_in for b in blocks):
         raise ArityError("middle arity mismatch")
-    by_mid: dict[str, list[Row]] = {}
-    for c, w in b.nf.rows:
-        by_mid.setdefault(w[:b.n_in], []).append((c, w[b.n_in:]))
+    # (segment width, block rows by input letters); None copies the segment
+    segments: list[tuple[int, dict | None]] = []
+    for b in blocks:
+        if isinstance(b, Gen) and b.gen.kind == "id":
+            if segments and segments[-1][1] is None:
+                segments[-1] = (segments[-1][0] + 1, None)
+            else:
+                segments.append((1, None))
+            continue
+        nb = normalize(b, ring)
+        by_in: dict[str, list[tuple[str, RingElement]]] = {}
+        for c, w in nb.nf.rows:
+            by_in.setdefault(w[:nb.n_in], []).append((w[nb.n_in:], c))
+        segments.append((nb.n_in, by_in))
     rows = []
     for c, w in a.nf.rows:
-        for c2, v in by_mid.get(w[a.n_in:], ()):
-            rows.append((c * c2, w[:a.n_in] + v))
-    nf = canonicalize(PreNormalForm(2, a.n_in + b.n_out, tuple(rows)))
-    return MapNormalForm(a.n_in, b.n_out, nf)
+        partial = [(w[:a.n_in], c)]
+        pos = a.n_in
+        for width, by_in in segments:
+            seg = w[pos:pos + width]
+            pos += width
+            if by_in is None:
+                partial = [(v + seg, x) for v, x in partial]
+                continue
+            matches = by_in.get(seg)
+            if not matches:
+                break
+            partial = [(v + bv, x * bc) for v, x in partial for bv, bc in matches]
+        else:
+            rows.extend((x, v) for v, x in partial)
+    n_out = sum(b.n_out for b in blocks)
+    nf = canonicalize(PreNormalForm(2, a.n_in + n_out, tuple(rows)))
+    return MapNormalForm(a.n_in, n_out, nf)
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:

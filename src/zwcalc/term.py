@@ -287,25 +287,34 @@ def bra(level: int, d: int = 2) -> Term:
     return seq(ID @ ket(level, d), CAP)
 
 
-def crossing_perm(perm, crossing: Term | None = None) -> Term:
-    """Wiring that sends wire i to position perm[i], one crossing per
-    inversion (bubble network).  Uses ``x`` crossings unless another
-    2-to-2 term is given.
+def crossing_perm(perm) -> Term:
+    """Wiring of ``x`` crossings that sends wire i to position perm[i].
+
+    Odd-even transposition rounds (Habermann, 1972): round r crosses the
+    adjacent pairs (i, i + 1) with i = r mod 2 whose targets are out of
+    order, and each round with a crossing is one parallel layer, so there
+    are at most n layers.  Every crossing removes one inversion, so the
+    word is reduced: one crossing per inversion, and by Matsumoto's
+    theorem and the Reidemeister III move it denotes the same map as any
+    other reduced word for ``perm``, at every dimension.
     """
-    crossing = X if crossing is None else crossing
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ArityError(f"{perm!r} is not a permutation")
-    cur = list(range(n))
+    cur = list(perm)  # cur[i]: target of the wire now at position i
     layers = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            if perm[cur[i]] > perm[cur[i + 1]]:
-                layers.append(par_all([identity(i), crossing, identity(n - i - 2)]))
+    for r in range(n):
+        row, i = [], 0
+        while i < n:
+            if i % 2 == r % 2 and i + 1 < n and cur[i] > cur[i + 1]:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                changed = True
+                row.append(X)
+                i += 2
+            else:
+                row.append(ID)
+                i += 1
+        if X in row:
+            layers.append(par_all(row))
     if not layers:
         return identity(n)
     return seq_all(layers)

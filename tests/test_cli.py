@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from zwcalc import normalform
 from zwcalc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -46,7 +47,28 @@ def test_normalize_matches_eval(capsys):
 def test_roundtrip_verdict(capsys):
     code, out, _ = run(capsys, "roundtrip", "--ring", "Z",
                        "w(0,3) ; (cap * id)")
-    assert code == 0 and json.loads(out)["agree"] is True
+    assert code == 0 and json.loads(out) == {
+        "term": "w(0,3) ; (cap * id)", "agree": True}
+
+
+def test_roundtrip_reports_witness(capsys, monkeypatch):
+    # plant a mismatch: normalize sees x with every sign flipped
+    real = normalform.generator_nf
+
+    def flipped(g, r):
+        m = real(g, r)
+        if g.kind != "x":
+            return m
+        rows = tuple((-c, w) for c, w in m.nf.rows)
+        return normalform.MapNormalForm(
+            m.n_in, m.n_out, normalform.NormalForm(2, m.nf.n, rows))
+
+    monkeypatch.setattr(normalform, "generator_nf", flipped)
+    code, out, _ = run(capsys, "roundtrip", "--ring", "Z", "w(0,2) ; x")
+    assert code == 1
+    data = json.loads(out)
+    assert data["agree"] is False
+    assert data["witness"] == ["01", "", "-1", "1"]
 
 
 def test_check_axioms_small_bounds(capsys):

@@ -7,6 +7,7 @@ from zwcalc import ring, term
 from zwcalc.ring import UnsupportedOperationError
 from zwcalc.semantics import interpret, map_equal, make_map
 from zwcalc.normalform import (
+    MapNormalForm,
     NormalForm,
     PreNormalForm,
     canonicalize,
@@ -194,6 +195,28 @@ def test_nf_to_term_round_trip():
         state = make_map(Z, 2, 0, n, entries)
         nf = nf_of_state(state)
         assert map_equal(interpret(nf_to_term(nf), Z), state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_normalize_agrees_with_interpreter_on_wide_terms(seed):
+    rng = random.Random(seed)
+    labels = [ring.from_int(Z, v) for v in (-2, -1, 0, 1, 2)]
+    t = helpers.random_term(rng, labels, max_generators=30, max_wires=10)
+    assert map_equal(normalize(t, Z).to_sparse(Z), interpret(t, Z))
+
+
+def test_nf_to_term_round_trip_ten_wires():
+    rng = random.Random(10)
+    words = set()
+    while len(words) < 20:
+        words.add("".join(rng.choice("01") for _ in range(10)))
+    state = make_map(Z, 2, 0, 10, {
+        (w, ""): iz(rng.choice([-3, -2, -1, 1, 2, 3])) for w in sorted(words)})
+    nf = nf_of_state(state)
+    t = nf_to_term(nf)
+    assert normalize(t, Z) == MapNormalForm(0, 10, nf)
+    assert map_equal(interpret(t, Z), state)
 
 
 def test_normalize_rejects_approximate_rings():

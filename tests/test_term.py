@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -119,6 +120,83 @@ def test_parse_render_round_trip(seed):
               ring.from_int(QI, -2), ring.from_int(QI, 0)]
     t = helpers.random_term(rng, labels, pool=helpers.FULL_POOL)
     assert parse(render(t), QI) == t
+
+
+def _inversions(perm):
+    return sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+               if perm[i] > perm[j])
+
+
+def _signed_permutation(perm):
+    """Basis word b goes to b with letter i moved to position perm[i],
+    signed by -1 for each inverted pair of wires that both carry a 1."""
+    n = len(perm)
+    entries = {}
+    for bits in itertools.product("01", repeat=n):
+        out = [""] * n
+        for i, b in enumerate(bits):
+            out[perm[i]] = b
+        ones = sum(1 for i, j in itertools.combinations(range(n), 2)
+                   if perm[i] > perm[j] and bits[i] == bits[j] == "1")
+        entries[("".join(out), "".join(bits))] = ring.from_int(Z, (-1) ** ones)
+    return semantics.make_map(Z, 2, n, n, entries)
+
+
+def _check_crossing_network(perm):
+    n = len(perm)
+    t = term.crossing_perm(perm)
+    assert (t.n_in, t.n_out) == (n, n)
+    layers = [term.par_factors(f) for f in term.seq_factors(t)]
+    crossing_layers = [blocks for blocks in layers if term.X in blocks]
+    assert len(crossing_layers) <= n
+    for blocks in layers:
+        # a layer is a row of disjoint crossings and wires spanning all n
+        assert all(b in (term.X, ID) for b in blocks)
+        assert sum(b.n_in for b in blocks) == n
+    crossings = sum(blocks.count(term.X) for blocks in layers)
+    assert crossings == _inversions(perm)
+    assert semantics.map_equal(semantics.interpret(t, Z), _signed_permutation(perm))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_crossing_perm_every_small_permutation(n):
+    for perm in itertools.permutations(range(n)):
+        _check_crossing_network(list(perm))
+
+
+def test_crossing_perm_seeded_twelve_wires():
+    perm = list(range(12))
+    random.Random(12).shuffle(perm)
+    _check_crossing_network(perm)
+
+
+def _bubble_network(perm):
+    """One crossing per inversion, one padded layer per crossing."""
+    n = len(perm)
+    cur = list(perm)
+    layers = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            if cur[i] > cur[i + 1]:
+                layers.append(term.par_all(
+                    [term.identity(i), term.X, term.identity(n - i - 2)]))
+                cur[i], cur[i + 1] = cur[i + 1], cur[i]
+                changed = True
+    return term.seq_all(layers)
+
+
+@pytest.mark.parametrize("perm", [[1, 0], [2, 0, 1], [3, 2, 1, 0],
+                                  [1, 3, 0, 2], [4, 2, 0, 3, 1]])
+def test_crossing_perm_matches_bubble_network_at_d3(perm):
+    # at d = 3 the crossing is not an involution, so only the reducedness
+    # of both words makes them denote the same map
+    c = ring.C(1e-9)
+    new = semantics.interpret(term.crossing_perm(perm), c, 3)
+    old = semantics.interpret(_bubble_network(perm), c, 3)
+    assert len(new.entries) == 3 ** len(perm)
+    assert semantics.map_equal(new, old)
 
 
 def test_whitespace_insignificant():
