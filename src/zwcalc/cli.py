@@ -224,6 +224,9 @@ def main(argv=None) -> int:
             _qudit.QuditError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to read", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ wires whose word is the input word followed by the output word.
 :class:`MapNormalForm` remembers the split.
 
 ``normalize`` never consults the interpreter.  It recurses over the term
-with hardcoded normal forms for the generators.  A ``;`` chain is joined
-factor by factor: the running rows meet each parallel layer block by
-block, matching letters on every block's inputs, so identity padding
-costs nothing and a layer's own normal form is never built.  A bare
-``*`` pairs the rows of its two sides.  The test suite checks the result
-against :func:`zwcalc.semantics.interpret`, which walks a completely
-different path.
+with hardcoded normal forms for the generators.  Every term is a ``;``
+chain of ``*`` layers, joined layer by layer: the running rows meet each
+layer block by block, matching letters on every block's inputs, so
+identity padding costs nothing and a layer's own normal form is never
+built.  The first layer has nothing below it; its rows concatenate the
+blocks' bent words, and one permutation moves the input letters to the
+front.  The test suite checks the result against
+:func:`zwcalc.semantics.interpret`, which walks a completely different
+path.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .term import ArityError, Gen, Generator, Par, Seq, Term, _Empty
 from .semantics import SparseMap, json_fields, json_word, make_map
 
 Row = tuple[RingElement, str]
+
+
+def _below(word: str, d: int) -> bool:
+    """Whether every letter (a digit) of ``word`` is a level below ``d``."""
+    return d > 9 or not word or max(word) < str(d)
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class NormalForm:
             raise ArityError("row word of the wrong length")
         if words != sorted(words) or len(set(words)) != len(words):
             raise ArityError("rows must be sorted with distinct words")
-        if any(int(c) >= self.d for w in words for c in w):
+        if not all(_below(w, self.d) for w in words):
             raise ArityError(f"connection letters must be below d={self.d}")
 
     def is_zero(self) -> bool:
@@ -75,7 +82,7 @@ def canonicalize(p: PreNormalForm | NormalForm) -> NormalForm:
     dimension cannot support, and sort."""
     acc: dict[str, RingElement] = {}
     for coeff, word in p.rows:
-        if any(int(c) >= p.d for c in word):
+        if not _below(word, p.d):
             continue
         acc[word] = acc[word] + coeff if word in acc else coeff
     rows = tuple(
@@ -125,17 +132,15 @@ def nf_negate(a: NormalForm, j: int) -> NormalForm:
     return canonicalize(PreNormalForm(a.d, a.n, rows))
 
 
-def nf_permute(a: NormalForm, perm: list[int]) -> NormalForm:
+def nf_permute(a: NormalForm | PreNormalForm, perm: list[int]) -> NormalForm:
     """Send coordinate i to position perm[i] in every word."""
     if sorted(perm) != list(range(a.n)):
         raise ArityError(f"{perm!r} is not a permutation of {a.n} coordinates")
-    rows = []
-    for c, w in a.rows:
-        out = [""] * a.n
-        for i, ch in enumerate(w):
-            out[perm[i]] = ch
-        rows.append((c, "".join(out)))
-    return canonicalize(PreNormalForm(a.d, a.n, tuple(rows)))
+    source = [0] * a.n  # source[j]: the coordinate that lands at position j
+    for i, j in enumerate(perm):
+        source[j] = i
+    rows = tuple((c, "".join([w[i] for i in source])) for c, w in a.rows)
+    return canonicalize(PreNormalForm(a.d, a.n, rows))
 
 
 @dataclass(frozen=True)
@@ -169,9 +174,7 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     forms are immutable, so each table is built once per ring."""
     one = _ring.one(ring)
     kind = g.kind
-    if kind == "id":
-        rows = [(one, "00"), (one, "11")]
-    elif kind in ("cup", "cap"):
+    if kind in ("id", "cup", "cap"):
         rows = [(one, "00"), (one, "11")]
     elif kind == "swap":
         rows = [(one, "0000"), (one, "0110"), (one, "1001"), (one, "1111")]
@@ -200,36 +203,23 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     """Rewrite a dimension-2 term to its canonical normal form by
     structural recursion, without evaluating it.
 
-    Each factor after the first of a ``;`` chain is plugged in block by
-    block (see :func:`_plug`), with one canonicalization per factor; only
-    a ``*`` outside such a layer builds its tensor product."""
+    Every term is read as a ``;`` chain of ``*`` layers, and each layer is
+    joined block by block (see :func:`_plug`) with one canonicalization per
+    layer; blocks other than a bare ``id`` are normalized by recursion."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
-    if isinstance(t, _Empty):
-        return MapNormalForm(0, 0, NormalForm(2, 0, ((_ring.one(ring), ""),)))
     if isinstance(t, Gen):
         return generator_nf(t.gen, ring)
-    if isinstance(t, Par):
-        a = normalize(t.left, ring)
-        b = normalize(t.right, ring)
-        joint = nf_tensor(a.nf, b.nf)
-        # words are u_a v_a u_b v_b; interleave to u_a u_b v_a v_b
-        perm = (list(range(a.n_in))
-                + list(range(a.n_in + b.n_in, a.n_in + b.n_in + a.n_out))
-                + list(range(a.n_in, a.n_in + b.n_in))
-                + list(range(a.n_in + b.n_in + a.n_out, joint.n)))
-        return MapNormalForm(a.n_in + b.n_in, a.n_out + b.n_out,
-                             nf_permute(joint, perm))
-    if isinstance(t, Seq):
-        factors = _term.seq_factors(t)
-        acc = normalize(factors[0], ring)
-        for f in factors[1:]:
-            acc = _plug(acc, _term.par_factors(f), ring)
-        return acc
-    raise ArityError(f"not a term: {t!r}")
+    if not isinstance(t, (Seq, Par, _Empty)):
+        raise ArityError(f"not a term: {t!r}")
+    acc = None
+    for f in _term.seq_factors(t):
+        acc = _plug(acc, _term.par_factors(f), ring)
+    return acc
 
 
-def _plug(a: MapNormalForm, blocks: list[Term], ring: RingDescriptor) -> MapNormalForm:
+def _plug(a: MapNormalForm | None, blocks: list[Term],
+          ring: RingDescriptor) -> MapNormalForm:
     """Plug the outputs of ``a`` into a parallel layer of blocks, block by
     block, without building the layer's own normal form.
 
@@ -240,27 +230,38 @@ def _plug(a: MapNormalForm, blocks: list[Term], ring: RingDescriptor) -> MapNorm
     append the block's output letters and multiply the coefficients.
     Identity wires copy their segment unchanged, so the rows stay
     proportional to ``a`` and never to 2^width.
+
+    With ``a = None`` the layer opens a chain: rows append every block's
+    whole bent word, and one :func:`nf_permute` (the layer's one
+    canonicalization) moves the input letters to the front.
     """
-    if a.n_out != sum(b.n_in for b in blocks):
+    opening = a is None
+    if opening and len(blocks) == 1:
+        return normalize(blocks[0], ring)
+    n_in = sum(b.n_in for b in blocks)
+    n_out = sum(b.n_out for b in blocks)
+    if not opening and a.n_out != n_in:
         raise ArityError("middle arity mismatch")
-    # (segment width, block rows by input letters); None copies the segment
+    # (segment width, block rows by the letters they match); None copies the segment
     segments: list[tuple[int, dict | None]] = []
     for b in blocks:
-        if isinstance(b, Gen) and b.gen.kind == "id":
+        if not opening and isinstance(b, Gen) and b.gen.kind == "id":
             if segments and segments[-1][1] is None:
                 segments[-1] = (segments[-1][0] + 1, None)
             else:
                 segments.append((1, None))
             continue
         nb = normalize(b, ring)
+        width = 0 if opening else nb.n_in
         by_in: dict[str, list[tuple[str, RingElement]]] = {}
         for c, w in nb.nf.rows:
-            by_in.setdefault(w[:nb.n_in], []).append((w[nb.n_in:], c))
-        segments.append((nb.n_in, by_in))
+            by_in.setdefault(w[:width], []).append((w[width:], c))
+        segments.append((width, by_in))
+    a_in, start = (0, ((_ring.one(ring), ""),)) if opening else (a.n_in, a.nf.rows)
     rows = []
-    for c, w in a.nf.rows:
-        partial = [(w[:a.n_in], c)]
-        pos = a.n_in
+    for c, w in start:
+        partial = [(w[:a_in], c)]
+        pos = a_in
         for width, by_in in segments:
             seg = w[pos:pos + width]
             pos += width
@@ -273,9 +274,15 @@ def _plug(a: MapNormalForm, blocks: list[Term], ring: RingDescriptor) -> MapNorm
             partial = [(v + bv, x * bc) for v, x in partial for bv, bc in matches]
         else:
             rows.extend((x, v) for v, x in partial)
-    n_out = sum(b.n_out for b in blocks)
-    nf = canonicalize(PreNormalForm(2, a.n_in + n_out, tuple(rows)))
-    return MapNormalForm(a.n_in, n_out, nf)
+    if not opening:
+        nf = canonicalize(PreNormalForm(2, a_in + n_out, tuple(rows)))
+        return MapNormalForm(a_in, n_out, nf)
+    # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
+    ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
+    perm = [next(ins) if j < b.n_in else next(outs)
+            for b in blocks for j in range(b.n_in + b.n_out)]
+    nf = nf_permute(PreNormalForm(2, n_in + n_out, tuple(rows)), perm)
+    return MapNormalForm(n_in, n_out, nf)
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:
@@ -310,9 +317,10 @@ def nf_to_term(a: NormalForm | PreNormalForm) -> Term:
     for j in range(n):
         k_j = sum(int(word[j]) for _, word in rows)
         merges.append(_term.w_monoid(k_j))
-    t = bottom >> _term.par_all(whites)
-    t = t >> _term.crossing_perm(perm)
-    return t >> _term.par_all(merges)
+    layers = [bottom, _term.par_all(whites), _term.crossing_perm(perm),
+              _term.par_all(merges)]
+    # a layer without wires is EMPTY, which has no concrete syntax
+    return _term.seq_all([f for f in layers if f is not _term.EMPTY])
 
 
 def to_json_dict(a: NormalForm) -> dict:

@@ -386,9 +386,10 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
     for j in range(n):
         k_j = sum(int(word[j]) for _, word in rows)
         merges.append(_term.wspider(k_j, 1) if k_j else _term.ket(0, p.d))
-    t = bottom >> _term.par_all(whites)
-    t = t >> _term.crossing_perm(perm)
-    t = t >> _term.par_all(merges)
+    layers = [bottom, _term.par_all(whites), _term.crossing_perm(perm),
+              _term.par_all(merges)]
+    # a layer without wires is EMPTY, which has no concrete syntax
+    t = _term.seq_all([f for f in layers if f is not _term.EMPTY])
     nf = canonicalize(PreNormalForm(
         p.d, n, tuple((_ring.complex_value(ring, a), w) for a, w in rows)))
     return t, nf

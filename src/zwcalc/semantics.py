@@ -3,10 +3,13 @@
 A term with ``k`` inputs and ``m`` outputs denotes a linear map between
 tensor powers of the d-dimensional generator object.  We store it as a
 mapping from ``(output word, input word)`` pairs to nonzero coefficients,
-with words written over the digits ``0 .. d-1``.  Sequential composition
-contracts over the shared middle word; parallel composition concatenates
-words and multiplies coefficients.  Nothing is ever densified, so states
-with few amplitudes stay small no matter how many wires they live on.
+with words written over the digits ``0 .. d-1``.  A term is read as a
+``;`` chain of ``*`` layers, and one join composes it: the running map
+meets each layer block by block, contracting over the middle word, and
+a block's output word is concatenated on and its coefficient multiplied
+in.  The first layer has nothing below it, so its input words are
+concatenated too.  Nothing is ever densified, so states with few
+amplitudes stay small no matter how many wires they live on.
 
 Exact rings interpret at dimension 2 (the qubit tables below); the
 approximate complex ring switches to the anyonic qudit tables provided by
@@ -109,60 +112,45 @@ def _qubit_generator_entries(g, ring) -> tuple[int, int, dict]:
     raise ArityError(f"unknown generator {kind!r}")
 
 
-def _compose(f: SparseMap, g: SparseMap) -> SparseMap:
-    """f then g, contracting over the shared middle word."""
-    if f.n_out != g.n_in:
-        raise ArityError(f"cannot compose {f.n_out} outputs with {g.n_in} inputs")
-    by_mid: dict[Word, list] = {}
-    for (b, u), v in f.entries.items():
-        by_mid.setdefault(b, []).append((u, v))
-    acc: dict[Key, RingElement] = {}
-    for (w, b), gv in g.entries.items():
-        for u, fv in by_mid.get(b, ()):
-            key = (w, u)
-            prod = gv * fv
-            if key in acc:
-                acc[key] = acc[key] + prod
-            else:
-                acc[key] = prod
-    return SparseMap(f.ring, f.d, f.n_in, g.n_out, _clean(f.ring, acc))
-
-
-def _tensor(f: SparseMap, g: SparseMap) -> SparseMap:
-    acc: dict[Key, RingElement] = {}
-    for (w1, u1), v1 in f.entries.items():
-        for (w2, u2), v2 in g.entries.items():
-            acc[(w1 + w2, u1 + u2)] = v1 * v2
-    return SparseMap(f.ring, f.d, f.n_in + g.n_in, f.n_out + g.n_out,
-                     _clean(f.ring, acc))
-
-
-def _apply_blocks(a: SparseMap, blocks: list[SparseMap]) -> SparseMap:
+def _apply_blocks(a: SparseMap | None, blocks: list[SparseMap],
+                  ring: RingDescriptor, d: int) -> SparseMap:
     """Compose ``a`` with a parallel layer of blocks without ever building
-    the layer's own map; wide identity padding stays free this way."""
-    n_out = sum(b.n_out for b in blocks)
-    indexes = []
+    the layer's own map; wide identity padding stays free this way.
+
+    With ``a = None`` the layer opens a chain and its inputs stay open:
+    each block entry adds its input letters to the input word and its
+    output letters to the output word.  A lone opening block is returned."""
+    if a is None and len(blocks) == 1:
+        return blocks[0]
+    # (segment width, block entries as (out, in, value) by the segment they meet)
+    segments = []
     for b in blocks:
-        by_in: dict[Word, list] = {}
+        index: dict[Word, list] = {}
         for (w, u), v in b.entries.items():
-            by_in.setdefault(u, []).append((w, v))
-        indexes.append(by_in)
+            # an open input matches the empty segment and joins the input word
+            key, entry = ("", (w, u, v)) if a is None else (u, (w, "", v))
+            index.setdefault(key, []).append(entry)
+        segments.append((0 if a is None else b.n_in, index))
+    if a is None:
+        n_in, rows = sum(b.n_in for b in blocks), {("", ""): _ring.one(ring)}
+    else:
+        n_in, rows = a.n_in, a.entries
     acc: dict[Key, RingElement] = {}
-    for (mid, u), base in a.entries.items():
-        partial = [("", base)]
+    for (mid, u), base in rows.items():
+        partial = [("", u, base)]
         pos = 0
-        for b, by_in in zip(blocks, indexes):
-            seg = mid[pos:pos + b.n_in]
-            pos += b.n_in
-            matches = by_in.get(seg)
+        for width, index in segments:
+            matches = index.get(mid[pos:pos + width])
+            pos += width
             if not matches:
                 partial = []
                 break
-            partial = [(w + bw, v * bv) for w, v in partial for bw, bv in matches]
-        for w, v in partial:
-            key = (w, u)
+            partial = [(w + bw, x + bu, v * bv)
+                       for w, x, v in partial for bw, bu, bv in matches]
+        for w, x, v in partial:
+            key = (w, x)
             acc[key] = acc[key] + v if key in acc else v
-    return SparseMap(a.ring, a.d, a.n_in, n_out, _clean(a.ring, acc))
+    return SparseMap(ring, d, n_in, sum(b.n_out for b in blocks), _clean(ring, acc))
 
 
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
@@ -183,8 +171,6 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
         qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
 
     def go(u: Term) -> SparseMap:
-        if isinstance(u, _Empty):
-            return SparseMap(ring, d, 0, 0, {("", ""): _ring.one(ring)})
         if isinstance(u, Gen):
             if qudit is not None:
                 n_in, n_out, ent = qudit.generator_entries(u.gen, ring, d)
@@ -194,21 +180,14 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
                         f"label {u.gen.label} does not live in {ring}")
                 n_in, n_out, ent = _qubit_generator_entries(u.gen, ring)
             return SparseMap(ring, d, n_in, n_out, ent)
-        if isinstance(u, Seq):
-            # peel sequential factors iteratively and apply each parallel
-            # layer blockwise to the running map, so that wide layers of
-            # small blocks never materialise their own maps
-            factors = _term.seq_factors(u)
-            acc = go(factors[0])
-            for f in factors[1:]:
-                if isinstance(f, Par):
-                    acc = _apply_blocks(acc, [go(b) for b in _term.par_factors(f)])
-                else:
-                    acc = _compose(acc, go(f))
-            return acc
-        if isinstance(u, Par):
-            return _tensor(go(u.left), go(u.right))
-        raise ArityError(f"not a term: {u!r}")
+        if not isinstance(u, (Seq, Par, _Empty)):
+            raise ArityError(f"not a term: {u!r}")
+        # a chain of parallel layers; each meets the running map block by
+        # block, and the first one has nothing below it
+        acc = None
+        for f in _term.seq_factors(u):
+            acc = _apply_blocks(acc, [go(b) for b in _term.par_factors(f)], ring, d)
+        return acc
 
     return go(t)
 

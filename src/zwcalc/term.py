@@ -27,7 +27,7 @@ coefficient ring, and ``ket(l)`` the level-``l`` basis state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement
@@ -116,18 +116,10 @@ class Seq(Term):
             raise ArityError(
                 f"cannot plug {self.first.n_out} outputs into "
                 f"{self.then.n_in} inputs")
-        # compute arities eagerly so that deeply nested chains never
-        # recurse on attribute access
+        # arities are stored, not derived, so that deeply nested terms
+        # never recurse on attribute access
         self.__dict__["n_in"] = self.first.n_in
         self.__dict__["n_out"] = self.then.n_out
-
-    @cached_property
-    def n_in(self):
-        return self.first.n_in
-
-    @cached_property
-    def n_out(self):
-        return self.then.n_out
 
 
 @dataclass(frozen=True)
@@ -138,14 +130,6 @@ class Par(Term):
     def __post_init__(self):
         self.__dict__["n_in"] = self.left.n_in + self.right.n_in
         self.__dict__["n_out"] = self.left.n_out + self.right.n_out
-
-    @cached_property
-    def n_in(self):
-        return self.left.n_in + self.right.n_in
-
-    @cached_property
-    def n_out(self):
-        return self.left.n_out + self.right.n_out
 
 
 def seq(f: Term, g: Term) -> Term:
@@ -299,11 +283,14 @@ def crossing_perm(perm) -> Term:
     other reduced word for ``perm``, at every dimension.
     """
     n = len(perm)
-    if sorted(perm) != list(range(n)):
+    done = list(range(n))
+    if sorted(perm) != done:
         raise ArityError(f"{perm!r} is not a permutation")
     cur = list(perm)  # cur[i]: target of the wire now at position i
     layers = []
     for r in range(n):
+        if cur == done:  # the remaining rounds cross nothing
+            break
         row, i = [], 0
         while i < n:
             if i % 2 == r % 2 and i + 1 < n and cur[i] > cur[i + 1]:
@@ -330,7 +317,12 @@ def adjoint(t: Term) -> Term:
     if isinstance(t, Seq):
         return seq_all([adjoint(f) for f in reversed(seq_factors(t))])
     if isinstance(t, Par):
-        return Par(adjoint(t.left), adjoint(t.right))
+        # walk the left spine iteratively: rows can be wide
+        tail = []
+        while isinstance(t, Par):
+            tail.append(t.right)
+            t = t.left
+        return reduce(Par, [adjoint(u) for u in reversed(tail)], adjoint(t))
     g = t.gen
     if g.kind in ("id", "swap"):
         return t
@@ -386,12 +378,14 @@ def render(t: Term) -> str:
         return f"({go(u)})"
 
     def par_level(u: Term) -> str:
-        if isinstance(u, Par):
-            return f"{par_level(u.left)} * {atom(u.right)}"
-        return atom(u)
+        tail = []
+        while isinstance(u, Par):
+            tail.append(u.right)
+            u = u.left
+        return " * ".join([atom(u)] + [atom(p) for p in reversed(tail)])
 
     def go(u: Term) -> str:
-        # walk the left spine iteratively: composition chains can be long
+        # walk the left spines iteratively: chains and rows can be long
         tail = []
         while isinstance(u, Seq):
             tail.append(u.then)

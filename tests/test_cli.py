@@ -120,6 +120,62 @@ def test_universal_rejects_malformed_json(capsys, state):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+ZERO_STATE = '{"d": 2, "in": 0, "out": 3, "entries": [{"out": "000", "in": "", "v": "1"}]}'
+WIDE = " * ".join(["w(0,1)"] * 3000)
+DEEP = "(" * 2000 + "id" + ")" * 2000
+# edge inputs as (term text, JSON state)
+EDGE_INPUTS = {
+    "all-zero": ("ket(0) * ket(0) * ket(0)", ZERO_STATE),
+    "wide": (WIDE, json.dumps({"d": 2, "in": 0, "out": 3000, "entries": [
+        {"out": "1" * 3000, "in": "", "v": "1"}]})),
+    "deep": (DEEP, "[" * 2000 + "]" * 2000),
+    "empty": ("", ""),
+    "ket2": ("ket(2)", '{"d": 2, "in": 0, "out": 1, "entries": [{"out": "2", "in": "", "v": "1"}]}'),
+}
+EDGE_FLAGS = {"default": [], "zn-without-mod": ["--ring", "Zn"]}
+
+
+def test_states_without_letters(capsys):
+    # |0>, |000> and scalars rebuild without an empty crossing layer
+    for text in ("ket(0)", "ket(0) * ket(0) * ket(0)", "cup ; cap"):
+        code, out, err = run(capsys, "normalize", text)
+        assert code == 0 and err == ""
+        code, _, _ = run(capsys, "roundtrip", json.loads(out)["term"])
+        assert code == 0
+    for d, state in ((2, ZERO_STATE), (3, ZERO_STATE.replace('"d": 2', '"d": 3')),
+                     (3, '{"d": 3, "in": 0, "out": 0, "entries": [{"out": "", "in": "", "v": "2"}]}')):
+        code, out, err = run(capsys, "universal", "--d", str(d), state)
+        assert code == 0 and json.loads(out)["roundtrip"] is True
+
+
+def test_deep_nesting_exits_2(capsys):
+    code, out, err = run(capsys, "eval", DEEP)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def _edge_cases():
+    # the term verbs read the text, universal the state, and the rule
+    # checks the text as their --labels list
+    for name, (text, state) in EDGE_INPUTS.items():
+        for verb in ("eval", "normalize", "roundtrip"):
+            yield pytest.param([verb, text], id=f"{verb}-{name}")
+        yield pytest.param(["universal", state], id=f"universal-{name}")
+        for verb in ("check-axioms", "check-derived"):
+            yield pytest.param([verb, "--max-arity", "1", "--max-nm", "1", "--labels", text],
+                               id=f"{verb}-{name}")
+    yield pytest.param(["check-qudit"], id="check-qudit")
+
+
+@pytest.mark.parametrize("flags", EDGE_FLAGS.values(), ids=EDGE_FLAGS.keys())
+@pytest.mark.parametrize("argv", _edge_cases())
+def test_every_verb_exits_0_1_or_2(capsys, argv, flags):
+    code, _, err = run(capsys, argv[0], *flags, *argv[1:])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:")
+
+
 def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zwcalc import ring, term
 from zwcalc.ring import UnsupportedOperationError
+from zwcalc.term import ArityError
 from zwcalc.semantics import interpret, map_equal, make_map
 from zwcalc.normalform import (
     MapNormalForm,
@@ -15,6 +17,7 @@ from zwcalc.normalform import (
     generator_nf,
     nf_negate,
     nf_of_state,
+    nf_permute,
     nf_tensor,
     nf_to_term,
     nf_trace,
@@ -138,6 +141,35 @@ def test_ops_commute_with_semantics():
         assert nf_of_state(both) == nf_tensor(nf, other)
 
 
+def _swap_network(perm):
+    """Plain swaps (no signs) sending wire i to position perm[i]."""
+    n, cur, layers = len(perm), list(perm), []
+    for _ in range(n):
+        for i in range(n - 1):
+            if cur[i] > cur[i + 1]:
+                cur[i], cur[i + 1] = cur[i + 1], cur[i]
+                layers.append(term.par_all(
+                    [term.identity(i), term.SWAP, term.identity(n - i - 2)]))
+    return term.seq_all(layers) if layers else term.identity(n)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+def test_nf_permute_matches_swap_network(perm):
+    # every coordinate carries a different pattern, so a misplaced
+    # coordinate shows in the rows
+    nf = canonicalize(pre(4, [(1, "1000"), (2, "1100"), (3, "1110"),
+                              (4, "0101"), (5, "0011"), (-6, "1111")]))
+    moved = interpret(nf_to_term(nf) >> _swap_network(list(perm)), Z)
+    assert nf_permute(nf, list(perm)) == nf_of_state(moved)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 4]])
+def test_nf_permute_rejects_non_permutation(perm):
+    nf = canonicalize(pre(4, [(1, "1000")]))
+    with pytest.raises(ArityError):
+        nf_permute(nf, perm)
+
+
 def test_generator_nf_crossing_has_minus_on_all_ones():
     g = generator_nf(term.X.gen, Z)
     assert rows_of(g.nf) == [("1", "0000"), ("1", "0110"),
@@ -163,6 +195,35 @@ def test_normalize_examples():
     hopf_lhs = term.parse("(w(1,1) ; w(1,2)) ; (id * (z(1,1)[-1])) ; (w(2,1) ; w(1,1))", Z)
     hopf_rhs = term.parse("z(1,1)[0]", Z)
     assert normalize(hopf_lhs, Z) == normalize(hopf_rhs, Z)
+
+
+def test_identity_opens_with_the_bent_identity():
+    words = ["".join(bits) for bits in itertools.product("01", repeat=12)]
+    bent = MapNormalForm(12, 12, NormalForm(2, 24, tuple((ONE, w + w) for w in words)))
+    t = term.identity(12)
+    assert len(bent.nf.rows) == 4096
+    assert normalize(t, Z) == bent
+    assert map_equal(interpret(t, Z), bent.to_sparse(Z))
+
+
+@pytest.mark.parametrize("text", [
+    "cap * id * cap",
+    "id * cup * id ; x * z(2,1)[2] ; id * w(2,1)",
+    "(id * cup * id) * w(1,0) ; w(2,2) * cap ; z(2,0)[-1]",
+])
+def test_pillars_agree_on_opening_layers(text):
+    t = term.parse(text, Z)
+    assert map_equal(normalize(t, Z).to_sparse(Z), interpret(t, Z))
+
+
+def test_chain_with_empty_factors():
+    empty = term.EMPTY
+    t = term.seq_all([empty, term.CUP, term.par(term.CAP, empty), empty,
+                      term.zspider(0, 2, iz(3))])
+    assert rows_of(normalize(t, Z).nf) == [("2", "00"), ("6", "11")]
+    assert map_equal(normalize(t, Z).to_sparse(Z), interpret(t, Z))
+    assert rows_of(normalize(empty, Z).nf) == [("1", "")]
+    assert map_equal(interpret(empty, Z), make_map(Z, 2, 0, 0, {("", ""): ONE}))
 
 
 @settings(max_examples=250, deadline=None)
@@ -194,7 +255,10 @@ def test_nf_to_term_round_trip():
             entries[(w, "")] = iz(rng.randint(-5, 5))
         state = make_map(Z, 2, 0, n, entries)
         nf = nf_of_state(state)
-        assert map_equal(interpret(nf_to_term(nf), Z), state)
+        t = nf_to_term(nf)
+        assert map_equal(interpret(t, Z), state)
+        # states with no letters (|0..0>, scalars) rebuild without EMPTY layers
+        assert term.parse(term.render(t), Z) == t
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,8 @@ from zwcalc.term import (
     render,
     transpose_output,
 )
-from zwcalc import semantics
+from zwcalc import normalform, semantics
+from zwcalc.cli import main
 
 import helpers
 
@@ -197,6 +198,19 @@ def test_crossing_perm_matches_bubble_network_at_d3(perm):
     old = semantics.interpret(_bubble_network(perm), c, 3)
     assert len(new.entries) == 3 ** len(perm)
     assert semantics.map_equal(new, old)
+
+
+def test_wide_row_of_generators(capsys):
+    # 3000 generators side by side: no walk over the * spine may recurse
+    t = term.par_all([term.wspider(0, 1)] * 3000)
+    text = render(t)
+    assert helpers.same_term(parse(text, Z), t)
+    assert helpers.same_term(term.adjoint(term.adjoint(t)), t)
+    nf = normalform.normalize(t, Z)
+    assert [(str(c), w) for c, w in nf.nf.rows] == [("1", "1" * 3000)]
+    m = semantics.interpret(t, Z)
+    assert {k: str(v) for k, v in m.entries.items()} == {("1" * 3000, ""): "1"}
+    assert main(["roundtrip", text]) == 0
 
 
 def test_whitespace_insignificant():
