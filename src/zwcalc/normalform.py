@@ -231,20 +231,29 @@ def _plug(a: MapNormalForm | None, blocks: list[Term],
     Identity wires copy their segment unchanged, so the rows stay
     proportional to ``a`` and never to 2^width.
 
-    With ``a = None`` the layer opens a chain: rows append every block's
-    whole bent word, and one :func:`nf_permute` (the layer's one
-    canonicalization) moves the input letters to the front.
+    With ``a = None`` the layer opens a chain: rows start from the first
+    block's own rows and append every further block's whole bent word,
+    and one :func:`nf_permute` (the layer's one canonicalization) moves
+    the input letters to the front.
     """
     opening = a is None
-    if opening and len(blocks) == 1:
-        return normalize(blocks[0], ring)
     n_in = sum(b.n_in for b in blocks)
     n_out = sum(b.n_out for b in blocks)
-    if not opening and a.n_out != n_in:
-        raise ArityError("middle arity mismatch")
+    # the opening layer starts from its first block's rows, whole words
+    # kept; a plugged layer keeps the input letters of a's rows
+    if opening:
+        if len(blocks) < 2:  # the empty layer is the unit row
+            return normalize(blocks[0], ring) if blocks else MapNormalForm(
+                0, 0, NormalForm(2, 0, ((_ring.one(ring), ""),)))
+        first = normalize(blocks[0], ring)
+        start, kept, rest = first.nf.rows, first.nf.n, blocks[1:]
+    else:
+        if a.n_out != n_in:
+            raise ArityError("middle arity mismatch")
+        start, kept, rest = a.nf.rows, a.n_in, blocks
     # (segment width, block rows by the letters they match); None copies the segment
     segments: list[tuple[int, dict | None]] = []
-    for b in blocks:
+    for b in rest:
         if not opening and isinstance(b, Gen) and b.gen.kind == "id":
             if segments and segments[-1][1] is None:
                 segments[-1] = (segments[-1][0] + 1, None)
@@ -257,11 +266,10 @@ def _plug(a: MapNormalForm | None, blocks: list[Term],
         for c, w in nb.nf.rows:
             by_in.setdefault(w[:width], []).append((w[width:], c))
         segments.append((width, by_in))
-    a_in, start = (0, ((_ring.one(ring), ""),)) if opening else (a.n_in, a.nf.rows)
     rows = []
     for c, w in start:
-        partial = [(w[:a_in], c)]
-        pos = a_in
+        partial = [(w[:kept], c)]
+        pos = kept
         for width, by_in in segments:
             seg = w[pos:pos + width]
             pos += width
@@ -275,8 +283,8 @@ def _plug(a: MapNormalForm | None, blocks: list[Term],
         else:
             rows.extend((x, v) for v, x in partial)
     if not opening:
-        nf = canonicalize(PreNormalForm(2, a_in + n_out, tuple(rows)))
-        return MapNormalForm(a_in, n_out, nf)
+        nf = canonicalize(PreNormalForm(2, kept + n_out, tuple(rows)))
+        return MapNormalForm(kept, n_out, nf)
     # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
     ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
     perm = [next(ins) if j < b.n_in else next(outs)

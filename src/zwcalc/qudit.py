@@ -6,7 +6,8 @@ vanish at ``n = d``, which truncates the particle ladder to d levels.
 Words spell one level per character, so d runs from 2 to 10.
 
 :func:`generator_entries` is the one generator table; ``interpret``
-reads it on the qudit path.  With levels ``j, k, n`` in ``0 .. d-1``:
+reads it on the qudit path through :func:`zwcalc.semantics.generator_map`,
+which builds it once per generator, ring and d.  With levels ``j, k, n`` in ``0 .. d-1``:
 
 * crossing  ``x: |k>|j> -> q^(jk) |j>|k>``, and ``xinv`` its inverse;
 * split     ``w(1,2): |n> -> sum_k binom(n, k)_q^(1/2) |k>|n-k>``, merge
@@ -36,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import ring as _ring
@@ -70,8 +71,10 @@ class QParams:
             if abs(q ** k - 1) <= self.tolerance:
                 raise QuditError("q is not primitive")
 
-    @property
+    @cached_property
     def q(self) -> complex:
+        """Computed once per instance; not a field, so ``==`` and ``hash``
+        still read ``d`` and ``tolerance`` only."""
         return cmath.exp(2j * cmath.pi / self.d)
 
     def ring(self) -> RingDescriptor:

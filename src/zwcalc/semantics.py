@@ -13,7 +13,9 @@ amplitudes stay small no matter how many wires they live on.
 
 Exact rings interpret at dimension 2 (the qubit tables below); the
 approximate complex ring switches to the anyonic qudit tables provided by
-:mod:`zwcalc.qudit`.
+:mod:`zwcalc.qudit`.  :func:`generator_map` builds each generator's table
+once per ``(generator, ring, d)`` and every leaf shares it read-only,
+with the index a layer join looks its entries up by.
 
 Qubit generator table (words are bit strings, weight = number of 1s):
 
@@ -29,12 +31,14 @@ Maps are immutable once built; evaluation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
 from . import term as _term
-from .term import ArityError, Gen, Par, Seq, Term, _Empty
+from .term import ArityError, Gen, Generator, Par, Seq, Term, _Empty
 
 Word = str
 Key = tuple[Word, Word]  # (output word, input word)
@@ -57,6 +61,16 @@ class SparseMap:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    @cached_property
+    def _by_input(self) -> dict[Word, list[tuple[Word, RingElement]]]:
+        """(output word, value) pairs by input word, as a layer join looks
+        this map up; built on first use and kept with the map (not a
+        field), so a shared generator table is indexed once."""
+        index: dict[Word, list] = {}
+        for (w, u), v in self.entries.items():
+            index.setdefault(u, []).append((w, v))
+        return index
 
     def scalar(self) -> RingElement:
         """The value of a (0, 0) map."""
@@ -112,44 +126,68 @@ def _qubit_generator_entries(g, ring) -> tuple[int, int, dict]:
     raise ArityError(f"unknown generator {kind!r}")
 
 
+def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
+    """The table of one generator over ``ring`` at dimension ``d``.
+
+    Exact rings read the qubit table above, the approximate complex ring
+    :func:`zwcalc.qudit.generator_entries`.  Each table is built once per
+    ``(generator, ring, d)`` and shared, so its entries are read-only;
+    errors are not cached and are raised on every call."""
+    value = None if g.label is None else g.label.value
+    # complex labels that compare equal may differ in the sign of a zero
+    # part, which the table keeps, so they are told apart by their repr
+    return _generator_map(g, ring, d, repr(value) if isinstance(value, complex) else None)
+
+
+@lru_cache(maxsize=1024)
+def _generator_map(g: Generator, ring: RingDescriptor, d: int, label_repr) -> SparseMap:
+    if ring.kind == _ring.COMPLEX_APPROX:
+        from . import qudit  # deferred: qudit builds on this module
+
+        n_in, n_out, ent = qudit.generator_entries(g, ring, d)
+    else:
+        if g.label is not None and g.label.ring != ring:
+            raise _ring.RingMismatchError(
+                f"label {g.label} does not live in {ring}")
+        n_in, n_out, ent = _qubit_generator_entries(g, ring)
+    return SparseMap(ring, d, n_in, n_out, MappingProxyType(ent))
+
+
 def _apply_blocks(a: SparseMap | None, blocks: list[SparseMap],
                   ring: RingDescriptor, d: int) -> SparseMap:
     """Compose ``a`` with a parallel layer of blocks without ever building
     the layer's own map; wide identity padding stays free this way.
 
     With ``a = None`` the layer opens a chain and its inputs stay open:
-    each block entry adds its input letters to the input word and its
-    output letters to the output word.  A lone opening block is returned."""
-    if a is None and len(blocks) == 1:
-        return blocks[0]
-    # (segment width, block entries as (out, in, value) by the segment they meet)
-    segments = []
-    for b in blocks:
-        index: dict[Word, list] = {}
-        for (w, u), v in b.entries.items():
-            # an open input matches the empty segment and joins the input word
-            key, entry = ("", (w, u, v)) if a is None else (u, (w, "", v))
-            index.setdefault(key, []).append(entry)
-        segments.append((0 if a is None else b.n_in, index))
+    starting from the first block's entries, each further block entry
+    adds its input letters to the input word and its output letters to
+    the output word.  A lone opening block is returned."""
     if a is None:
-        n_in, rows = sum(b.n_in for b in blocks), {("", ""): _ring.one(ring)}
+        if len(blocks) == 1:
+            return blocks[0]
+        # the empty layer is the unit row
+        partial = blocks[0].entries.items() if blocks else [(("", ""), _ring.one(ring))]
+        for b in blocks[1:]:
+            partial = [((w + bw, u + bu), v * bv)
+                       for (w, u), v in partial for (bw, bu), bv in b.entries.items()]
+        acc = dict(partial)  # the blocks' keys are distinct, so these are too
+        n_in = sum(b.n_in for b in blocks)
     else:
-        n_in, rows = a.n_in, a.entries
-    acc: dict[Key, RingElement] = {}
-    for (mid, u), base in rows.items():
-        partial = [("", u, base)]
-        pos = 0
-        for width, index in segments:
-            matches = index.get(mid[pos:pos + width])
-            pos += width
-            if not matches:
-                partial = []
-                break
-            partial = [(w + bw, x + bu, v * bv)
-                       for w, x, v in partial for bw, bu, bv in matches]
-        for w, x, v in partial:
-            key = (w, x)
-            acc[key] = acc[key] + v if key in acc else v
+        acc = {}
+        for (mid, u), base in a.entries.items():
+            partial = [("", base)]
+            pos = 0
+            for b in blocks:
+                matches = b._by_input.get(mid[pos:pos + b.n_in])
+                pos += b.n_in
+                if not matches:
+                    partial = []
+                    break
+                partial = [(w + bw, v * bv) for w, v in partial for bw, bv in matches]
+            for w, v in partial:
+                key = (w, u)
+                acc[key] = acc[key] + v if key in acc else v
+        n_in = a.n_in
     return SparseMap(ring, d, n_in, sum(b.n_out for b in blocks), _clean(ring, acc))
 
 
@@ -157,14 +195,15 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     """Evaluate a term to its sparse map over ``ring`` at dimension ``d``.
 
     Exact rings require d = 2; the qudit tables (any d >= 2) require the
-    approximate complex ring.
+    approximate complex ring.  Generator leaves read the shared tables of
+    :func:`generator_map`, so the map of a bare generator is that table,
+    with read-only entries.
     """
     if d < 2:
         raise ArityError("dimension must be >= 2")
     if d > 2 and ring.kind != _ring.COMPLEX_APPROX:
         raise UnsupportedOperationError(
             "dimensions above 2 need the approximate complex ring")
-    qudit = None
     if ring.kind == _ring.COMPLEX_APPROX:
         from . import qudit  # deferred: qudit builds on this module
 
@@ -172,14 +211,7 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
 
     def go(u: Term) -> SparseMap:
         if isinstance(u, Gen):
-            if qudit is not None:
-                n_in, n_out, ent = qudit.generator_entries(u.gen, ring, d)
-            else:
-                if u.gen.label is not None and u.gen.label.ring != ring:
-                    raise _ring.RingMismatchError(
-                        f"label {u.gen.label} does not live in {ring}")
-                n_in, n_out, ent = _qubit_generator_entries(u.gen, ring)
-            return SparseMap(ring, d, n_in, n_out, ent)
+            return generator_map(u.gen, ring, d)
         if not isinstance(u, (Seq, Par, _Empty)):
             raise ArityError(f"not a term: {u!r}")
         # a chain of parallel layers; each meets the running map block by

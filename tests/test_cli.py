@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from zwcalc import normalform
+from zwcalc import normalform, semantics
 from zwcalc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -69,6 +69,26 @@ def test_roundtrip_reports_witness(capsys, monkeypatch):
     data = json.loads(out)
     assert data["agree"] is False
     assert data["witness"] == ["01", "", "-1", "1"]
+
+
+def test_roundtrip_reports_interpreter_witness(capsys, monkeypatch):
+    # plant the mismatch on the other side: interpret sees x with every
+    # sign flipped, through a patch of the cached generator lookup
+    real = semantics.generator_map
+
+    def flipped(g, r, d):
+        m = real(g, r, d)
+        if g.kind != "x":
+            return m
+        return semantics.SparseMap(m.ring, m.d, m.n_in, m.n_out,
+                                   {k: -v for k, v in m.entries.items()})
+
+    monkeypatch.setattr(semantics, "generator_map", flipped)
+    code, out, _ = run(capsys, "roundtrip", "--ring", "Z", "w(0,2) ; x")
+    assert code == 1
+    data = json.loads(out)
+    assert data["agree"] is False
+    assert data["witness"] == ["01", "", "1", "-1"]
 
 
 def test_check_axioms_small_bounds(capsys):

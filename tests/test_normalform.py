@@ -294,3 +294,25 @@ def test_json_round_trip():
     assert to_json_dict(nf) == {
         "n": 3, "d": 2,
         "rows": [{"v": "1", "w": "000"}, {"v": "7", "w": "111"}]}
+
+
+def test_opening_layer_starts_from_its_first_block(monkeypatch):
+    # ket(0) * ket(1) * ket(0) is one product per further block in each
+    # pillar, with no multiplication by one to start from
+    t = term.parse("ket(0) * ket(1) * ket(0)", Z)
+    want = interpret(t, Z), normalize(t, Z)
+    calls = []
+    real = ring.ring_arith
+
+    def counting(op, a, b):
+        calls.append(op)
+        return real(op, a, b)
+
+    monkeypatch.setattr(ring, "ring_arith", counting)
+    m = interpret(t, Z)
+    assert calls == ["mul", "mul"]
+    calls.clear()
+    nf = normalize(t, Z)
+    assert calls == ["mul", "mul"]
+    assert m.entries == want[0].entries and nf == want[1]
+    assert rows_of(nf.nf) == [("1", "010")]

@@ -61,6 +61,14 @@ def test_qparams_validation():
         interpret(term.wspider(1, 2), ring.C(), 11)
 
 
+def test_qparams_q_is_computed_once():
+    p = QParams(5)
+    assert p.q is p.q and p.q == cmath.exp(2j * cmath.pi / 5)
+    # q is not a field: equality and hashing still read d and tolerance
+    assert p == QParams(5) and hash(p) == hash(QParams(5))
+    assert binomial_table(p) is binomial_table(QParams(5))
+
+
 def test_q_integers():
     p = QParams(4)
     assert close(q_int(0, p), 0)

@@ -179,3 +179,67 @@ def test_json_round_trip():
 
 def test_ket_matches_w1():
     assert map_equal(interpret(term.ket(1), Z), interpret(term.wspider(0, 1), Z))
+
+
+def test_generator_tables_are_built_once_per_key(monkeypatch):
+    from zwcalc import qudit, semantics
+
+    calls = []
+    real = qudit.generator_entries
+
+    def spy(g, r, d):
+        calls.append((g, r, d))
+        return real(g, r, d)
+
+    monkeypatch.setattr(qudit, "generator_entries", spy)
+    semantics._generator_map.cache_clear()
+    C = ring.C()
+    lhs, rhs = qudit.law_terms(3)["bialgebra"]
+    # seven leaves on the left, two on the right, four distinct generators
+    for t in (lhs, rhs, lhs):
+        interpret(t, C, 3)
+    interpret(rhs, C, 4)
+    keys = [(g.kind, g.n_in, g.n_out, d) for g, _, d in calls]
+    assert sorted(keys) == sorted(set(keys)) == sorted(
+        [("w", 1, 2, 3), ("id", 1, 1, 3), ("x", 2, 2, 3), ("w", 2, 1, 3),
+         ("w", 2, 1, 4), ("w", 1, 2, 4)])
+
+
+def test_cached_tables_are_read_only():
+    from zwcalc import semantics
+
+    m = interpret(X, Z)  # a bare generator hands back the shared table
+    assert m is interpret(X, Z) is semantics.generator_map(X.gen, Z, 2)
+    with pytest.raises(TypeError):
+        m.entries[("00", "00")] = ONE
+    with pytest.raises(TypeError):
+        interpret(term.wspider(1, 2), ring.C(), 3).entries[("10", "1")] = ring.one(ring.C())
+    assert ent(interpret(X, Z))[("11", "11")] == "-1"
+
+
+def test_complex_labels_keep_the_sign_of_zero():
+    # equal labels whose zero parts differ in sign have separate tables
+    C = ring.C()
+    for d in (2, 3):
+        for v in (complex(-0.0, 1), complex(0.0, 1)):
+            m = interpret(term.zspider(0, 1, ring.complex_value(C, v)), C, d)
+            assert repr(m.entries[("1", "")].value) == repr(v)
+
+
+def test_generator_errors_are_raised_on_every_call():
+    from zwcalc.qudit import QuditError
+    from zwcalc.semantics import generator_map
+
+    wrong = term.zspider(1, 1, ring.from_int(QI, 2))
+    for _ in range(2):
+        with pytest.raises(ring.RingMismatchError):
+            interpret(wrong, Z)
+    for _ in range(2):
+        with pytest.raises(term.ArityError):
+            interpret(term.ket(2, 3), Z)
+    for _ in range(2):
+        with pytest.raises(QuditError):
+            interpret(term.wspider(1, 2), ring.C(), 11)
+    for _ in range(2):
+        with pytest.raises(QuditError):
+            generator_map(term.wspider(1, 2).gen, ring.C(), 11)
