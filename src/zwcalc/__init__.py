@@ -10,8 +10,8 @@ The interesting entry points:
 * :mod:`zwcalc.semantics` -- sparse interpretation of terms;
 * :mod:`zwcalc.normalform` -- canonical forms and syntactic
   normalization, the constructive side of completeness;
-* :mod:`zwcalc.rules` -- the full axiom/derived-rule catalogue and its
-  soundness checker;
+* :mod:`zwcalc.rules` -- the full axiom/derived-rule catalogue and the
+  one checker that judges two maps equal or names a witness entry;
 * :mod:`zwcalc.qudit` -- q-arithmetic and the anyonic generators.
 """
 
@@ -71,6 +71,7 @@ from .rules import (
     RuleInstance,
     RuleReport,
     axiom_instances,
+    check_maps,
     check_rule,
     derived_instances,
 )

@@ -308,23 +308,26 @@ def nf_to_term(a: NormalForm | PreNormalForm) -> Term:
     if not rows:
         zero_scalar = _term.wspider(0, 2) >> _term.CAP
         return _term.par_all([zero_scalar] + [_term.w_monoid(0)] * n)
-    m = len(rows)
-    bottom = _term.wspider(0, m)
-    whites = []
+    whites = [_term.zspider(1, sum(int(c) for c in word), coeff) for coeff, word in rows]
+    merges = [_term.w_monoid(sum(int(word[j]) for _, word in rows)) for j in range(n)]
+    return canonical_diagram(_term.wspider(0, len(rows)), whites,
+                             [word for _, word in rows], merges)
+
+
+def canonical_diagram(bottom: Term, whites: list[Term], words: list[str],
+                      merges: list[Term]) -> Term:
+    """The canonical diagram's layers: ``bottom`` feeds one wire to each
+    white node, white node i sends ``int(c)`` wires for the letter c of
+    ``words[i]`` on output j, and a crossing network routes them to
+    ``merges[j]``.  Layers without wires are left out."""
     origin = []  # (row index, output index) per wire, origin-major order
-    for i, (coeff, word) in enumerate(rows):
-        fan = sum(int(c) for c in word)
-        whites.append(_term.zspider(1, fan, coeff))
+    for i, word in enumerate(words):
         for j, c in enumerate(word):
             origin.extend([(i, j)] * int(c))
     target = sorted(range(len(origin)), key=lambda p: (origin[p][1], origin[p][0]))
     perm = [0] * len(origin)
     for pos, p in enumerate(target):
         perm[p] = pos
-    merges = []
-    for j in range(n):
-        k_j = sum(int(word[j]) for _, word in rows)
-        merges.append(_term.w_monoid(k_j))
     layers = [bottom, _term.par_all(whites), _term.crossing_perm(perm),
               _term.par_all(merges)]
     # a layer without wires is EMPTY, which has no concrete syntax

@@ -25,8 +25,13 @@ takes the principal branch.
 (antipode * id) ; w(2,1) = bra(0) ; ket(0)`` as term pairs, which the
 checks interpret and compare entrywise.  The commutation law ``a a+ = 1
 + q a+ a``, with ``a+ = (ket(1) * id) ; w(2,1)`` and ``a`` its transpose,
-has a sum on one side, so it compares interpreted maps.  All checks are
-numeric, within the tolerance carried by :class:`QParams`.
+has a sum on one side, so it compares interpreted maps.  Scalar
+identities over level triples (the q-Vandermonde identity, and the
+binomial identity behind the bialgebra law) are compared as maps on the
+words ``njk``.  Every check hands its two maps to
+:func:`zwcalc.rules.check_maps` and returns its :class:`~zwcalc.rules.RuleReport`
+(``params`` is ``d=N``), numeric within the tolerance carried by
+:class:`QParams`.
 
 With d = 2 the split/merge pair specialises to the familiar qubit
 beam-splitter comonoid and its transpose.
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -44,8 +49,9 @@ from . import ring as _ring
 from .ring import RingDescriptor
 from . import term as _term
 from .term import ArityError, Generator, Term
-from .semantics import SparseMap, first_difference, interpret, make_map
-from .normalform import NormalForm, PreNormalForm, canonicalize
+from .semantics import SparseMap, interpret, make_map
+from .normalform import NormalForm, PreNormalForm, canonical_diagram, canonicalize
+from .rules import RuleReport, check_maps
 
 
 class QuditError(Exception):
@@ -130,15 +136,20 @@ def binomial_table(p: QParams) -> QBinomialTable:
     )
 
 
+def _vandermonde_sides(p: QParams, n: int, j: int, k: int) -> tuple[complex, complex]:
+    b = binomial_table(p).binomials
+    rhs = sum(p.q ** ((j - i) * (k - i)) * b[j][i] * b[n - j][k - i]
+              for i in range(k + 1) if i <= j and k - i <= n - j)
+    return b[n][k], rhs
+
+
 def check_q_vandermonde(p: QParams, n: int, j: int, k: int) -> bool:
     """binom(n,k) = sum_i q^((j-i)(k-i)) binom(j,i) binom(n-j,k-i),
     evaluated numerically on both sides."""
     if not (0 <= j <= n and 0 <= k <= n and n < p.d):
         raise QuditError("need j, k <= n < d")
-    b = binomial_table(p).binomials
-    rhs = sum(p.q ** ((j - i) * (k - i)) * b[j][i] * b[n - j][k - i]
-              for i in range(k + 1) if i <= j and k - i <= n - j)
-    return abs(b[n][k] - rhs) <= p.tolerance
+    lhs, rhs = _vandermonde_sides(p, n, j, k)
+    return abs(lhs - rhs) <= p.tolerance
 
 
 def classical_vandermonde(n: int, j: int, k: int) -> bool:
@@ -257,19 +268,6 @@ def antipode_term(d: int) -> Term:
 # law checks
 
 
-@dataclass(frozen=True)
-class QuditCheckReport:
-    name: str
-    d: int
-    passed: bool
-    max_error: float
-    detail: str = ""
-
-    def __str__(self):
-        flag = "pass" if self.passed else "FAIL"
-        return f"{self.name} d={self.d}: {flag} (max error {self.max_error:.3g}) {self.detail}".rstrip()
-
-
 def law_terms(d: int) -> dict[str, tuple[Term, Term]]:
     """The bialgebra and Hopf laws at dimension d, by report name, as
     (lhs, rhs) term pairs; see the module docstring."""
@@ -284,44 +282,50 @@ def law_terms(d: int) -> dict[str, tuple[Term, Term]]:
     }
 
 
-def _law_report(name: str, p: QParams, lhs: SparseMap, rhs: SparseMap,
-                other_error: float = 0.0, detail: str = "") -> QuditCheckReport:
-    """Compare two maps entrywise; a failure names the first differing
-    entry, as the rule checker does."""
-    a = {key: complex(v.value) for key, v in lhs.entries.items()}
-    b = {key: complex(v.value) for key, v in rhs.entries.items()}
-    err = max([other_error] + [abs(a.get(key, 0) - b.get(key, 0)) for key in a.keys() | b.keys()])
-    witness = first_difference(lhs, rhs) if err > p.tolerance else None
-    if witness is not None:
-        out_w, in_w, lv, rv = witness
-        detail = f"{detail} first difference at (out={out_w!r}, in={in_w!r}): {lv} vs {rv}"
-    return QuditCheckReport(name, p.d, err <= p.tolerance, err, detail.strip())
+def _identity_report(name: str, p: QParams, sides) -> RuleReport:
+    """Check a scalar identity, ``sides(n, j, k) = (lhs, rhs)`` for every
+    n < d and j, k <= n, as two maps on the words ``njk`` (values kept
+    unrounded, zeros included)."""
+    ring = p.ring()
+    values = {f"{n}{j}{k}": sides(n, j, k)
+              for n in range(p.d) for j in range(n + 1) for k in range(n + 1)}
+    lhs, rhs = (SparseMap(ring, p.d, 0, 3, {
+        (w, ""): _ring.complex_value(ring, v[side]) for w, v in values.items()})
+        for side in (0, 1))
+    return check_maps(name, f"d={p.d}", lhs, rhs)
 
 
-def check_bialgebra(p: QParams) -> QuditCheckReport:
+def check_bialgebra(p: QParams) -> RuleReport:
     """Split and merge satisfy the bialgebra square with the crossing as
-    braiding; also re-checks the underlying binomial identity directly."""
+    braiding; also re-checks the underlying binomial identity directly,
+    which must hold too and whose error counts in ``max_error``."""
     d, q = p.d, p.q
     sq = binomial_table(p).sqrt_binomials
-    worst = 0.0
-    for n in range(d):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                l2 = sq[n][j] * sq[n][k]
-                r2 = sum(
-                    q ** ((k - i) * (j - i))
-                    * sq[j][i] * sq[n - j][k - i] * sq[k][i] * sq[n - k][j - i]
-                    for i in range(k + 1)
-                    if i <= j and k - i <= n - j and j - i <= n - k
-                )
-                worst = max(worst, abs(l2 - r2))
+
+    def sides(n, j, k):
+        return sq[n][j] * sq[n][k], sum(
+            q ** ((k - i) * (j - i))
+            * sq[j][i] * sq[n - j][k - i] * sq[k][i] * sq[n - k][j - i]
+            for i in range(k + 1)
+            if i <= j and k - i <= n - j and j - i <= n - k)
+
+    coefficients = _identity_report("bialgebra", p, sides)
     lhs, rhs = law_terms(d)["bialgebra"]
-    return _law_report("bialgebra", p, interpret(lhs, p.ring(), d),
-                       interpret(rhs, p.ring(), d), worst,
-                       f"coefficient identity error {worst:.3g}")
+    law = check_maps("bialgebra", f"d={d}", interpret(lhs, p.ring(), d),
+                     interpret(rhs, p.ring(), d))
+    return replace(law, passed=law.passed and coefficients.passed,
+                   witness=law.witness or coefficients.witness,
+                   max_error=max(coefficients.max_error, law.max_error))
 
 
-def check_commutation(p: QParams) -> QuditCheckReport:
+def check_vandermonde(p: QParams) -> RuleReport:
+    """:func:`check_q_vandermonde` for every n < d and j, k <= n, in one
+    report."""
+    return _identity_report("q-vandermonde", p,
+                            lambda n, j, k: _vandermonde_sides(p, n, j, k))
+
+
+def check_commutation(p: QParams) -> RuleReport:
     """a a+ = 1 + q a+ a at the deformation q, for the creation map
     a+ = (ket(1) * id) ; w(2,1) and its transpose a."""
     d, ring = p.d, p.ring()
@@ -331,15 +335,15 @@ def check_commutation(p: QParams) -> QuditCheckReport:
     rhs = {(str(n), str(n)): _ring.one(ring) for n in range(d)}
     for key, v in interpret(annihilate >> create, ring, d).entries.items():
         rhs[key] = rhs.get(key, _ring.zero(ring)) + q * v
-    return _law_report("commutation", p, interpret(create >> annihilate, ring, d),
-                       make_map(ring, d, 1, 1, rhs))
+    return check_maps("commutation", f"d={d}", interpret(create >> annihilate, ring, d),
+                      make_map(ring, d, 1, 1, rhs))
 
 
-def check_antipode(p: QParams) -> QuditCheckReport:
+def check_antipode(p: QParams) -> RuleReport:
     """The antipode closes the Hopf loop: merge (t x id) split = unit counit."""
     lhs, rhs = law_terms(p.d)["antipode-hopf"]
-    return _law_report("antipode-hopf", p, interpret(lhs, p.ring(), p.d),
-                       interpret(rhs, p.ring(), p.d))
+    return check_maps("antipode-hopf", f"d={p.d}", interpret(lhs, p.ring(), p.d),
+                      interpret(rhs, p.ring(), p.d))
 
 
 def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
@@ -368,31 +372,20 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
         absorbing = _term.ket(1, p.d) >> _term.wspider(1, 0)
         t = _term.par_all([absorbing] + [_term.ket(0, p.d)] * n)
         return t, NormalForm(p.d, n, ())
-    m = len(rows)
-    bottom = _term.ket(1, p.d) >> _term.wspider(1, m)
+    bottom = _term.ket(1, p.d) >> _term.wspider(1, len(rows))
     whites = []
-    origin = []
-    for i, (amp, word) in enumerate(rows):
+    for amp, word in rows:
         adjusted = amp
         for ch in word:
             if int(ch):
                 adjusted /= _tree_coeff("1" * int(ch), p)
         fan = sum(int(ch) for ch in word)
         whites.append(_term.zspider(1, fan, _ring.complex_value(ring, adjusted)))
-        for j, ch in enumerate(word):
-            origin.extend([(i, j)] * int(ch))
-    target = sorted(range(len(origin)), key=lambda q_: (origin[q_][1], origin[q_][0]))
-    perm = [0] * len(origin)
-    for pos, q_ in enumerate(target):
-        perm[q_] = pos
     merges = []
     for j in range(n):
         k_j = sum(int(word[j]) for _, word in rows)
         merges.append(_term.wspider(k_j, 1) if k_j else _term.ket(0, p.d))
-    layers = [bottom, _term.par_all(whites), _term.crossing_perm(perm),
-              _term.par_all(merges)]
-    # a layer without wires is EMPTY, which has no concrete syntax
-    t = _term.seq_all([f for f in layers if f is not _term.EMPTY])
+    t = canonical_diagram(bottom, whites, [w for _, w in rows], merges)
     nf = canonicalize(PreNormalForm(
         p.d, n, tuple((_ring.complex_value(ring, a), w) for a, w in rows)))
     return t, nf

@@ -19,6 +19,7 @@ elements can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,7 +134,9 @@ class RingElement:
     def __str__(self):
         if self.ring.kind == COMPLEX_APPROX:
             v = self.value
-            return f"{v.real!r}+{v.imag!r}i" if v.imag >= 0 else f"{v.real!r}{v.imag!r}i"
+            # -0.0 carries its own sign, like every negative part
+            sign = "+" if math.copysign(1.0, v.imag) > 0 else ""
+            return f"{v.real!r}{sign}{v.imag!r}i"
         return str(self.value)
 
     def is_zero(self) -> bool:
@@ -221,7 +224,6 @@ def complex_value(ring: RingDescriptor, v: complex) -> RingElement:
 
 
 _INT_RE = re.compile(r"[+-]?\d+")
-_FRAC_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def _split_imag(s: str) -> tuple[str, str]:
@@ -240,8 +242,10 @@ def _split_imag(s: str) -> tuple[str, str]:
 def parse_literal(ring: RingDescriptor, text: str) -> RingElement:
     """Parse a ring literal: integers, p/q rationals, p/q+r/s i Gaussians.
 
-    Spaces are insignificant.  The complex ring accepts decimal floats in
-    place of exact rationals.
+    Spaces are insignificant.  The complex ring reads decimals and
+    e-notation too, rounded to floats; a part that overflows a float is
+    an error, and ``str`` of a complex value reads back to the same value,
+    the signs of zero parts included.
     """
     s = text.replace(" ", "")
     if not s:
@@ -250,30 +254,22 @@ def parse_literal(ring: RingDescriptor, text: str) -> RingElement:
         if not _INT_RE.fullmatch(s):
             raise RingError(f"{text!r} is not an integer literal")
         return from_int(ring, int(s))
-    if ring.kind == GAUSSIAN_RATIONALS:
-        re_part, im_part = _split_imag(s)
-        try:
-            a = Fraction(re_part) if re_part else Fraction(0)
-            if s.endswith("i"):
-                b = Fraction(1) if im_part in ("", "+") else (
-                    Fraction(-1) if im_part == "-" else Fraction(im_part))
-            else:
-                b = Fraction(0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RingError(f"bad Gaussian rational literal {text!r}") from exc
-        return RingElement(ring, GaussianRational(a, b))
-    # complex_approx: decimals, e-notation and p/q all go through Fraction
     re_part, im_part = _split_imag(s)
+    exact = ring.kind == GAUSSIAN_RATIONALS
     try:
-        a = float(Fraction(re_part)) if re_part else 0.0
-        if s.endswith("i"):
-            b = 1.0 if im_part in ("", "+") else (
-                -1.0 if im_part == "-" else float(Fraction(im_part)))
-        else:
-            b = 0.0
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RingError(f"bad complex literal {text!r}") from exc
-    return RingElement(ring, complex(a, b))
+        a = Fraction(re_part) if re_part else Fraction(0)
+        b = Fraction(0) if not s.endswith("i") else (
+            Fraction(1) if im_part in ("", "+") else
+            Fraction(-1) if im_part == "-" else Fraction(im_part))
+        if exact:
+            return RingElement(ring, GaussianRational(a, b))
+        # complex_approx: a zero part keeps the sign it is written with
+        return RingElement(ring, complex(
+            *(math.copysign(float(x), -1 if t.startswith("-") else 1)
+              for x, t in ((a, re_part), (b, im_part)))))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        kind = "Gaussian rational" if exact else "complex"
+        raise RingError(f"bad {kind} literal {text!r}") from exc
 
 
 def format_literal(a: RingElement) -> str:

@@ -7,10 +7,14 @@ sides are built as term-grammar strings first and parsed back, so the
 whole catalogue can be dumped to a plain text file and audited line by
 line; see :func:`write_catalog`.
 
-``check_rule`` evaluates both sides with the sparse interpreter and
-reports the first differing matrix entry on failure.  For rules that
-hold only under extra relations in the coefficient ring (none in the
-base catalogue) the checker is ring-sensitive by construction.
+:func:`check_maps` is zwcalc's one verdict on two maps: the rule
+checks, the anyonic laws of :mod:`zwcalc.qudit` and the command line's
+round trips all call it.  It reports a :class:`RuleReport` that names the
+first differing matrix entry on failure and, over the approximate complex
+ring, the largest entrywise error.  ``check_rule`` evaluates both sides
+of a rule with the sparse interpreter and hands them to it.  For rules
+that hold only under extra relations in the coefficient ring (none in
+the base catalogue) the checker is ring-sensitive by construction.
 
 Naming follows the calculus: ``adj`` the snake equations, ``com`` the
 commutativity of cup and cap, ``rei`` the Reidemeister moves of the
@@ -31,7 +35,7 @@ from . import ring as _ring
 from .ring import RingDescriptor, RingElement
 from . import term as _term
 from .term import Term, parse, render
-from .semantics import first_difference, interpret, map_equal
+from .semantics import SparseMap, first_difference, interpret, map_equal
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,16 @@ class RuleReport:
     name: str
     params: str
     passed: bool
-    witness: tuple | None = None
+    witness: tuple | None = None  # (out, in, lhs value, rhs value) on failure
+    max_error: float | None = None  # over the approximate complex ring only
 
     def __str__(self):
+        error = "" if self.max_error is None else f" (max error {self.max_error:.3g})"
         if self.passed:
-            return f"{self.name:<12} {self.params:<24} pass"
+            return f"{self.name:<12} {self.params:<24} pass{error}"
         out_w, in_w, lv, rv = self.witness
         return (f"{self.name:<12} {self.params:<24} FAIL at (out={out_w!r}, "
-                f"in={in_w!r}): {lv} vs {rv}")
+                f"in={in_w!r}): {lv} vs {rv}{error}")
 
 
 @dataclass(frozen=True)
@@ -369,6 +375,21 @@ def _lemma_schema_instances(ring: RingDescriptor) -> list[RuleInstance]:
     return out
 
 
+def check_maps(name: str, params: str, lhs: SparseMap, rhs: SparseMap) -> RuleReport:
+    """The verdict on two maps: they pass when equal entrywise (within the
+    ring's tolerance over C), and a failure's witness is their first
+    differing entry.  Over C, ``max_error`` is the largest entrywise
+    |difference| of two maps of one shape; it is None over exact rings."""
+    passed = map_equal(lhs, rhs)
+    max_error = None
+    if not lhs.ring.exact and (lhs.d, lhs.n_in, lhs.n_out) == (rhs.d, rhs.n_in, rhs.n_out):
+        a, b, zero = lhs.entries, rhs.entries, _ring.zero(lhs.ring)
+        max_error = max((abs(a.get(k, zero).value - b.get(k, zero).value)
+                         for k in a.keys() | b.keys()), default=0.0)
+    return RuleReport(name, params, passed,
+                      None if passed else first_difference(lhs, rhs), max_error)
+
+
 def check_rule(r: RuleInstance, desc: RingDescriptor, d: int = 2) -> RuleReport:
     try:
         lhs = interpret(r.lhs, desc, d)
@@ -376,9 +397,7 @@ def check_rule(r: RuleInstance, desc: RingDescriptor, d: int = 2) -> RuleReport:
     except Exception as exc:  # report evaluation failures, do not raise
         return RuleReport(r.name, r.params, False,
                           ("<error>", "<error>", type(exc).__name__, str(exc)))
-    if map_equal(lhs, rhs):
-        return RuleReport(r.name, r.params, True)
-    return RuleReport(r.name, r.params, False, first_difference(lhs, rhs))
+    return check_maps(r.name, r.params, lhs, rhs)
 
 
 def check_all(instances, desc: RingDescriptor, d: int = 2) -> list[RuleReport]:

@@ -109,6 +109,13 @@ def test_check_derived_small_bounds(capsys):
     assert json.loads(out)["failed"] == 0
 
 
+@pytest.mark.parametrize("verb", ["check-axioms", "check-derived"])
+def test_rule_checks_reject_complex_ring(capsys, verb):
+    code, out, err = run(capsys, verb, "--ring", "C")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "anyonic" in err
+
+
 def test_check_qudit(capsys):
     code, out, _ = run(capsys, "check-qudit", "--d", "4")
     assert code == 0
@@ -134,6 +141,7 @@ def test_check_qudit_rejects_dimension(capsys, d):
     '{"d": 3, "in": 0, "out": 1, "entries": [{"out": 1, "in": "", "v": "1"}]}',
     '{"d": 3, "in": 0, "out": 1, "entries": [{"out": "7", "in": "", "v": "1"}]}',
     '{"d": "3", "in": 0, "out": 1, "entries": []}',
+    '{"d": 3, "in": 0, "out": 1, "entries": [{"out": "1", "in": "", "v": "1e400"}]}',
 ])
 def test_universal_rejects_malformed_json(capsys, state):
     code, out, err = run(capsys, "universal", "--d", "3", state)
@@ -203,15 +211,38 @@ def test_import_does_not_load_numpy():
                    env=env, check=True)
 
 
+UNIVERSAL_STATE = json.dumps({"d": 3, "in": 0, "out": 2, "entries": [
+    {"out": "01", "in": "", "v": "1"},
+    {"out": "22", "in": "", "v": "1"}]})
+
+
 def test_universal_verb(capsys):
-    state = json.dumps({"d": 3, "in": 0, "out": 2, "entries": [
-        {"out": "01", "in": "", "v": "1"},
-        {"out": "22", "in": "", "v": "1"}]})
-    code, out, _ = run(capsys, "universal", "--d", "3", state)
+    code, out, _ = run(capsys, "universal", "--d", "3", UNIVERSAL_STATE)
     assert code == 0
     data = json.loads(out)
     assert data["roundtrip"] is True
     assert [r["w"] for r in data["normal_form"]["rows"]] == ["01", "22"]
+
+
+def test_universal_reports_witness(capsys, monkeypatch):
+    # plant a mismatch: the rebuilt diagram sees every z table negated on
+    # the levels above 0 (negating level 0 too would cancel in pairs, as
+    # each row's white node meets the particle or the vacuum)
+    real = semantics.generator_map
+
+    def negated(g, r, d):
+        m = real(g, r, d)
+        if g.kind != "z":
+            return m
+        return semantics.SparseMap(m.ring, m.d, m.n_in, m.n_out, {
+            k: -v if (k[0] + k[1]).strip("0") else v for k, v in m.entries.items()})
+
+    monkeypatch.setattr(semantics, "generator_map", negated)
+    code, out, _ = run(capsys, "universal", "--d", "3", UNIVERSAL_STATE)
+    assert code == 1
+    data = json.loads(out)
+    assert data["roundtrip"] is False
+    assert data["witness"] == ["01", "", "-1.0-0.0i", "1.0+0.0i"]
 
 
 def test_parse_errors_exit_2(capsys):
@@ -219,6 +250,8 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "eval", "--ring", "Z", "z(1,1)[i]")
     assert code == 2
+    code, out, err = run(capsys, "eval", "--ring", "C", "z(1,1)[1e400]")
+    assert code == 2 and out == "" and err.startswith("error:")
     code, _, _ = run(capsys, "normalize", "--ring", "C", "id")
     assert code == 2
 

@@ -10,7 +10,6 @@ from zwcalc.semantics import SparseMap, dagger, interpret, make_map, map_equal
 from zwcalc.qudit import (
     QParams,
     QuditError,
-    _law_report,
     antipode_term,
     binomial_table,
     check_antipode,
@@ -210,9 +209,9 @@ def test_bialgebra_negative_control():
                                   term.render(bad), term.render(rhs))
         rep = rules.check_rule(inst, R, 3)
         assert not rep.passed and rep.witness[:2] == where
-        law = _law_report("bialgebra", p, interpret(bad, R, 3), interpret(rhs, R, 3))
+        law = rules.check_maps("bialgebra", "d=3", interpret(bad, R, 3), interpret(rhs, R, 3))
         assert not law.passed and law.max_error > TOL
-        assert f"(out={where[0]!r}, in={where[1]!r})" in law.detail
+        assert f"(out={where[0]!r}, in={where[1]!r})" in str(law)
 
 
 @pytest.mark.parametrize("d", DIMS)

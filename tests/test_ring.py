@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from zwcalc import ring
+from zwcalc import ring, term
 from zwcalc.ring import (
     RingMismatchError,
     UnsupportedOperationError,
@@ -121,6 +121,19 @@ def test_literal_round_trip(a):
     assert ring_equal(ring.parse_literal(QI, ring.format_literal(a)), a)
 
 
+# finite floats, with the zeros of both signs drawn often
+signed_floats = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(signed_floats, signed_floats)
+def test_complex_label_round_trip(re_part, im_part):
+    # render then parse gives back the value exactly, signs of zero included
+    c = complex(re_part, im_part)
+    t = term.parse(term.render(term.zspider(1, 1, ring.complex_value(CC, c))), CC)
+    assert repr(t.gen.label.value) == repr(c)
+
+
 def test_bad_literals_raise():
     with pytest.raises(ring.RingError):
         ring.parse_literal(Z, "1/2")
@@ -128,3 +141,6 @@ def test_bad_literals_raise():
         ring.parse_literal(Z, "i")
     with pytest.raises(ring.RingError):
         ring.parse_literal(QI, "")
+    for text in ("1e400", "-1e400i", "1+1e400i"):  # overflows a float
+        with pytest.raises(ring.RingError):
+            ring.parse_literal(CC, text)

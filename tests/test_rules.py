@@ -7,6 +7,7 @@ from zwcalc.rules import (
     RuleBounds,
     axiom_instances,
     check_all,
+    check_maps,
     check_rule,
     derived_instances,
     load_catalog,
@@ -106,6 +107,40 @@ def test_report_formatting():
     assert "pass" in str(check_rule(inst, Z))
     bad = check_rule(mutate(inst), Z)
     assert "FAIL" in str(bad)
+
+
+def test_check_maps_over_z():
+    from zwcalc.semantics import first_difference, make_map
+
+    one = ring.one(Z)
+    a = make_map(Z, 2, 0, 1, {("0", ""): one, ("1", ""): one})
+    b = make_map(Z, 2, 0, 1, {("0", ""): one, ("1", ""): -one})
+    same = check_maps("same", "", a, a)
+    assert same.passed and same.witness is None and same.max_error is None
+    differ = check_maps("differ", "p", a, b)
+    assert not differ.passed and differ.max_error is None
+    assert differ.witness == first_difference(a, b) == ("1", "", "1", "-1")
+    assert str(differ).endswith("FAIL at (out='1', in=''): 1 vs -1")
+
+
+def test_check_maps_over_c():
+    from zwcalc.semantics import make_map
+
+    cc = ring.C(1e-9)
+
+    def state(*values):
+        return make_map(cc, 2, 0, 2, {(w, ""): ring.complex_value(cc, v)
+                                      for w, v in zip(("00", "01", "11"), values)})
+
+    # a difference below the tolerance passes and is measured
+    near = check_maps("near", "", state(1, 2j), state(1 + 4e-10, 2j - 3e-10))
+    assert near.passed and near.witness is None
+    assert near.max_error == pytest.approx(4e-10, rel=1e-6)
+    # the largest |difference| may sit on an entry that one side lacks
+    far = check_maps("far", "", state(1, 2j), state(1.5, 2j, 3j))
+    assert not far.passed and far.max_error == 3.0
+    assert far.witness[:2] == ("00", "")
+    assert "(max error 3)" in str(far)
 
 
 def test_catalog_file_round_trip(tmp_path):
