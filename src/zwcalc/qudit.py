@@ -246,10 +246,13 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int):
         lam = complex(g.label.value)
         c = binomial_table(p).sqrt_factorials
         ent = {}
-        for l in range(d):
-            v = c[l] ** (k + m - 2) * lam ** l
-            if abs(v) > p.tolerance:
-                ent[(str(l) * m, str(l) * k)] = _ring.complex_value(ring, v)
+        try:
+            for l in range(d):
+                v = c[l] ** (k + m - 2) * lam ** l
+                if abs(v) > p.tolerance:
+                    ent[(str(l) * m, str(l) * k)] = _ring.complex_value(ring, v)
+        except OverflowError:
+            raise QuditError(f"z({k},{m})[{g.label}] overflows at level {l}") from None
         return k, m, ent
     raise ArityError(f"unknown generator {kind!r}")
 

@@ -19,6 +19,7 @@ elements can be shared freely between threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -273,4 +274,7 @@ def parse_literal(ring: RingDescriptor, text: str) -> RingElement:
 
 
 def format_literal(a: RingElement) -> str:
+    """The literal that parse_literal reads back; non-finite values have none."""
+    if a.ring.kind == COMPLEX_APPROX and not cmath.isfinite(a.value):
+        raise RingError(f"{a} is not finite and has no literal")
     return str(a)

@@ -13,6 +13,9 @@ composition, so snake-like composites read the way they are drawn:
 
 The concrete syntax (see :func:`parse` / :func:`render`) uses ``;`` for
 ``>>`` and ``*`` for ``@``: the snake above is ``(id * cup) ; (cap * id)``.
+``*`` binds tighter than ``;``, both associate to the left, and brackets
+nest to any depth.  No function here recurses, so ``parse``, ``render``,
+``adjoint``, ``==`` and ``hash`` take terms of any depth and width.
 
 Generators
 ----------
@@ -26,6 +29,7 @@ coefficient ring, and ``ket(l)`` the level-``l`` basis state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 
@@ -92,21 +96,26 @@ class Term:
     def __matmul__(self, other: "Term") -> "Term":
         return par(self, other)
 
+    # structural == and hash read the pre-order node list, which takes no recursion
+    def __eq__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return self is other or _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
 
 @dataclass(frozen=True)
 class Gen(Term):
     gen: Generator
 
-    @property
-    def n_in(self):
-        return self.gen.n_in
-
-    @property
-    def n_out(self):
-        return self.gen.n_out
+    def __post_init__(self):
+        self.__dict__["n_in"] = self.gen.n_in
+        self.__dict__["n_out"] = self.gen.n_out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Seq(Term):
     first: Term
     then: Term
@@ -122,7 +131,7 @@ class Seq(Term):
         self.__dict__["n_out"] = self.then.n_out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Par(Term):
     left: Term
     right: Term
@@ -132,18 +141,17 @@ class Par(Term):
         self.__dict__["n_out"] = self.left.n_out + self.right.n_out
 
 
-def seq(f: Term, g: Term) -> Term:
-    return Seq(f, g)
+seq, par = Seq, Par  # >> and @ as functions
 
 
-def par(f: Term, g: Term) -> Term:
-    return Par(f, g)
+# the wire generators are shared leaves, as terms are immutable
+_WIRES = {kind: Gen(Generator(kind, *arity)) for kind, arity in _FIXED_ARITY.items()}
 
 
 def make_generator(kind: str, params: tuple = (), d: int = 2) -> Term:
     """Build a generator leaf; params per kind, d only bounds ket levels."""
     if kind in _FIXED_ARITY:
-        return Gen(Generator(kind, *_FIXED_ARITY[kind]))
+        return _WIRES[kind]
     if kind == "w":
         k, m = params
         return Gen(Generator("w", k, m))
@@ -158,12 +166,7 @@ def make_generator(kind: str, params: tuple = (), d: int = 2) -> Term:
     raise ArityError(f"unknown generator kind {kind!r}")
 
 
-ID = make_generator("id")
-SWAP = make_generator("swap")
-CUP = make_generator("cup")
-CAP = make_generator("cap")
-X = make_generator("x")
-XINV = make_generator("xinv")
+ID, SWAP, CUP, CAP, X, XINV = (_WIRES[k] for k in ("id", "swap", "cup", "cap", "x", "xinv"))
 
 
 def wspider(k: int, m: int) -> Term:
@@ -180,22 +183,14 @@ def ket(level: int, d: int = 2) -> Term:
 
 def identity(n: int) -> Term:
     """n parallel wires; n = 0 is the empty diagram (scalar 1)."""
-    if n == 0:
-        return EMPTY
-    return reduce(par, [ID] * n)
+    return par_all([ID] * n)
 
 
 @dataclass(frozen=True)
 class _Empty(Term):
     """The 0-wire diagram, unit of parallel composition."""
 
-    @property
-    def n_in(self):
-        return 0
-
-    @property
-    def n_out(self):
-        return 0
+    n_in = n_out = 0
 
 
 EMPTY = _Empty()
@@ -239,6 +234,22 @@ def par_factors(t: Term) -> list[Term]:
         elif not isinstance(u, _Empty):
             out.append(u)
     return out[::-1]
+
+
+def _preorder(t: Term) -> list:
+    """Nodes in pre-order, ``Seq``/``Par`` nodes as their class: the list is the tree."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Seq):
+            out.append(Seq)
+            stack += [u.then, u.first]
+        elif isinstance(u, Par):
+            out.append(Par)
+            stack += [u.right, u.left]
+        else:
+            out.append(u)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,40 +311,37 @@ def crossing_perm(perm) -> Term:
             else:
                 row.append(ID)
                 i += 1
-        if X in row:
+        if len(row) < n:  # a crossing spans two wires
             layers.append(par_all(row))
     if not layers:
         return identity(n)
     return seq_all(layers)
 
 
+_MIRROR = {"id": "id", "swap": "swap", "cup": "cap", "cap": "cup", "x": "xinv", "xinv": "x"}
+
+
 def adjoint(t: Term) -> Term:
     """Vertical reflection: reverse sequential order, swap cups with caps
     and spider arities, conjugate the labels.  At dimension 2 this
     interprets as the dagger of the original term; at higher dimensions
-    the spiders reflect to their transposes instead."""
-    if isinstance(t, _Empty):
-        return t
-    if isinstance(t, Seq):
-        return seq_all([adjoint(f) for f in reversed(seq_factors(t))])
-    if isinstance(t, Par):
-        # walk the left spine iteratively: rows can be wide
-        tail = []
-        while isinstance(t, Par):
-            tail.append(t.right)
-            t = t.left
-        return reduce(Par, [adjoint(u) for u in reversed(tail)], adjoint(t))
-    g = t.gen
-    if g.kind in ("id", "swap"):
-        return t
-    if g.kind == "cup":
-        return CAP
-    if g.kind == "cap":
-        return CUP
-    if g.kind == "x":
-        return XINV
-    if g.kind == "xinv":
-        return X
+    the spiders reflect to their transposes instead.
+
+    The tree is mirrored, ``Seq(f, g)`` to ``Seq(g†, f†)``, bottom-up
+    along the reversed pre-order."""
+    done: list[Term] = []
+    for u in reversed(_preorder(t)):
+        if u is Seq or u is Par:
+            a, b = done.pop(), done.pop()  # reflections of the first and second child
+            done.append(Seq(b, a) if u is Seq else Par(a, b))
+        else:
+            done.append(u if isinstance(u, _Empty) else _reflect(u.gen))
+    return done[0]
+
+
+def _reflect(g: Generator) -> Term:
+    if g.kind in _MIRROR:
+        return make_generator(_MIRROR[g.kind])
     if g.kind == "w":
         return wspider(g.n_out, g.n_in)
     if g.kind == "z":
@@ -361,11 +369,14 @@ def transpose_output(t: Term, k: int) -> Term:
 
 
 def render(t: Term) -> str:
-    """Inverse of :func:`parse`: ``parse(render(t)) == t`` structurally."""
+    """Inverse of :func:`parse`: ``parse(render(t)) == t`` structurally.
+
+    Chains and rows are joined along their left spines.  A composite
+    operand is written as a bracketed NUL mark and set aside; the text is
+    cut at the marks, and the operands wait on a stack between the pieces."""
+    nested: list[Term] = []  # composite operands, in order of appearance
 
     def atom(u: Term) -> str:
-        if isinstance(u, _Empty):
-            raise ValueError("the empty diagram has no concrete syntax")
         if isinstance(u, Gen):
             g = u.gen
             if g.kind in _FIXED_ARITY:
@@ -375,7 +386,10 @@ def render(t: Term) -> str:
             if g.kind == "z":
                 return f"z({g.n_in},{g.n_out})[{_ring.format_literal(g.label)}]"
             return f"ket({g.level})"
-        return f"({go(u)})"
+        if isinstance(u, _Empty):
+            raise ValueError("the empty diagram has no concrete syntax")
+        nested.append(u)
+        return "(\0)"
 
     def par_level(u: Term) -> str:
         tail = []
@@ -384,127 +398,103 @@ def render(t: Term) -> str:
             u = u.left
         return " * ".join([atom(u)] + [atom(p) for p in reversed(tail)])
 
-    def go(u: Term) -> str:
-        # walk the left spines iteratively: chains and rows can be long
+    def chain(u: Term) -> str:
         tail = []
         while isinstance(u, Seq):
             tail.append(u.then)
             u = u.first
         return " ; ".join([par_level(u)] + [par_level(p) for p in reversed(tail)])
 
-    return go(t)
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, str):
+            out.append(u)
+            continue
+        pieces = chain(u).split("\0")
+        todo.append(pieces.pop())
+        while nested:
+            todo += [nested.pop(), pieces.pop()]
+    return "".join(out)
 
 
-class _Parser:
-    def __init__(self, text: str, ring: RingDescriptor):
-        self.text = text
-        self.ring = ring
-        self.pos = 0
+# One token, after optional whitespace: an operator or bracket, a
+# generator with its parameters and label, or a bare word, which is empty
+# at the end of the text and before a character no token starts with.
+_TOKEN = re.compile(r"""\s*(?P<token>
+    (?P<op>[;*()])
+  | w\s*\(\s*(?P<wk>\d+)\s*,\s*(?P<wm>\d+)\s*\)
+  | z\s*\(\s*(?P<zk>\d+)\s*,\s*(?P<zm>\d+)\s*\)\s*\[\s*(?P<label>[^\]]*)\]
+  | ket\s*\(\s*(?P<level>\d+)\s*\)
+  | (?P<word>[^\W\d_]*)
+)""", re.VERBOSE)
 
-    def error(self, msg: str):
-        raise ParseError(msg, self.pos)
+_PRECEDENCE = {"(": 0, ";": 1, "*": 2}
+_SHAPES = {"w": "w(k,m)", "z": "z(k,m)[label]", "ket": "ket(level)"}
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _generator(m: re.Match, ring: RingDescriptor, start: int) -> Term:
+    """The generator a token names, or the ParseError for a token that
+    cannot start a term."""
+    try:
+        if m["wk"] is not None:
+            return wspider(int(m["wk"]), int(m["wm"]))
+        if m["zk"] is not None:
+            return zspider(int(m["zk"]), int(m["zm"]), _ring.parse_literal(ring, m["label"]))
+        if m["level"] is not None:
+            return Gen(Generator("ket", 0, 1, level=int(m["level"])))
+    except ArityError as exc:
+        raise ParseError(str(exc), start) from None
+    except _ring.RingError as exc:
+        raise ParseError(str(exc), m.start("label")) from None
+    word = m["word"]
+    if word in _FIXED_ARITY:
+        return make_generator(word)
+    if word in _SHAPES:
+        raise ParseError(f"expected {_SHAPES[word]}", start)
+    raise ParseError(f"expected a generator, got {word!r}" if word else "expected a term",
+                     start)
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
 
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a number")
-        return int(self.text[start:self.pos])
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def term(self) -> Term:
-        t = self.par()
-        while self.peek() == ";":
-            self.pos += 1
-            rhs = self.par()
-            try:
-                t = Seq(t, rhs)
-            except ArityError as exc:
-                self.error(str(exc))
-        return t
-
-    def par(self) -> Term:
-        t = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            t = Par(t, self.atom())
-        return t
-
-    def atom(self) -> Term:
-        if self.peek() == "(":
-            self.pos += 1
-            t = self.term()
-            self.expect(")")
-            return t
-        start = self.pos
-        name = self.word()
-        if name in _FIXED_ARITY:
-            return make_generator(name)
-        if name in ("w", "z"):
-            self.expect("(")
-            k = self.nat()
-            self.expect(",")
-            m = self.nat()
-            self.expect(")")
-            if name == "w":
-                try:
-                    return wspider(k, m)
-                except ArityError as exc:
-                    self.pos = start
-                    self.error(str(exc))
-            self.expect("[")
-            self.skip_ws()
-            close = self.text.find("]", self.pos)
-            if close < 0:
-                self.error("unterminated label")
-            lit = self.text[self.pos:close]
-            try:
-                label = _ring.parse_literal(self.ring, lit)
-            except _ring.RingError as exc:
-                self.error(str(exc))
-            self.pos = close + 1
-            try:
-                return zspider(k, m, label)
-            except ArityError as exc:
-                self.pos = start
-                self.error(str(exc))
-        if name == "ket":
-            self.expect("(")
-            level = self.nat()
-            self.expect(")")
-            return Gen(Generator("ket", 0, 1, level=level))
-        self.pos = start
-        self.error(f"expected a generator, got {name!r}" if name else "expected a term")
+def _reduce(terms: list[Term], ops: list[str], floor: int, pos: int) -> None:
+    """Apply the pending operators that bind at least as tightly as
+    ``floor``, innermost first, so that both associate to the left."""
+    while ops and _PRECEDENCE[ops[-1]] >= floor:
+        right = terms.pop()
+        try:
+            terms[-1] = Seq(terms[-1], right) if ops.pop() == ";" else Par(terms[-1], right)
+        except ArityError as exc:
+            raise ParseError(str(exc), pos) from None
 
 
 def parse(text: str, ring: RingDescriptor | None = None) -> Term:
     """Parse the term grammar; labels are read as literals of ``ring``
-    (Gaussian rationals by default)."""
+    (Gaussian rationals by default).
+
+    Operator precedence on two explicit stacks (Dijkstra's shunting-yard):
+    ``*`` binds tighter than ``;``, both associate to the left, and
+    brackets may nest to any depth."""
     ring = _ring.Qi() if ring is None else ring
-    p = _Parser(text, ring)
-    t = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return t
+    terms: list[Term] = []
+    ops: list[str] = []  # pending ';', '*' and '('
+    pos, operand = 0, True  # operand: a term must start at pos
+    while True:
+        m = _TOKEN.match(text, pos)
+        start, pos, op = m.start("token"), m.end(), m["op"]
+        if operand and op == "(":
+            ops.append(op)
+        elif operand:
+            terms.append(_generator(m, ring, start))
+            operand = False
+        elif op in (";", "*"):
+            _reduce(terms, ops, _PRECEDENCE[op], start)
+            ops.append(op)
+            operand = True
+        else:
+            _reduce(terms, ops, 1, start)
+            if op == ")" and ops:
+                ops.pop()
+            elif ops or start < len(text):
+                raise ParseError("expected ')'" if ops else "trailing input", start)
+            else:
+                return terms[0]

@@ -235,26 +235,3 @@ def random_term(rng: random.Random, labels, pool=FULL_POOL,
         t = t >> zterm.par_all([_pick_gadget(n, rng, labels) for n in row])
         count += len(row)
     return t
-
-
-def same_term(a: Term, b: Term) -> bool:
-    """Structural equality without recursion, for terms too wide or deep
-    for ``==`` (the dataclass comparison recurses once per node).  Every
-    node has a fixed number of children, so equal pre-order node lists
-    mean equal trees."""
-
-    def nodes(t):
-        out, stack = [], [t]
-        while stack:
-            u = stack.pop()
-            if isinstance(u, Seq):
-                out.append("seq")
-                stack += [u.then, u.first]
-            elif isinstance(u, Par):
-                out.append("par")
-                stack += [u.right, u.left]
-            else:
-                out.append(u)
-        return out
-
-    return nodes(a) == nodes(b)

@@ -151,6 +151,8 @@ def test_universal_rejects_malformed_json(capsys, state):
 ZERO_STATE = '{"d": 2, "in": 0, "out": 3, "entries": [{"out": "000", "in": "", "v": "1"}]}'
 WIDE = " * ".join(["w(0,1)"] * 3000)
 DEEP = "(" * 2000 + "id" + ")" * 2000
+OVERFLOW_STATE = json.dumps({"d": 3, "in": 0, "out": 1, "entries": [
+    {"out": "1", "in": "", "v": "1e308"}, {"out": "2", "in": "", "v": "1e308"}]})
 # edge inputs as (term text, JSON state)
 EDGE_INPUTS = {
     "all-zero": ("ket(0) * ket(0) * ket(0)", ZERO_STATE),
@@ -159,8 +161,9 @@ EDGE_INPUTS = {
     "deep": (DEEP, "[" * 2000 + "]" * 2000),
     "empty": ("", ""),
     "ket2": ("ket(2)", '{"d": 2, "in": 0, "out": 1, "entries": [{"out": "2", "in": "", "v": "1"}]}'),
+    "overflow": ("z(0,1)[1e200]", OVERFLOW_STATE),
 }
-EDGE_FLAGS = {"default": [], "zn-without-mod": ["--ring", "Zn"]}
+EDGE_FLAGS = {"default": [], "zn-without-mod": ["--ring", "Zn"], "c-d3": ["--ring", "C", "--d", "3"]}
 
 
 def test_states_without_letters(capsys):
@@ -176,8 +179,22 @@ def test_states_without_letters(capsys):
         assert code == 0 and json.loads(out)["roundtrip"] is True
 
 
-def test_deep_nesting_exits_2(capsys):
+def test_deep_nesting_is_read(capsys):
     code, out, err = run(capsys, "eval", DEEP)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"d": 2, "in": 1, "out": 1, "entries": [
+        {"out": "0", "in": "0", "v": "1"}, {"out": "1", "in": "1", "v": "1"}]}
+
+
+@pytest.mark.parametrize("argv", [
+    # the anyonic z table overflows on a large finite label
+    ["eval", "--ring", "C", "--d", "3", "z(0,1)[1e200]"],
+    ["universal", "--d", "3", OVERFLOW_STATE],
+    # an infinite entry has no literal to write
+    ["eval", "--ring", "C", "z(0,1)[1e308] ; z(1,1)[1e308]"],
+], ids=["eval-z-table", "universal-z-table", "eval-infinite-entry"])
+def test_overflowing_values_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
 
 

@@ -279,6 +279,15 @@ def test_qudit_spider_entries():
     assert close(complex(disc.entries[("", "2")].value), 1 / c2)
 
 
+def test_z_table_overflow_is_an_error():
+    # the level-2 entry of a 1e200 label is 1e400, beyond a float
+    R = QParams(3).ring()
+    big = term.zspider(0, 1, ring.complex_value(R, 1e200))
+    with pytest.raises(QuditError, match="overflows"):
+        interpret(big, R, 3)
+    assert interpret(big, R, 2).entries[("1", "")].value == 1e200
+
+
 def test_universal_example_from_two_rows():
     p = QParams(3)
     R = p.ring()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from zwcalc import ring, term
+from zwcalc import ring, semantics, term
 from zwcalc.ring import (
     RingMismatchError,
     UnsupportedOperationError,
@@ -144,3 +144,15 @@ def test_bad_literals_raise():
     for text in ("1e400", "-1e400i", "1+1e400i"):  # overflows a float
         with pytest.raises(ring.RingError):
             ring.parse_literal(CC, text)
+
+
+@pytest.mark.parametrize("v", [complex("inf"), complex(0, float("-inf")), complex("nan")])
+def test_non_finite_complex_has_no_literal(v):
+    # the JSON and term writers would emit text that parse_literal rejects
+    c = ring.complex_value(CC, v)
+    with pytest.raises(ring.RingError):
+        ring.format_literal(c)
+    with pytest.raises(ring.RingError):
+        term.render(term.zspider(1, 1, c))
+    with pytest.raises(ring.RingError):
+        semantics.to_json_dict(semantics.make_map(CC, 2, 0, 1, {("1", ""): c}))

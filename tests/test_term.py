@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -123,6 +124,72 @@ def test_parse_render_round_trip(seed):
     assert parse(render(t), QI) == t
 
 
+def _bracket(items, rng, op):
+    """Join items with the binary op under a random bracketing."""
+    items = list(items)
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i:i + 2] = [op(items[i], items[i + 1])]
+    return items[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_random_bracketings(seed):
+    # random_term nests both operators to the left only; regroup its
+    # layers and blocks at random, which must not change the maps
+    rng = random.Random(seed)
+    labels = [ring.gaussian(QI, 1, 1), ring.gaussian(QI, 0, 1), ring.from_int(QI, -2)]
+    t = helpers.random_term(rng, labels, pool=helpers.FULL_POOL, max_generators=12)
+    u = _bracket([_bracket(term.par_factors(f), rng, term.Par) for f in term.seq_factors(t)],
+                 rng, term.Seq)
+    assert parse(render(u), QI) == u
+    assert hash(parse(render(u), QI)) == hash(u)
+    assert semantics.map_equal(semantics.interpret(u, QI), semantics.interpret(t, QI))
+    assert normalform.normalize(u, QI) == normalform.normalize(t, QI)
+    adj = term.adjoint(u)
+    assert semantics.map_equal(semantics.interpret(adj, QI),
+                               semantics.dagger(semantics.interpret(t, QI)))
+    if "ket" not in render(u):  # a ket reflects to a composite effect
+        assert term.adjoint(adj) == u
+
+
+def _scalar():
+    return term.seq(term.wspider(0, 1), term.wspider(1, 0))
+
+
+# 3000 levels above an innermost leaf, each nested in the right operand
+# (alternating Seq and Par brackets every other level)
+DEEP_TERMS = {
+    "seq-right": lambda leaf: functools.reduce(lambda t, _: term.Seq(ID, t), range(3000), leaf),
+    "par-right": lambda leaf: functools.reduce(lambda t, _: term.Par(term.wspider(0, 1), t),
+                                               range(3000), leaf),
+    "alternating": lambda leaf: functools.reduce(
+        lambda t, i: term.Par(_scalar(), t) if i % 2 else term.Seq(ID, t), range(3000), leaf),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_TERMS)
+def test_deep_terms_need_no_recursion(name):
+    build = DEEP_TERMS[name]
+    t, same, other = build(ID), build(ID), build(term.wspider(1, 1))
+    assert t is not same and t == same and hash(t) == hash(same)
+    assert t != other and other != t
+    text = render(t)
+    assert parse(text, Z) == t and hash(parse(text, Z)) == hash(t)
+    assert term.adjoint(term.adjoint(t)) == t
+    assert term.adjoint(term.adjoint(other)) != t
+
+
+def test_ten_thousand_nested_brackets():
+    assert parse("(" * 10000 + "id" + ")" * 10000, Z) == ID
+    assert parse("(" * 10000 + "cup ; cap" + ")" * 10000 + " * cup", Z) == \
+        term.Par(term.Seq(CUP, CAP), CUP)
+    with pytest.raises(ParseError, match="expected '\\)'") as err:
+        parse("(" * 10000 + "id" + ")" * 9999, Z)
+    assert err.value.position == 20001
+
+
 def _inversions(perm):
     return sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
                if perm[i] > perm[j])
@@ -204,8 +271,8 @@ def test_wide_row_of_generators(capsys):
     # 3000 generators side by side: no walk over the * spine may recurse
     t = term.par_all([term.wspider(0, 1)] * 3000)
     text = render(t)
-    assert helpers.same_term(parse(text, Z), t)
-    assert helpers.same_term(term.adjoint(term.adjoint(t)), t)
+    assert parse(text, Z) == t and hash(parse(text, Z)) == hash(t)
+    assert term.adjoint(term.adjoint(t)) == t
     nf = normalform.normalize(t, Z)
     assert [(str(c), w) for c, w in nf.nf.rows] == [("1", "1" * 3000)]
     m = semantics.interpret(t, Z)
