@@ -85,10 +85,10 @@ def canonicalize(p: PreNormalForm | NormalForm) -> NormalForm:
         if not _below(word, p.d):
             continue
         acc[word] = acc[word] + coeff if word in acc else coeff
-    rows = tuple(
-        (v, w) for w, v in sorted(acc.items()) if not v.is_zero()
-    )
-    return NormalForm(p.d, p.n, rows)
+    nf = object.__new__(NormalForm)  # sorted, distinct and nonzero by construction
+    nf.__dict__.update(d=p.d, n=p.n, rows=tuple(
+        (v, w) for w, v in sorted(acc.items()) if not v.is_zero()))
+    return nf
 
 
 def nf_of_state(m: SparseMap) -> NormalForm:

@@ -4,14 +4,20 @@ Four coefficient rings are supported:
 
 * ``Z`` -- arbitrary-precision integers,
 * ``Zn(n)`` -- integers modulo ``n``, residues kept in ``[0, n)``,
-* ``Qi`` -- Gaussian rationals ``a + b*i`` with exact ``Fraction`` parts,
+* ``Qi`` -- Gaussian rationals, kept as three ints ``(a + b*i)/den`` in
+  lowest terms; Gaussian integers (``den`` = 1) add and multiply as ints,
 * ``C(tol)`` -- double-precision complex numbers compared up to ``tol``.
 
 The first three are exact: equality is bit-exact and arithmetic never
 rounds.  ``C`` exists for the anyonic qudit checks, whose coefficients
 (roots of unity, square roots of q-integers) leave every exact ring we
 care to implement.  Values never coerce between rings; mixing raises
-:class:`RingMismatchError`.
+:class:`RingMismatchError`.  ``Z()``, ``Zn(n)``, ``Qi()`` and ``C(tol)``
+return interned descriptors, so the same-ring check is mostly an ``is``
+test, and each descriptor carries its own operations on raw values, its
+zero and its one, so no operation dispatches on the ring's kind.  Values
+are checked where they enter: in :func:`parse_literal` and the
+constructors.
 
 All values are immutable and all operations are pure functions, so
 elements can be shared freely between threads.
@@ -21,9 +27,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 INTEGERS = "integers"
@@ -44,73 +52,143 @@ class UnsupportedOperationError(RingError):
     """Operation not defined for this ring (e.g. conjugation mod n)."""
 
 
+@dataclass(frozen=True, slots=True, init=False)
+class GaussianRational:
+    """``(a + b*i)/den`` in ints with ``den > 0`` and ``gcd(a, b, den) = 1``:
+    a canonical form, so ``==`` and ``hash`` compare three ints."""
+
+    a: int
+    b: int
+    den: int
+
+    def __init__(self, re, im=0):
+        re, im = Fraction(re), Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        # each part is in lowest terms, so no prime divides a, b and den
+        _set_a(self, re.numerator * (den // re.denominator))
+        _set_b(self, im.numerator * (den // im.denominator))
+        _set_den(self, den)
+
+    re = property(lambda self: Fraction(self.a, self.den))
+    im = property(lambda self: Fraction(self.b, self.den))
+
+    def __str__(self):
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        im_s = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        return im_s if re == 0 else f"{re}{'+' if im > 0 else ''}{im_s}"
+
+
+_new = object.__new__
+_set_a, _set_b, _set_den = (GaussianRational.a.__set__, GaussianRational.b.__set__,
+                            GaussianRational.den.__set__)
+
+
+def _gr(a: int, b: int, den: int) -> GaussianRational:
+    """``(a + b*i)/den`` from parts already in canonical form."""
+    g = _new(GaussianRational)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_den(g, den)
+    return g
+
+
+def _reduced(a: int, b: int, den: int) -> GaussianRational:
+    g = math.gcd(a, b, den)
+    return _gr(a // g, b // g, den // g)
+
+
+def _qi_add(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    xd, yd = x.den, y.den
+    if xd == 1 and yd == 1:
+        return _gr(x.a + y.a, x.b + y.b, 1)
+    return _reduced(x.a * yd + y.a * xd, x.b * yd + y.b * xd, xd * yd)
+
+
+def _qi_mul(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    xa, xb, ya, yb, den = x.a, x.b, y.a, y.b, x.den * y.den
+    a, b = xa * ya - xb * yb, xa * yb + xb * ya
+    return _gr(a, b, 1) if den == 1 else _reduced(a, b, den)
+
+
 @dataclass(frozen=True)
 class RingDescriptor:
+    """A ring by kind.  ``__post_init__`` also sets its ``name``, its binary
+    ``ops`` by name, its ``neg``, ``conj`` (None mod n), ``eq`` and
+    ``of_int`` on raw values, and its ``zero`` and ``one``; none of them
+    enter ``==`` or ``hash``."""
+
     kind: str
     modulus: int | None = None
     tolerance: float | None = None
 
     def __post_init__(self):
-        if self.kind == INTEGERS_MOD:
-            if self.modulus is None or self.modulus < 2:
+        n, tol = self.modulus, self.tolerance
+        if self.kind == INTEGERS:
+            ops = ("Z", operator.add, operator.sub, operator.mul, operator.neg,
+                   lambda x: x, operator.eq, operator.index)
+        elif self.kind == INTEGERS_MOD:
+            if not isinstance(n, int) or n < 2:
                 raise RingError("integers_mod needs a modulus n >= 2")
+            ops = (f"Z{n}", lambda x, y: (x + y) % n, lambda x, y: (x - y) % n,
+                   lambda x, y: (x * y) % n, lambda x: -x % n, None, operator.eq,
+                   lambda k: operator.index(k) % n)
+        elif self.kind == GAUSSIAN_RATIONALS:
+            ops = ("Qi", _qi_add, lambda x, y: _qi_add(x, _gr(-y.a, -y.b, y.den)), _qi_mul,
+                   lambda x: _gr(-x.a, -x.b, x.den), lambda x: _gr(x.a, -x.b, x.den),
+                   operator.eq, GaussianRational)
         elif self.kind == COMPLEX_APPROX:
-            if self.tolerance is None or not self.tolerance > 0:
+            if tol is None or not tol > 0:
                 raise RingError("complex_approx needs a tolerance > 0")
-        elif self.kind not in (INTEGERS, GAUSSIAN_RATIONALS):
+            ops = (f"C(tol={tol:g})", operator.add, operator.sub, operator.mul,
+                   operator.neg, complex.conjugate, lambda x, y: abs(x - y) <= tol, complex)
+        else:
             raise RingError(f"unknown ring kind {self.kind!r}")
+        name, add, sub, mul, *unary = ops
+        for attr, v in zip(("name", "ops", "neg", "conj", "eq", "of_int"),
+                           (name, {"add": add, "sub": sub, "mul": mul}, *unary)):
+            object.__setattr__(self, attr, v)
+        object.__setattr__(self, "zero", RingElement(self, self.of_int(0)))
+        object.__setattr__(self, "one", RingElement(self, self.of_int(1)))
 
     @property
     def exact(self) -> bool:
         return self.kind != COMPLEX_APPROX
 
     def __str__(self):
-        if self.kind == INTEGERS:
-            return "Z"
-        if self.kind == INTEGERS_MOD:
-            return f"Z{self.modulus}"
-        if self.kind == GAUSSIAN_RATIONALS:
-            return "Qi"
-        return f"C(tol={self.tolerance:g})"
+        return self.name
+
+
+@lru_cache(maxsize=256)
+def _interned(kind: str, modulus: int | None, tolerance: float | None) -> RingDescriptor:
+    return RingDescriptor(kind, modulus, tolerance)
 
 
 def Z() -> RingDescriptor:
-    return RingDescriptor(INTEGERS)
+    return _interned(INTEGERS, None, None)
 
 
 def Zn(n: int) -> RingDescriptor:
-    return RingDescriptor(INTEGERS_MOD, modulus=n)
+    return _interned(INTEGERS_MOD, n, None)
 
 
 def Qi() -> RingDescriptor:
-    return RingDescriptor(GAUSSIAN_RATIONALS)
+    return _interned(GAUSSIAN_RATIONALS, None, None)
 
 
 def C(tolerance: float = 1e-9) -> RingDescriptor:
-    return RingDescriptor(COMPLEX_APPROX, tolerance=tolerance)
+    return _interned(COMPLEX_APPROX, None, tolerance)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """a + b*i with exact rational a, b (Fraction keeps lowest terms)."""
-
-    re: Fraction
-    im: Fraction
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = "i" if self.im == 1 else "-i" if self.im == -1 else f"{self.im}i"
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RingElement:
     ring: RingDescriptor
     value: object  # int | GaussianRational | complex
+
+    def __init__(self, ring: RingDescriptor, value):
+        _set_ring(self, ring)  # frozen: write the slots without the checked setattr
+        _set_value(self, value)
 
     def __add__(self, other):
         return ring_arith("add", self, other)
@@ -122,15 +200,7 @@ class RingElement:
         return ring_arith("mul", self, other)
 
     def __neg__(self):
-        r = self.ring
-        if r.kind == INTEGERS:
-            return RingElement(r, -self.value)
-        if r.kind == INTEGERS_MOD:
-            return RingElement(r, (-self.value) % r.modulus)
-        if r.kind == GAUSSIAN_RATIONALS:
-            v = self.value
-            return RingElement(r, GaussianRational(-v.re, -v.im))
-        return RingElement(r, -self.value)
+        return RingElement(self.ring, self.ring.neg(self.value))
 
     def __str__(self):
         if self.ring.kind == COMPLEX_APPROX:
@@ -141,81 +211,58 @@ class RingElement:
         return str(self.value)
 
     def is_zero(self) -> bool:
-        return ring_equal(self, zero(self.ring))
+        return self.ring.eq(self.value, self.ring.zero.value)
+
+
+_set_ring, _set_value = RingElement.ring.__set__, RingElement.value.__set__
 
 
 def _check_same(a: RingElement, b: RingElement) -> RingDescriptor:
-    if a.ring != b.ring:
-        raise RingMismatchError(f"mixed rings {a.ring} and {b.ring}")
-    return a.ring
+    r = a.ring
+    if b.ring is not r and b.ring != r:
+        raise RingMismatchError(f"mixed rings {r} and {b.ring}")
+    return r
 
 
 def ring_arith(op: str, a: RingElement, b: RingElement) -> RingElement:
+    """``op`` is "add", "sub" or "mul"."""
     r = _check_same(a, b)
-    if op == "neg":
-        return -a
-    if op == "sub":
-        return ring_arith("add", a, -b)
-    if op not in ("add", "mul"):
+    fn = r.ops.get(op)
+    if fn is None:
         raise RingError(f"unknown op {op!r}")
-    x, y = a.value, b.value
-    if r.kind == INTEGERS:
-        return RingElement(r, x + y if op == "add" else x * y)
-    if r.kind == INTEGERS_MOD:
-        v = x + y if op == "add" else x * y
-        return RingElement(r, v % r.modulus)
-    if r.kind == GAUSSIAN_RATIONALS:
-        if op == "add":
-            return RingElement(r, GaussianRational(x.re + y.re, x.im + y.im))
-        return RingElement(
-            r,
-            GaussianRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re),
-        )
-    return RingElement(r, x + y if op == "add" else x * y)
+    return RingElement(r, fn(a.value, b.value))
 
 
 def conjugate(a: RingElement) -> RingElement:
-    r = a.ring
-    if r.kind == INTEGERS:
-        return a
-    if r.kind == GAUSSIAN_RATIONALS:
-        return RingElement(r, GaussianRational(a.value.re, -a.value.im))
-    if r.kind == COMPLEX_APPROX:
-        return RingElement(r, a.value.conjugate())
-    raise UnsupportedOperationError("no canonical involution chosen mod n")
+    if a.ring.conj is None:
+        raise UnsupportedOperationError("no canonical involution chosen mod n")
+    v = a.ring.conj(a.value)
+    return a if v is a.value else RingElement(a.ring, v)
 
 
 def ring_equal(a: RingElement, b: RingElement, desc: RingDescriptor | None = None) -> bool:
     r = _check_same(a, b)
-    if desc is not None and desc != r:
+    if desc is not None and desc is not r and desc != r:
         raise RingMismatchError(f"elements of {r} compared under {desc}")
-    if r.kind == COMPLEX_APPROX:
-        return abs(a.value - b.value) <= r.tolerance
-    return a.value == b.value
+    return r.eq(a.value, b.value)
 
 
 def zero(ring: RingDescriptor) -> RingElement:
-    return from_int(ring, 0)
+    return ring.zero
 
 
 def one(ring: RingDescriptor) -> RingElement:
-    return from_int(ring, 1)
+    return ring.one
 
 
 def from_int(ring: RingDescriptor, k: int) -> RingElement:
-    if ring.kind == INTEGERS:
-        return RingElement(ring, k)
-    if ring.kind == INTEGERS_MOD:
-        return RingElement(ring, k % ring.modulus)
-    if ring.kind == GAUSSIAN_RATIONALS:
-        return RingElement(ring, GaussianRational(Fraction(k), Fraction(0)))
-    return RingElement(ring, complex(k))
+    return RingElement(ring, ring.of_int(k))
 
 
 def gaussian(ring: RingDescriptor, re, im=0) -> RingElement:
     if ring.kind != GAUSSIAN_RATIONALS:
         raise RingError("gaussian() builds Qi elements only")
-    return RingElement(ring, GaussianRational(Fraction(re), Fraction(im)))
+    return RingElement(ring, GaussianRational(re, im))
 
 
 def complex_value(ring: RingDescriptor, v: complex) -> RingElement:

@@ -4,8 +4,10 @@ A term is a tree whose leaves are generators and whose internal nodes are
 ``Seq`` (plug outputs into inputs) and ``Par`` (side by side).  Arities
 are checked at construction; ``Seq(f, g)`` requires ``f.n_out == g.n_in``.
 
-Terms are immutable.  ``>>`` is sequential and ``@`` parallel
-composition, so snake-like composites read the way they are drawn:
+Terms are immutable, so leaves are shared: the wire generators, the W
+spiders and the Z spiders over exact rings are built once and reused.
+``>>`` is sequential and ``@`` parallel composition, so snake-like
+composites read the way they are drawn:
 
 >>> snake = (ID @ CUP) >> (CAP @ ID)
 >>> snake.n_in, snake.n_out
@@ -15,7 +17,8 @@ The concrete syntax (see :func:`parse` / :func:`render`) uses ``;`` for
 ``>>`` and ``*`` for ``@``: the snake above is ``(id * cup) ; (cap * id)``.
 ``*`` binds tighter than ``;``, both associate to the left, and brackets
 nest to any depth.  No function here recurses, so ``parse``, ``render``,
-``adjoint``, ``==`` and ``hash`` take terms of any depth and width.
+``adjoint``, ``==``, ``hash`` and ``repr`` take terms of any depth and
+width.
 
 Generators
 ----------
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement
@@ -59,7 +62,7 @@ _FIXED_ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     kind: str
     n_in: int
@@ -87,8 +90,9 @@ class Generator:
 class Term:
     """Base class; subclasses are Gen, Seq and Par."""
 
-    n_in: int
-    n_out: int
+    # Term, its leaves and its nodes are slotted: the rule catalogue holds
+    # about ten thousand of them, and an instance dict would double each one
+    __slots__ = ("n_in", "n_out")
 
     def __rshift__(self, other: "Term") -> "Term":
         return seq(self, other)
@@ -105,17 +109,23 @@ class Term:
     def __hash__(self):
         return hash(tuple(_preorder(self)))
 
+    def __repr__(self):  # Seq and Par: the text of the iterative render
+        try:
+            return f"{type(self).__name__}({render(self)!r})"
+        except (ValueError, _ring.RingError):  # EMPTY inside, or a non-finite label
+            return f"<{type(self).__name__} {self.n_in} -> {self.n_out}>"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Gen(Term):
     gen: Generator
 
     def __post_init__(self):
-        self.__dict__["n_in"] = self.gen.n_in
-        self.__dict__["n_out"] = self.gen.n_out
+        object.__setattr__(self, "n_in", self.gen.n_in)
+        object.__setattr__(self, "n_out", self.gen.n_out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Seq(Term):
     first: Term
     then: Term
@@ -127,18 +137,18 @@ class Seq(Term):
                 f"{self.then.n_in} inputs")
         # arities are stored, not derived, so that deeply nested terms
         # never recurse on attribute access
-        self.__dict__["n_in"] = self.first.n_in
-        self.__dict__["n_out"] = self.then.n_out
+        object.__setattr__(self, "n_in", self.first.n_in)
+        object.__setattr__(self, "n_out", self.then.n_out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Par(Term):
     left: Term
     right: Term
 
     def __post_init__(self):
-        self.__dict__["n_in"] = self.left.n_in + self.right.n_in
-        self.__dict__["n_out"] = self.left.n_out + self.right.n_out
+        object.__setattr__(self, "n_in", self.left.n_in + self.right.n_in)
+        object.__setattr__(self, "n_out", self.left.n_out + self.right.n_out)
 
 
 seq, par = Seq, Par  # >> and @ as functions
@@ -148,16 +158,26 @@ seq, par = Seq, Par  # >> and @ as functions
 _WIRES = {kind: Gen(Generator(kind, *arity)) for kind, arity in _FIXED_ARITY.items()}
 
 
+@lru_cache(maxsize=4096)
+def _shared_leaf(g: Generator) -> Term:
+    """One leaf per spider: the rule catalogue repeats a few hundred
+    spiders thousands of times."""
+    return Gen(g)
+
+
 def make_generator(kind: str, params: tuple = (), d: int = 2) -> Term:
     """Build a generator leaf; params per kind, d only bounds ket levels."""
     if kind in _FIXED_ARITY:
         return _WIRES[kind]
     if kind == "w":
         k, m = params
-        return Gen(Generator("w", k, m))
+        return _shared_leaf(Generator("w", k, m))
     if kind == "z":
         k, m, label = params
-        return Gen(Generator("z", k, m, label=label))
+        g = Generator("z", k, m, label=label)
+        # complex labels that compare equal may differ in the sign of a zero
+        # part, which the anyonic tables keep, so they get leaves of their own
+        return _shared_leaf(g) if label.ring.exact else Gen(g)
     if kind == "ket":
         (level,) = params
         if not 0 <= level < d:

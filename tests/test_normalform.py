@@ -296,6 +296,31 @@ def test_json_round_trip():
         "rows": [{"v": "1", "w": "000"}, {"v": "7", "w": "111"}]}
 
 
+# rows that break canonicity: unsorted words, a repeated word, a letter d = 2 cannot hold
+NON_CANONICAL = {
+    "unsorted": [(1, "11"), (2, "01")],
+    "duplicate": [(1, "01"), (2, "01")],
+    "out-of-range": [(1, "01"), (2, "12")],
+}
+
+
+@pytest.mark.parametrize("case", NON_CANONICAL)
+def test_normal_form_rejects_non_canonical_words(case):
+    # canonicalize skips this check, so the constructor must still make it
+    with pytest.raises(ArityError):
+        NormalForm(2, 2, tuple((iz(c), w) for c, w in NON_CANONICAL[case]))
+
+
+@pytest.mark.parametrize("case", NON_CANONICAL)
+def test_json_reader_canonicalizes_its_rows(case):
+    rows = NON_CANONICAL[case]
+    data = {"n": 2, "d": 2, "rows": [{"v": str(c), "w": w} for c, w in rows]}
+    nf = from_json_dict(data, Z)
+    assert nf == canonicalize(pre(2, rows)) == NormalForm(2, 2, nf.rows)
+    with pytest.raises(ArityError):  # what canonicalize cannot mend
+        from_json_dict({**data, "rows": data["rows"] + [{"v": "1", "w": "011"}]}, Z)
+
+
 def test_opening_layer_starts_from_its_first_block(monkeypatch):
     # ket(0) * ket(1) * ket(0) is one product per further block in each
     # pillar, with no multiplication by one to start from

@@ -386,3 +386,37 @@ def test_universal_random_round_trips():
         state = make_map(R, 3, 0, n, entries)
         t, _ = qudit_universal_nf(state, p)
         assert map_equal(interpret(t, R, 3), state)
+
+
+def _complex_entries(m):
+    return {k: complex(v.value) for k, v in m.entries.items()}
+
+
+def _same_table(anyonic, qubit):
+    a, b = _complex_entries(anyonic), _complex_entries(qubit)
+    return (anyonic.n_in, anyonic.n_out) == (qubit.n_in, qubit.n_out) and all(
+        close(a.get(k, 0j), b.get(k, 0j)) for k in a.keys() | b.keys())
+
+
+# generators whose anyonic table at d = 2 is their qubit table; integer
+# labels, so that the text reads in both rings
+BRIDGE_SAME = ["id", "swap", "x", "cup", "cap", "ket(0)", "ket(1)",
+               *(f"w(0,{m})" for m in range(1, 5)),
+               *(f"z({k},{m})[{u}]" for k in range(5) for m in range(5 - k) if k + m
+                 for u in (-2, 0, 3))]
+
+
+@pytest.mark.parametrize("text", BRIDGE_SAME)
+def test_anyonic_tables_at_d2_are_the_qubit_tables(text):
+    C, Z = ring.C(TOL), ring.Z()
+    assert _same_table(interpret(term.parse(text, C), C, 2), interpret(term.parse(text, Z), Z))
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 5) for m in range(5 - k)])
+def test_anyonic_w_at_d2_is_merge_then_split(k, m):
+    # the anyonic w(k,m) merges k wires and splits m ways, and the qubit
+    # w(k,m) is the bent W state, so the bridge runs through the W monoid
+    C, Z = ring.C(TOL), ring.Z()
+    anyonic = interpret(term.wspider(k, m), C, 2)
+    assert _same_table(anyonic, interpret(term.seq(term.w_monoid(k), term.w_comonoid(m)), Z))
+    assert not _same_table(anyonic, interpret(term.wspider(k, m), Z))

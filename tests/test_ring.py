@@ -1,5 +1,8 @@
-import pytest
+import itertools
+import math
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, strategies as st
 
@@ -38,6 +41,15 @@ def test_gaussian_product_of_conjugates():
 def test_descriptor_mismatch_is_typed():
     with pytest.raises(RingMismatchError):
         ring_arith("add", ring.from_int(Z, 1), ring.from_int(Z6, 1))
+
+
+def test_constructors_reject_what_is_not_an_integer():
+    for desc in (Z, Z6):
+        with pytest.raises(TypeError):
+            ring.from_int(desc, 2.5)
+    with pytest.raises(ring.RingError):
+        ring.Zn(6.5)
+    assert ring.from_int(QI, Fraction(1, 2)) == ring.gaussian(QI, Fraction(2, 4))
 
 
 def test_conjugate_examples():
@@ -81,6 +93,61 @@ def test_ring_axioms_gaussian(a, b, c):
     assert ring_equal((a * b) * c, a * (b * c))
     assert ring_equal(a + b, b + a)
     assert ring_equal(a * (b + c), a * b + a * c)
+
+
+def _reference_str(re: Fraction, im: Fraction) -> str:
+    """The literal of a Gaussian rational kept as a pair of Fractions."""
+    if im == 0:
+        return str(re)
+    im_s = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if re == 0:
+        return im_s
+    return f"{re}{'+' if im > 0 else ''}{im_s}"
+
+
+# small parts, so that equal results turn up often
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@given(st.tuples(small_fracs, small_fracs), st.tuples(small_fracs, small_fracs))
+def test_qi_arithmetic_matches_fraction_pairs(x, y):
+    a, b = ring.gaussian(QI, *x), ring.gaussian(QI, *y)
+    (p, q), (r, s) = x, y
+    cases = [  # (result, the reference pair)
+        (a + b, (p + r, q + s)),
+        (a - b, (p - r, q - s)),
+        (a * b, (p * r - q * s, p * s + q * r)),
+        (-a, (-p, -q)),
+        (conjugate(a), (p, -q)),
+        (a, x),
+        (b, y),
+    ]
+    for got, want in cases:
+        v = got.value
+        assert (v.re, v.im) == want
+        assert v.den > 0 and math.gcd(v.a, v.b, v.den) == 1
+        assert ring.format_literal(got) == _reference_str(*want)
+    for (g, w), (h, u) in itertools.product(cases, repeat=2):
+        assert (g == h) == (g.value == h.value) == ring_equal(g, h) == (w == u)
+        if w == u:
+            assert hash(g.value) == hash(h.value) and hash(g) == hash(h)
+
+
+def test_descriptors_are_interned_and_mix_by_value():
+    assert ring.Qi() is QI and ring.Zn(6) is Z6 and ring.C() is ring.C(1e-9) is CC
+    assert ring.zero(QI) is ring.zero(QI) and ring.one(Z) is ring.one(Z)
+    direct = ring.RingDescriptor(ring.GAUSSIAN_RATIONALS)
+    assert direct is not QI and direct == QI and hash(direct) == hash(QI)
+    a, b = ring.gaussian(direct, 1, 2), ring.gaussian(QI, Fraction(1, 3))
+    assert (a + b).value == (b + a).value == ring.GaussianRational(Fraction(4, 3), 2)
+    assert ring_equal(a * b, ring.gaussian(QI, Fraction(1, 3), Fraction(2, 3)), direct)
+    assert ring_equal(a - a, ring.zero(QI)) and (a - a).is_zero()
+    for other in (ring.from_int(Z, 1), ring.from_int(Z6, 1)):
+        for mixed in (lambda: a + other, lambda: other * b, lambda: ring_equal(b, other)):
+            with pytest.raises(RingMismatchError):
+                mixed()
+    with pytest.raises(RingMismatchError):
+        ring_equal(a, b, Z)
 
 
 @given(qi_elements(), qi_elements())

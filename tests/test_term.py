@@ -176,9 +176,24 @@ def test_deep_terms_need_no_recursion(name):
     assert t is not same and t == same and hash(t) == hash(same)
     assert t != other and other != t
     text = render(t)
+    assert repr(t) == f"{type(t).__name__}({text!r})"
     assert parse(text, Z) == t and hash(parse(text, Z)) == hash(t)
     assert term.adjoint(term.adjoint(t)) == t
     assert term.adjoint(term.adjoint(other)) != t
+
+
+def test_spider_leaves_are_shared_except_over_C():
+    three = ring.from_int(Z, 3)
+    assert term.wspider(1, 2) is term.wspider(1, 2) is parse("w(1,2)", Z)
+    assert term.zspider(1, 1, three) is parse("z(1,1)[3]", Z)
+    assert term.zspider(1, 1, three) is not term.zspider(1, 1, ring.from_int(Z, -3))
+    # equal complex labels may differ in the sign of a zero part
+    pos, neg = (term.zspider(0, 1, ring.complex_value(ring.C(), v)) for v in (0.0, -0.0))
+    assert pos == neg and pos is not neg
+    assert str(neg.gen.label) == "-0.0+0.0i" != str(pos.gen.label)
+    # slotted nodes and leaves: a catalogue holds about ten thousand
+    assert not hasattr(term.wspider(1, 2), "__dict__")
+    assert not hasattr(term.Seq(ID, ID), "__dict__") and not hasattr(term.Par(ID, ID), "__dict__")
 
 
 def test_ten_thousand_nested_brackets():
@@ -271,6 +286,7 @@ def test_wide_row_of_generators(capsys):
     # 3000 generators side by side: no walk over the * spine may recurse
     t = term.par_all([term.wspider(0, 1)] * 3000)
     text = render(t)
+    assert repr(t) == f"{type(t).__name__}({text!r})"
     assert parse(text, Z) == t and hash(parse(text, Z)) == hash(t)
     assert term.adjoint(term.adjoint(t)) == t
     nf = normalform.normalize(t, Z)
