@@ -12,16 +12,16 @@ to an output with a cup, so a map ``k -> m`` becomes a state on ``k + m``
 wires whose word is the input word followed by the output word.
 :class:`MapNormalForm` remembers the split.
 
-``normalize`` never consults the interpreter.  It recurses over the term
-with hardcoded normal forms for the generators.  Every term is a ``;``
-chain of ``*`` layers, joined layer by layer: the running rows meet each
-layer block by block, matching letters on every block's inputs, so
-identity padding costs nothing and a layer's own normal form is never
-built.  The first layer has nothing below it; its rows concatenate the
-blocks' bent words, and one permutation moves the input letters to the
-front.  The test suite checks the result against
-:func:`zwcalc.semantics.interpret`, which walks a completely different
-path.
+``normalize`` never consults the interpreter.  It folds the term on an
+explicit stack (:func:`zwcalc.term.fold`), with hardcoded normal forms
+for the generators.  Every term is a ``;`` chain of ``*`` layers,
+joined layer by layer: the running rows meet each layer block by block,
+matching letters on every block's inputs, so identity padding costs
+nothing and a layer's own normal form is never built.  The first layer
+has nothing below it; its rows concatenate the blocks' bent words, and
+one permutation moves the input letters to the front.  The test suite
+checks the result against :func:`zwcalc.semantics.interpret`, which
+shares the fold but not the tables or the join.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
 from . import term as _term
-from .term import ArityError, Gen, Generator, Par, Seq, Term, _Empty
+from .term import ArityError, Generator, Term
 from .semantics import SparseMap, json_fields, json_word, make_map
 
 Row = tuple[RingElement, str]
@@ -200,25 +200,17 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
 
 
 def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
-    """Rewrite a dimension-2 term to its canonical normal form by
-    structural recursion, without evaluating it.
-
-    Every term is read as a ``;`` chain of ``*`` layers, and each layer is
-    joined block by block (see :func:`_plug`) with one canonicalization per
-    layer; blocks other than a bare ``id`` are normalized by recursion."""
+    """Rewrite a dimension-2 term to its canonical normal form without
+    evaluating it: a fold (:func:`zwcalc.term.fold`) of the generators'
+    hardcoded normal forms, each layer joined block by block (see
+    :func:`_plug`) with one canonicalization per layer."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
-    if isinstance(t, Gen):
-        return generator_nf(t.gen, ring)
-    if not isinstance(t, (Seq, Par, _Empty)):
-        raise ArityError(f"not a term: {t!r}")
-    acc = None
-    for f in _term.seq_factors(t):
-        acc = _plug(acc, _term.par_factors(f), ring)
-    return acc
+    return _term.fold(t, lambda g: generator_nf(g, ring),
+                      lambda acc, blocks: _plug(acc, blocks, ring))
 
 
-def _plug(a: MapNormalForm | None, blocks: list[Term],
+def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
           ring: RingDescriptor) -> MapNormalForm:
     """Plug the outputs of ``a`` into a parallel layer of blocks, block by
     block, without building the layer's own normal form.
@@ -228,8 +220,8 @@ def _plug(a: MapNormalForm | None, blocks: list[Term],
     directly: cut it into one segment per block, look each segment up
     among the block's rows by their input letters, and for every match
     append the block's output letters and multiply the coefficients.
-    Identity wires copy their segment unchanged, so the rows stay
-    proportional to ``a`` and never to 2^width.
+    Identity wires (the cached normal form of ``id``) copy their segment
+    unchanged, so the rows stay proportional to ``a``, never to 2^width.
 
     With ``a = None`` the layer opens a chain: rows start from the first
     block's own rows and append every further block's whole bent word,
@@ -243,27 +235,24 @@ def _plug(a: MapNormalForm | None, blocks: list[Term],
     # kept; a plugged layer keeps the input letters of a's rows
     if opening:
         if len(blocks) < 2:  # the empty layer is the unit row
-            return normalize(blocks[0], ring) if blocks else MapNormalForm(
+            return blocks[0] if blocks else MapNormalForm(
                 0, 0, NormalForm(2, 0, ((_ring.one(ring), ""),)))
-        first = normalize(blocks[0], ring)
-        start, kept, rest = first.nf.rows, first.nf.n, blocks[1:]
+        start, kept, rest = blocks[0].nf.rows, blocks[0].nf.n, blocks[1:]
     else:
         if a.n_out != n_in:
             raise ArityError("middle arity mismatch")
         start, kept, rest = a.nf.rows, a.n_in, blocks
+    wire = None if opening else generator_nf(_term.ID.gen, ring)
     # (segment width, block rows by the letters they match); None copies the segment
     segments: list[tuple[int, dict | None]] = []
     for b in rest:
-        if not opening and isinstance(b, Gen) and b.gen.kind == "id":
-            if segments and segments[-1][1] is None:
-                segments[-1] = (segments[-1][0] + 1, None)
-            else:
-                segments.append((1, None))
+        if b is wire:  # a run of wires copies one segment
+            run = segments.pop()[0] if segments and segments[-1][1] is None else 0
+            segments.append((run + 1, None))
             continue
-        nb = normalize(b, ring)
-        width = 0 if opening else nb.n_in
+        width = 0 if opening else b.n_in
         by_in: dict[str, list[tuple[str, RingElement]]] = {}
-        for c, w in nb.nf.rows:
+        for c, w in b.nf.rows:
             by_in.setdefault(w[:width], []).append((w[width:], c))
         segments.append((width, by_in))
     rows = []

@@ -160,14 +160,14 @@ def classical_vandermonde(n: int, j: int, k: int) -> bool:
     return lhs == rhs
 
 
-def _bounded_words(length: int, max_sum: int, d: int):
-    """All digit words of the given length with digit sum <= max_sum."""
-    if length == 0:
-        yield ""
-        return
-    for first in range(min(d - 1, max_sum) + 1):
-        for rest in _bounded_words(length - 1, max_sum - first, d):
-            yield str(first) + rest
+def _bounded_words(length: int, max_sum: int, d: int) -> list[tuple[str, int]]:
+    """All digit words of the given length with digit sum <= max_sum, with
+    their sums, in lexicographic order: built one leg at a time."""
+    words = [("", 0)]
+    for _ in range(length):
+        words = [(w + str(c), s + c)
+                 for w, s in words for c in range(min(d - 1, max_sum - s) + 1)]
+    return words
 
 
 def _tree_coeff(word: str, p: QParams) -> complex:
@@ -222,17 +222,16 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int):
         k, m = g.n_in, g.n_out
         ent = {}
         if k == 0:
-            for out_w in _bounded_words(m, 1, d):
-                if sum(int(c) for c in out_w) == 1:
+            for out_w, s in _bounded_words(m, 1, d):
+                if s == 1:
                     ent[(out_w, "")] = _ring.complex_value(ring, _tree_coeff(out_w, p))
         else:
-            for in_w in _bounded_words(k, d - 1, d):
+            for in_w, s in _bounded_words(k, d - 1, d):
                 a = _tree_coeff(in_w, p)
                 if abs(a) <= p.tolerance:
                     continue
-                s = sum(int(c) for c in in_w)
-                for out_w in _bounded_words(m, s, d):
-                    if sum(int(c) for c in out_w) != s:
+                for out_w, out_s in _bounded_words(m, s, d):
+                    if out_s != s:
                         continue
                     b = _tree_coeff(out_w, p)
                     v = a * b

@@ -3,13 +3,13 @@
 A term with ``k`` inputs and ``m`` outputs denotes a linear map between
 tensor powers of the d-dimensional generator object.  We store it as a
 mapping from ``(output word, input word)`` pairs to nonzero coefficients,
-with words written over the digits ``0 .. d-1``.  A term is read as a
-``;`` chain of ``*`` layers, and one join composes it: the running map
-meets each layer block by block, contracting over the middle word, and
-a block's output word is concatenated on and its coefficient multiplied
-in.  The first layer has nothing below it, so its input words are
-concatenated too.  Nothing is ever densified, so states with few
-amplitudes stay small no matter how many wires they live on.
+with words written over the digits ``0 .. d-1``.  A term is folded as a
+``;`` chain of ``*`` layers (:func:`zwcalc.term.fold`), and one join
+composes it: the running map meets each layer block by block,
+contracting over the middle word, and a block's output word is
+concatenated on and its coefficient multiplied in.  The first layer has
+nothing below it, so its input words are concatenated too.  Nothing is
+densified, so states with few amplitudes stay small on any number of wires.
 
 Exact rings interpret at dimension 2 (the qubit tables below); the
 approximate complex ring switches to the anyonic qudit tables provided by
@@ -38,7 +38,7 @@ from typing import Mapping
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
 from . import term as _term
-from .term import ArityError, Gen, Generator, Par, Seq, Term, _Empty
+from .term import ArityError, Generator, Term
 
 Word = str
 Key = tuple[Word, Word]  # (output word, input word)
@@ -209,19 +209,8 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
 
         qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
 
-    def go(u: Term) -> SparseMap:
-        if isinstance(u, Gen):
-            return generator_map(u.gen, ring, d)
-        if not isinstance(u, (Seq, Par, _Empty)):
-            raise ArityError(f"not a term: {u!r}")
-        # a chain of parallel layers; each meets the running map block by
-        # block, and the first one has nothing below it
-        acc = None
-        for f in _term.seq_factors(u):
-            acc = _apply_blocks(acc, [go(b) for b in _term.par_factors(f)], ring, d)
-        return acc
-
-    return go(t)
+    return _term.fold(t, lambda g: generator_map(g, ring, d),
+                      lambda acc, blocks: _apply_blocks(acc, blocks, ring, d))
 
 
 def map_equal(a: SparseMap, b: SparseMap) -> bool:

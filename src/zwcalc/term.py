@@ -17,8 +17,8 @@ The concrete syntax (see :func:`parse` / :func:`render`) uses ``;`` for
 ``>>`` and ``*`` for ``@``: the snake above is ``(id * cup) ; (cap * id)``.
 ``*`` binds tighter than ``;``, both associate to the left, and brackets
 nest to any depth.  No function here recurses, so ``parse``, ``render``,
-``adjoint``, ``==``, ``hash`` and ``repr`` take terms of any depth and
-width.
+``adjoint``, ``==``, ``hash``, ``repr``, :func:`layers` and :func:`fold`
+take terms of any depth and width.
 
 Generators
 ----------
@@ -227,33 +227,54 @@ def seq_all(terms) -> Term:
     return reduce(seq, terms)
 
 
-def seq_factors(t: Term) -> list[Term]:
-    """Flatten nested sequential composition into its factors, in order,
-    without recursing (composition chains can be arbitrarily long)."""
-    out: list[Term] = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
+def layers(t: Term) -> list[list[Term]]:
+    """The ``;`` chain of ``t`` as its ``*`` layers, each the list of its
+    blocks left to right (without ``EMPTY``), walked without recursion."""
+    out, chain = [], [t]
+    while chain:
+        u = chain.pop()
         if isinstance(u, Seq):
-            stack.append(u.then)
-            stack.append(u.first)
-        else:
-            out.append(u)
+            chain += [u.then, u.first]
+            continue
+        blocks, row = [], [u]
+        while row:
+            b = row.pop()
+            if isinstance(b, Par):
+                row += [b.right, b.left]
+            elif not isinstance(b, _Empty):
+                blocks.append(b)
+        out.append(blocks)
     return out
 
 
-def par_factors(t: Term) -> list[Term]:
-    """Flatten nested parallel composition into its side-by-side blocks."""
-    out: list[Term] = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Par):
-            stack.append(u.left)
-            stack.append(u.right)
-        elif not isinstance(u, _Empty):
-            out.append(u)
-    return out[::-1]
+def fold(t: Term, leaf, layer):
+    """Fold ``t`` bottom-up along its chains, on an explicit stack:
+    ``leaf(generator)`` is the value of a generator leaf, ``layer(acc,
+    values)`` joins the values of a layer's blocks onto the value ``acc``
+    of the chain below it (None at the first layer), and a chain's value
+    is its last ``acc``.  A bare generator is a one-layer chain."""
+    # chains being folded: [layers, layer at hand, acc, its blocks' values so far]
+    frames = [[layers(t), 0, None, []]]
+    while True:
+        frame = frames[-1]
+        chain, i, acc, values = frame
+        for u in chain[i][len(values):]:
+            if isinstance(u, Gen):
+                values.append(leaf(u.gen))
+            elif isinstance(u, Seq):
+                frames.append([layers(u), 0, None, []])
+                break
+            else:
+                raise ArityError(f"not a term: {u!r}")
+        else:  # every block of the layer has its value
+            acc = layer(acc, values)
+            if i + 1 < len(chain):
+                frame[1:] = i + 1, acc, []
+                continue
+            frames.pop()
+            if not frames:
+                return acc
+            frames[-1][3].append(acc)
 
 
 def _preorder(t: Term) -> list:

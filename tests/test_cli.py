@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -184,6 +185,23 @@ def test_deep_nesting_is_read(capsys):
     assert code == 0 and err == ""
     assert json.loads(out) == {"d": 2, "in": 1, "out": 1, "entries": [
         {"out": "0", "in": "0", "v": "1"}, {"out": "1", "in": "1", "v": "1"}]}
+
+
+# 3000 levels of a chain nested in a row nested in a chain
+CHAIN_IN_ROW = functools.reduce(lambda t, _: f"(w(0,1) * ({t})) ; w(2,1)", range(3000), "ket(0)")
+
+
+@pytest.mark.parametrize("verb", ["eval", "normalize", "roundtrip"])
+def test_chains_nested_in_rows_are_evaluated(capsys, verb):
+    code, out, err = run(capsys, verb, CHAIN_IN_ROW)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    if verb == "eval":
+        assert data["entries"] == [{"out": "0", "in": "", "v": "1"}]
+    elif verb == "normalize":
+        assert data["rows"] == [{"v": "1", "w": "0"}]
+    else:
+        assert data["agree"] is True
 
 
 @pytest.mark.parametrize("argv", [

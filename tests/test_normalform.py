@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwcalc import ring, term
+from zwcalc import normalform, ring, term
 from zwcalc.ring import UnsupportedOperationError
 from zwcalc.term import ArityError
 from zwcalc.semantics import interpret, map_equal, make_map
@@ -341,3 +341,29 @@ def test_opening_layer_starts_from_its_first_block(monkeypatch):
     assert calls == ["mul", "mul"]
     assert m.entries == want[0].entries and nf == want[1]
     assert rows_of(nf.nf) == [("1", "010")]
+
+
+def test_only_the_shared_id_table_copies_its_segment(monkeypatch):
+    # a padded layer copies the segment of an id block that is the cached
+    # normal form of id; a rebuilt table, as after an eviction from the
+    # cache, takes the general join and multiplies by one
+    t = term.parse("w(0,3) ; (id * w(2,1)) ; x", Z)
+    want = normalize(t, Z)
+    calls = []
+    real_arith, real_nf = ring.ring_arith, normalform.generator_nf
+
+    def counting(op, a, b):
+        calls.append(op)
+        return real_arith(op, a, b)
+
+    def rebuilt(g, r):
+        m = real_nf(g, r)
+        return MapNormalForm(m.n_in, m.n_out, m.nf) if g.kind == "id" else m
+
+    monkeypatch.setattr(ring, "ring_arith", counting)
+    assert normalize(t, Z) == want
+    shared = len(calls)
+    calls.clear()
+    monkeypatch.setattr(normalform, "generator_nf", rebuilt)
+    assert normalize(t, Z) == want
+    assert len(calls) > shared

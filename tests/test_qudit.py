@@ -279,6 +279,14 @@ def test_qudit_spider_entries():
     assert close(complex(disc.entries[("", "2")].value), 1 / c2)
 
 
+def test_wide_w_spiders_need_no_recursion():
+    # the table's words are built one leg at a time, in lexicographic order
+    R = QParams(3).ring()
+    m = interpret(term.wspider(0, 1100), R, 3)
+    assert len(m.entries) == 1100
+    assert list(m.entries)[:2] == [("0" * 1099 + "1", ""), ("0" * 1098 + "10", "")]
+
+
 def test_z_table_overflow_is_an_error():
     # the level-2 entry of a 1e200 label is 1e400, beyond a float
     R = QParams(3).ring()

@@ -141,8 +141,7 @@ def test_random_bracketings(seed):
     rng = random.Random(seed)
     labels = [ring.gaussian(QI, 1, 1), ring.gaussian(QI, 0, 1), ring.from_int(QI, -2)]
     t = helpers.random_term(rng, labels, pool=helpers.FULL_POOL, max_generators=12)
-    u = _bracket([_bracket(term.par_factors(f), rng, term.Par) for f in term.seq_factors(t)],
-                 rng, term.Seq)
+    u = _bracket([_bracket(blocks, rng, term.Par) for blocks in term.layers(t)], rng, term.Seq)
     assert parse(render(u), QI) == u
     assert hash(parse(render(u), QI)) == hash(u)
     assert semantics.map_equal(semantics.interpret(u, QI), semantics.interpret(t, QI))
@@ -152,6 +151,20 @@ def test_random_bracketings(seed):
                                semantics.dagger(semantics.interpret(t, QI)))
     if "ket" not in render(u):  # a ket reflects to a composite effect
         assert term.adjoint(adj) == u
+
+
+def test_fold_joins_each_chain_layer_by_layer():
+    t = parse("(cup ; (id * w(1,2))) * ket(0) ; id * x * id", Z)
+    inner = parse("cup ; (id * w(1,2))", Z)
+    assert term.layers(t) == [[inner, term.ket(0)], [ID, term.X, ID]]
+    assert term.layers(term.EMPTY) == [[]]
+    # the leaves' values, and each layer's values on top of its chain's acc
+    got = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
+    assert got == ((None, [((None, ["cup"]), ["id", "w"]), "ket"]), ["id", "x", "id"])
+    assert term.fold(ID, lambda g: g.kind, lambda acc, values: (acc, values)) == (None, ["id"])
+    assert term.fold(term.EMPTY, None, lambda acc, values: (acc, values)) == (None, [])
+    with pytest.raises(ArityError, match="not a term"):
+        term.fold("id", None, None)
 
 
 def _scalar():
@@ -180,6 +193,10 @@ def test_deep_terms_need_no_recursion(name):
     assert parse(text, Z) == t and hash(parse(text, Z)) == hash(t)
     assert term.adjoint(term.adjoint(t)) == t
     assert term.adjoint(term.adjoint(other)) != t
+    # both pillars fold the chains on explicit stacks too
+    m = semantics.interpret(t, Z)
+    assert semantics.map_equal(normalform.normalize(t, Z).to_sparse(Z), m)
+    assert not m.is_zero()
 
 
 def test_spider_leaves_are_shared_except_over_C():
@@ -229,7 +246,7 @@ def _check_crossing_network(perm):
     n = len(perm)
     t = term.crossing_perm(perm)
     assert (t.n_in, t.n_out) == (n, n)
-    layers = [term.par_factors(f) for f in term.seq_factors(t)]
+    layers = term.layers(t)
     crossing_layers = [blocks for blocks in layers if term.X in blocks]
     assert len(crossing_layers) <= n
     for blocks in layers:
