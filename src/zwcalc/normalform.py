@@ -206,12 +206,13 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     :func:`_plug`) with one canonicalization per layer."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
+    wire = generator_nf(_term.ID.gen, ring)
     return _term.fold(t, lambda g: generator_nf(g, ring),
-                      lambda acc, blocks: _plug(acc, blocks, ring))
+                      lambda acc, blocks: _plug(acc, blocks, ring, wire))
 
 
 def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
-          ring: RingDescriptor) -> MapNormalForm:
+          ring: RingDescriptor, wire: MapNormalForm) -> MapNormalForm:
     """Plug the outputs of ``a`` into a parallel layer of blocks, block by
     block, without building the layer's own normal form.
 
@@ -220,8 +221,8 @@ def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
     directly: cut it into one segment per block, look each segment up
     among the block's rows by their input letters, and for every match
     append the block's output letters and multiply the coefficients.
-    Identity wires (the cached normal form of ``id``) copy their segment
-    unchanged, so the rows stay proportional to ``a``, never to 2^width.
+    Blocks that are ``wire`` (the cached normal form of ``id``) copy
+    their segment unchanged, so the rows stay proportional to ``a``.
 
     With ``a = None`` the layer opens a chain: rows start from the first
     block's own rows and append every further block's whole bent word,
@@ -242,11 +243,10 @@ def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
         if a.n_out != n_in:
             raise ArityError("middle arity mismatch")
         start, kept, rest = a.nf.rows, a.n_in, blocks
-    wire = None if opening else generator_nf(_term.ID.gen, ring)
     # (segment width, block rows by the letters they match); None copies the segment
     segments: list[tuple[int, dict | None]] = []
     for b in rest:
-        if b is wire:  # a run of wires copies one segment
+        if b is wire and not opening:  # a run of wires copies one segment
             run = segments.pop()[0] if segments and segments[-1][1] is None else 0
             segments.append((run + 1, None))
             continue
