@@ -1,8 +1,10 @@
 """Command-line surface: evaluate, normalize, run the rule and qudit checks.
 
-JSON results go to stdout; human-readable report tables go to stderr.
-Exit status is 0 when every requested check passes, 1 when a check fails,
-and 2 on bad input (parse errors, arity errors, incompatible flags).
+JSON results go to stdout; human-readable report tables go to stderr,
+once the JSON is written.  Exit status is 0 when every requested check
+passes, 1 when a check fails, and 2 on bad input (parse errors, arity
+errors, flags a verb does not take, an unwritable ``--output``), which
+prints ``error: ...`` as the first line on stderr.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ def _ring_from_flags(args) -> _ring.RingDescriptor:
 def _emit(data, args):
     text = json.dumps(data, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -101,8 +106,6 @@ def _cmd_check_rules(args) -> int:
              else _rules.derived_instances)
     reports = _rules.check_all(build(_bounds_from_flags(args), ring), ring)
     failed = [r for r in reports if not r.passed]
-    for rep in reports:
-        print(rep, file=sys.stderr)
     _emit({
         "ring": str(ring),
         "checked": len(reports),
@@ -112,6 +115,8 @@ def _cmd_check_rules(args) -> int:
              "witness": list(r.witness)} for r in failed
         ],
     }, args)
+    for rep in reports:
+        print(rep, file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -119,8 +124,6 @@ def _cmd_check_qudit(args) -> int:
     p = _qudit.QParams(args.d, tolerance=args.tol)
     reports = [check(p) for check in (_qudit.check_bialgebra, _qudit.check_commutation,
                                       _qudit.check_antipode, _qudit.check_vandermonde)]
-    for rep in reports:
-        print(rep, file=sys.stderr)
     failed = [r for r in reports if not r.passed]
     _emit({
         "d": p.d,
@@ -131,6 +134,8 @@ def _cmd_check_qudit(args) -> int:
             for r in reports
         ],
     }, args)
+    for rep in reports:
+        print(rep, file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -148,62 +153,54 @@ def _cmd_universal(args) -> int:
     }, rep, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a :class:`UsageError`, which :func:`main`
+    turns into exit status 2, instead of exiting itself."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="zwcalc",
-        description="evaluate, normalize and verify string-diagram terms")
+    ap = _Parser(prog="zwcalc",
+                 description="evaluate, normalize and verify string-diagram terms")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(sp, with_term=True):
-        sp.add_argument("--ring", default="Z", choices=["Z", "Qi", "Zn", "C"])
-        sp.add_argument("--mod", type=int, default=None,
-                        help="modulus for --ring Zn")
+    def verb(name, func, text, ring=True, d=False, term=False):
+        """A verb's parser, with only the flags its handler reads."""
+        sp = sub.add_parser(name, help=text)
+        if ring:
+            sp.add_argument("--ring", default="Z", choices=["Z", "Qi", "Zn", "C"])
+            sp.add_argument("--mod", type=int, default=None, help="modulus for --ring Zn")
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--d", type=int, default=2)
+        if d:
+            sp.add_argument("--d", type=int, default=2)
         sp.add_argument("--output", default=None, help="write JSON here")
-        if with_term:
+        if term:
             sp.add_argument("term", help="term in the concrete grammar")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("eval", help="interpret a term as a sparse map")
-    common(sp)
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("normalize", help="canonical normal form of a term")
-    common(sp)
-    sp.set_defaults(func=_cmd_normalize)
-
-    sp = sub.add_parser("roundtrip",
-                        help="check normalize against the interpreter")
-    common(sp)
-    sp.set_defaults(func=_cmd_roundtrip)
-
-    for verb in ("check-axioms", "check-derived"):
-        sp = sub.add_parser(verb, help=f"run the {verb.split('-')[1]} catalogue")
-        common(sp, with_term=False)
+    verb("eval", _cmd_eval, "interpret a term as a sparse map", d=True, term=True)
+    verb("normalize", _cmd_normalize, "canonical normal form of a term", term=True)
+    verb("roundtrip", _cmd_roundtrip, "check normalize against the interpreter", term=True)
+    for name in ("check-axioms", "check-derived"):
+        sp = verb(name, _cmd_check_rules, f"run the {name.split('-')[1]} catalogue")
         sp.add_argument("--max-arity", type=int,
                         default=_rules.DEFAULT_BOUNDS.max_spider_arity)
-        sp.add_argument("--max-nm", type=int,
-                        default=_rules.DEFAULT_BOUNDS.max_nm)
-        sp.add_argument("--labels", default=None,
-                        help="comma-separated label literals")
-        sp.set_defaults(func=_cmd_check_rules)
-
-    sp = sub.add_parser("check-qudit", help="anyonic law checks at dimension d")
-    common(sp, with_term=False)
-    sp.set_defaults(func=_cmd_check_qudit)
-
-    sp = sub.add_parser("universal",
-                        help="rebuild a JSON state as a diagram and verify")
-    common(sp, with_term=False)
+        sp.add_argument("--max-nm", type=int, default=_rules.DEFAULT_BOUNDS.max_nm)
+        sp.add_argument("--labels", default=None, help="comma-separated label literals")
+    verb("check-qudit", _cmd_check_qudit, "anyonic law checks at dimension d",
+         ring=False, d=True)
+    sp = verb("universal", _cmd_universal, "rebuild a JSON state as a diagram and verify",
+              ring=False, d=True)
     sp.add_argument("state", help="sparse state as JSON")
-    sp.set_defaults(func=_cmd_universal)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, _term.ParseError, _term.ArityError, _ring.RingError,
             _qudit.QuditError, json.JSONDecodeError) as exc:

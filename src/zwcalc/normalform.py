@@ -159,11 +159,11 @@ class MapNormalForm:
         if self.nf.n != self.n_in + self.n_out:
             raise ArityError("bent state width does not match the arity split")
 
-    def to_sparse(self, ring: RingDescriptor, d: int = 2) -> SparseMap:
+    def to_sparse(self, ring: RingDescriptor) -> SparseMap:
         entries = {
             (w[self.n_in:], w[:self.n_in]): c for c, w in self.nf.rows
         }
-        return make_map(ring, d, self.n_in, self.n_out, entries)
+        return make_map(ring, self.nf.d, self.n_in, self.n_out, entries)
 
 
 @lru_cache(maxsize=1024)
@@ -308,7 +308,13 @@ def canonical_diagram(bottom: Term, whites: list[Term], words: list[str],
     """The canonical diagram's layers: ``bottom`` feeds one wire to each
     white node, white node i sends ``int(c)`` wires for the letter c of
     ``words[i]`` on output j, and a crossing network routes them to
-    ``merges[j]``.  Layers without wires are left out."""
+    ``merges[j]``.  Layers without wires are left out, so at least one
+    layer must have some.
+
+    Besides :func:`nf_to_term` and the qudit universal construction, the
+    bialgebra squares of :mod:`zwcalc.rules` are built here: ``bottom``
+    is ``EMPTY`` and every word is all ones, so each white node meets
+    each merge once."""
     origin = []  # (row index, output index) per wire, origin-major order
     for i, word in enumerate(words):
         for j, c in enumerate(word):
@@ -336,6 +342,5 @@ def from_json_dict(data: dict, ring: RingDescriptor) -> NormalForm:
     pre = []
     for r in rows:
         v, w = json_fields(r, ("v", str), ("w", str))
-        # any digit is a letter here: canonicalize drops the ones >= d
-        pre.append((_ring.parse_literal(ring, v), json_word(w, 10)))
+        pre.append((_ring.parse_literal(ring, v), json_word(w, d)))
     return canonicalize(PreNormalForm(d, n, tuple(pre)))

@@ -220,23 +220,21 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int):
         return 0, 1, {(str(g.level), ""): one}
     if kind == "w":
         k, m = g.n_in, g.n_out
+        if k == 0:  # the m one-hot words; a zero leg weighs binom(n, 0) = 1
+            v = _ring.complex_value(ring, _tree_coeff("1", p))
+            return 0, m, {("0" * (m - 1 - i) + "1" + "0" * i, ""): v for i in range(m)}
+        outs: dict[int, list[tuple[str, complex]]] = {}  # output words by digit sum
+        for out_w, s in _bounded_words(m, d - 1, d):
+            outs.setdefault(s, []).append((out_w, _tree_coeff(out_w, p)))
         ent = {}
-        if k == 0:
-            for out_w, s in _bounded_words(m, 1, d):
-                if s == 1:
-                    ent[(out_w, "")] = _ring.complex_value(ring, _tree_coeff(out_w, p))
-        else:
-            for in_w, s in _bounded_words(k, d - 1, d):
-                a = _tree_coeff(in_w, p)
-                if abs(a) <= p.tolerance:
-                    continue
-                for out_w, out_s in _bounded_words(m, s, d):
-                    if out_s != s:
-                        continue
-                    b = _tree_coeff(out_w, p)
-                    v = a * b
-                    if abs(v) > p.tolerance:
-                        ent[(out_w, in_w)] = _ring.complex_value(ring, v)
+        for in_w, s in _bounded_words(k, d - 1, d):
+            a = _tree_coeff(in_w, p)
+            if abs(a) <= p.tolerance:
+                continue
+            for out_w, b in outs.get(s, ()):
+                v = a * b
+                if abs(v) > p.tolerance:
+                    ent[(out_w, in_w)] = _ring.complex_value(ring, v)
         return k, m, ent
     if kind == "z":
         k, m = g.n_in, g.n_out

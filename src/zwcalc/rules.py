@@ -2,7 +2,11 @@
 
 Every axiom and derived rule is materialised as a pair of closed terms at
 concrete arities and labels.  Parameterised families (spider fusion, the
-bialgebra squares, ...) are enumerated over small bounds.  A rule's two
+bialgebra squares, ...) are enumerated over small bounds.  The squares
+``ba_w`` and ``ba_zw`` wire each of n bottom spiders to each of m top
+spiders, which is the canonical diagram of the normal-form theorem with
+no bottom layer and n all-ones words
+(:func:`zwcalc.normalform.canonical_diagram`).  A rule's two
 sides are built as term-grammar strings first and parsed back, so the
 whole catalogue can be dumped to a plain text file and audited line by
 line; see :func:`write_catalog`.
@@ -31,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import normalform as _nf
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement
 from . import term as _term
@@ -113,24 +118,6 @@ def _zc(m: int, r: RingElement) -> Term:
 
 
 _ONE_SCALAR = "z(0,1)[1] ; w(1,0)"  # the empty diagram written in the grammar
-
-
-def _shuffle(n: int, m: int) -> Term:
-    """Route n groups of m wires to m groups of n, one crossing per pair."""
-    perm = [j * n + i for i in range(n) for j in range(m)]
-    return _term.crossing_perm(perm)
-
-
-def _bipartite(bottom: list[Term], m: int, top: list[Term]) -> Term:
-    n = len(bottom)
-    t = _term.par_all(bottom) if bottom else _term.EMPTY
-    t = t >> _shuffle(n, m) if n and m else t
-    top_t = _term.par_all(top) if top else _term.EMPTY
-    if n == 0:
-        return top_t
-    if m == 0:
-        return t
-    return t >> top_t
 
 
 def _rule(name: str, params: str, lhs: Term | str, rhs: Term | str,
@@ -229,11 +216,12 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
                          w_n, ring))
     for n in nms:
         for m in nms:
-            lhs = _bipartite([_delta(m) for _ in range(n)], m,
-                             [_mu(n) for _ in range(m)])
-            rhs = _term.wspider(n, 1) >> _term.wspider(1, m)
-            if (n, m) == (0, 0):
+            if (n, m) == (0, 0):  # the square without spiders has no layer
                 lhs, rhs = _ONE_SCALAR, "w(0,1) ; w(1,0)"
+            else:
+                lhs = _nf.canonical_diagram(_term.EMPTY, [_delta(m)] * n, ["1" * m] * n,
+                                            [_mu(n)] * m)
+                rhs = _term.wspider(n, 1) >> _term.wspider(1, m)
             out.append(_rule("ba_w", f"n={n},m={m}", lhs, rhs, ring))
 
     cut_z_pairs = [(r, s) for r in labels for s in labels]
@@ -267,8 +255,8 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
         for m in range(1, bounds.max_nm + 1):
             rs = labels if (n, m) == (2, 2) else [three]
             for r in rs:
-                lhs = _bipartite([_zc(m, r) for _ in range(n)], m,
-                                 [_mu(n) for _ in range(m)])
+                lhs = _nf.canonical_diagram(_term.EMPTY, [_zc(m, r)] * n, ["1" * m] * n,
+                                            [_mu(n)] * m)
                 rhs = _mu(n) >> _zc(m, r)
                 out.append(_rule("ba_zw", f"n={n},m={m},r={_lit(r)}",
                                  lhs, rhs, ring))
@@ -345,8 +333,6 @@ def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
 def _lemma_schema_instances(ring: RingDescriptor) -> list[RuleInstance]:
     """Negation, trace and absorption, stated on concrete small diagrams
     via the canonical-form builders."""
-    from . import normalform as _nf
-
     one = _ring.one(ring)
     two = _ring.from_int(ring, 2)
     m_two = -two
@@ -390,18 +376,18 @@ def check_maps(name: str, params: str, lhs: SparseMap, rhs: SparseMap) -> RuleRe
                       None if passed else first_difference(lhs, rhs), max_error)
 
 
-def check_rule(r: RuleInstance, desc: RingDescriptor, d: int = 2) -> RuleReport:
+def check_rule(r: RuleInstance, desc: RingDescriptor) -> RuleReport:
     try:
-        lhs = interpret(r.lhs, desc, d)
-        rhs = interpret(r.rhs, desc, d)
+        lhs = interpret(r.lhs, desc)
+        rhs = interpret(r.rhs, desc)
     except Exception as exc:  # report evaluation failures, do not raise
         return RuleReport(r.name, r.params, False,
                           ("<error>", "<error>", type(exc).__name__, str(exc)))
     return check_maps(r.name, r.params, lhs, rhs)
 
 
-def check_all(instances, desc: RingDescriptor, d: int = 2) -> list[RuleReport]:
-    reports = [check_rule(r, desc, d) for r in instances]
+def check_all(instances, desc: RingDescriptor) -> list[RuleReport]:
+    reports = [check_rule(r, desc) for r in instances]
     reports.sort(key=lambda rep: (rep.name, rep.params))
     return reports
 

@@ -289,6 +289,8 @@ def json_word(word: str, d: int) -> str:
 def from_json_dict(data: dict, ring: RingDescriptor) -> SparseMap:
     d, n_in, n_out, rows = json_fields(
         data, ("d", int), ("in", int), ("out", int), ("entries", list))
+    if min(n_in, n_out) < 0:
+        raise _ring.RingError(f"negative arity ({n_in}, {n_out})")
     entries = {}
     for e in rows:
         out_w, in_w, v = json_fields(e, ("out", str), ("in", str), ("v", str))

@@ -196,7 +196,6 @@ def test_c10_negative_controls():
     C = zq.QParams(3).ring()
     lhs, rhs = zq.law_terms(3)["bialgebra"]
     bad = lhs >> (term.zspider(1, 1, ring.complex_value(C, 1.01)) @ term.ID)
-    rep = zrules.check_rule(zrules.RuleInstance(
-        "bialgebra", "d=3", bad, rhs, term.render(bad), term.render(rhs)), C, 3)
+    rep = zrules.check_maps("bialgebra", "d=3", interpret(bad, C, 3), interpret(rhs, C, 3))
     ok = ok and not rep.passed and rep.witness is not None
     _verdict(10, "negative controls bite", ok)

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zwcalc import normalform, semantics
 from zwcalc.cli import main
@@ -304,3 +307,114 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "--ring", "Z", "--output", str(target), "cup")
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["out"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # these verbs run at d = 2 ...
+    ["normalize", "--d", "3", "w(0,2)"],
+    ["roundtrip", "--d", "3", "w(0,2)"],
+    ["check-axioms", "--d", "3"],
+    ["check-derived", "--d", "3"],
+    # ... and these over C(--tol)
+    ["check-qudit", "--ring", "Z"],
+    ["check-qudit", "--mod", "6"],
+    ["universal", "--ring", "Z", UNIVERSAL_STATE],
+    ["universal", "--mod", "6", UNIVERSAL_STATE],
+])
+def test_flags_a_verb_does_not_read_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["eval"], ["bogus"], ["eval", "--d", "x", "id"], ["eval", "id", "id"],
+])
+def test_argument_errors_return_2(capsys, argv):
+    # argparse would print its usage and raise SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["{tmp}", "{tmp}/missing/out.json"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    # the report table follows the JSON, so the error is the first line
+    code, out, err = run(capsys, "check-qudit", "--output", target.format(tmp=tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+
+
+def test_negative_arity_state_exits_2(capsys):
+    state = '{"d": 3, "in": 0, "out": -1, "entries": []}'
+    code, out, err = run(capsys, "universal", "--d", "3", state)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+# the flags each verb takes; the rule checks always get small bounds
+VERB_FLAGS = {
+    **dict.fromkeys(["eval"], ["--ring", "--mod", "--tol", "--d", "--output"]),
+    **dict.fromkeys(["normalize", "roundtrip"], ["--ring", "--mod", "--tol", "--output"]),
+    **dict.fromkeys(["check-axioms", "check-derived"],
+                    ["--ring", "--mod", "--tol", "--output", "--labels"]),
+    **dict.fromkeys(["check-qudit", "universal"], ["--tol", "--d", "--output"]),
+}
+# (good, bad) values of every flag; --d stays at most 5 and the rule
+# bounds at most 2 and 1, so that an example takes milliseconds
+FUZZ_FLAGS = {
+    "--ring": (["Z", "Qi", "Zn", "C"], ["R"]),
+    "--mod": (["6", "2"], ["1", "-3", "x"]),
+    "--tol": (["1e-9", "1e-6", "1e-300"], ["0", "-1", "nan", "inf", "x"]),
+    "--d": (["2", "3", "5"], ["-1", "0", "1", "x"]),
+    "--output": (["{tmp}/out.json"], ["{tmp}", "{tmp}/missing/out.json"]),
+    "--max-arity": (["0", "1", "2"], ["-1", "x"]),
+    "--max-nm": (["0", "1"], ["-1", "x"]),
+    "--labels": (["1,i", "i", "1+i,-2", "", ","], ["1e400", "x"]),
+}
+FUZZ_TERMS = ["id", "w(0,2) ; x", "z(0,2)[1+i] ; cap", "ket(0) * ket(1)", "cup ; cap",
+              "w(1,2) ; (id * w(1,0))", "z(0,1)[2.5]", "x ; xinv", "ket(1) ; w(1,3)",
+              "ket(2)", "w(0,3) ; id", "(id", "", "z(1,1)[1e400]", "bogus", "w(0,0)"]
+FUZZ_STATES = [json.dumps({"d": d, "in": 0, "out": len(w), "entries": [
+    {"out": w, "in": "", "v": v}]}) for d, w, v in [
+        (2, "10", "1"), (3, "21", "-0.5+1i"), (5, "4", "2"), (2, "", "1"),
+        (3, "1", "1e308"), (3, "7", "1"), (3, "1", "nan")]]
+FUZZ_STATES += ['{"d": 3, "in": 0, "out": -1, "entries": []}', '{"d": 3}', "[]", "null"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A verb with some of its flags, now and then a flag it does not
+    take, a bad value or a wrong number of operands, and an operand from
+    the terms or the states, now and then with a character dropped."""
+    def sometimes():
+        return draw(st.integers(0, 3)) == 0
+
+    verb = draw(st.sampled_from(list(VERB_FLAGS)))
+    names = draw(st.lists(st.sampled_from(VERB_FLAGS[verb]), unique=True))
+    if sometimes():
+        names.append(draw(st.sampled_from(list(FUZZ_FLAGS))))
+    if verb in ("check-axioms", "check-derived"):  # the default bounds take seconds
+        names += ["--max-arity", "--max-nm"]
+    argv = [verb]
+    for name in names:
+        good, bad = FUZZ_FLAGS[name]
+        argv += [name, draw(st.sampled_from(bad if sometimes() else good))]
+    wanted = 0 if verb.startswith("check-") else 1
+    pool = FUZZ_STATES if verb == "universal" else FUZZ_TERMS
+    for _ in range(draw(st.integers(0, 2)) if sometimes() else wanted):
+        text = draw(st.sampled_from(FUZZ_TERMS + FUZZ_STATES if sometimes() else pool))
+        if sometimes():
+            cut = draw(st.integers(0, max(len(text) - 1, 0)))
+            text = text[:cut] + text[cut + 1:]
+        argv.append(text)
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_command_lines_exit_0_1_or_2(tmp_path_factory, argv):
+    tmp = tmp_path_factory.getbasetemp()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.replace("{tmp}", str(tmp)) for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")

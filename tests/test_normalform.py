@@ -315,6 +315,10 @@ def test_normal_form_rejects_non_canonical_words(case):
 def test_json_reader_canonicalizes_its_rows(case):
     rows = NON_CANONICAL[case]
     data = {"n": 2, "d": 2, "rows": [{"v": str(c), "w": w} for c, w in rows]}
+    if case == "out-of-range":  # a letter is not a level below d: rejected, not dropped
+        with pytest.raises(ring.RingError, match="'12'"):
+            from_json_dict(data, Z)
+        return
     nf = from_json_dict(data, Z)
     assert nf == canonicalize(pre(2, rows)) == NormalForm(2, 2, nf.rows)
     with pytest.raises(ArityError):  # what canonicalize cannot mend
