@@ -43,12 +43,10 @@ from .term import (
     Term,
     adjoint,
     ket,
-    make_generator,
     par,
     parse,
     render,
     seq,
-    transpose_output,
     wspider,
     zspider,
 )

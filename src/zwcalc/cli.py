@@ -92,6 +92,8 @@ def _emit_verdict(data: dict, rep: _rules.RuleReport, args) -> int:
 
 
 def _bounds_from_flags(args) -> _rules.RuleBounds:
+    if min(args.max_arity, args.max_nm) < 0:
+        raise UsageError("--max-arity and --max-nm must be >= 0")
     labels = tuple(args.labels.split(",")) if args.labels else \
         _rules.DEFAULT_BOUNDS.label_samples
     return _rules.RuleBounds(args.max_arity, args.max_nm, labels)

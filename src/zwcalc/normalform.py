@@ -33,7 +33,7 @@ from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
 from . import term as _term
 from .term import ArityError, Generator, Term
-from .semantics import SparseMap, json_fields, json_word, make_map
+from .semantics import SparseMap, json_dimension, json_fields, json_word, make_map
 
 Row = tuple[RingElement, str]
 
@@ -339,6 +339,7 @@ def to_json_dict(a: NormalForm) -> dict:
 
 def from_json_dict(data: dict, ring: RingDescriptor) -> NormalForm:
     d, n, rows = json_fields(data, ("d", int), ("n", int), ("rows", list))
+    json_dimension(d)
     pre = []
     for r in rows:
         v, w = json_fields(r, ("v", str), ("w", str))

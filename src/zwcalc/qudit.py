@@ -152,14 +152,6 @@ def check_q_vandermonde(p: QParams, n: int, j: int, k: int) -> bool:
     return abs(lhs - rhs) <= p.tolerance
 
 
-def classical_vandermonde(n: int, j: int, k: int) -> bool:
-    """The q = 1 case, checked in exact integer arithmetic."""
-    lhs = math.comb(n, k)
-    rhs = sum(math.comb(j, i) * math.comb(n - j, k - i)
-              for i in range(min(j, k) + 1) if k - i <= n - j)
-    return lhs == rhs
-
-
 def _bounded_words(length: int, max_sum: int, d: int) -> list[tuple[str, int]]:
     """All digit words of the given length with digit sum <= max_sum, with
     their sums, in lexicographic order: built one leg at a time."""
@@ -359,7 +351,7 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
     """
     if state.n_in != 0:
         raise ArityError("universal construction takes a state")
-    if state.d != p.d or state.ring.kind != _ring.COMPLEX_APPROX:
+    if state.d != p.d or state.ring.exact:
         raise QuditError("state must live over the complex ring at dimension d")
     ring = p.ring()
     n = state.n_out

@@ -240,11 +240,8 @@ def conjugate(a: RingElement) -> RingElement:
     return a if v is a.value else RingElement(a.ring, v)
 
 
-def ring_equal(a: RingElement, b: RingElement, desc: RingDescriptor | None = None) -> bool:
-    r = _check_same(a, b)
-    if desc is not None and desc is not r and desc != r:
-        raise RingMismatchError(f"elements of {r} compared under {desc}")
-    return r.eq(a.value, b.value)
+def ring_equal(a: RingElement, b: RingElement) -> bool:
+    return _check_same(a, b).eq(a.value, b.value)
 
 
 def zero(ring: RingDescriptor) -> RingElement:

@@ -141,7 +141,7 @@ def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
 
 @lru_cache(maxsize=1024)
 def _generator_map(g: Generator, ring: RingDescriptor, d: int, label_repr) -> SparseMap:
-    if ring.kind == _ring.COMPLEX_APPROX:
+    if not ring.exact:
         from . import qudit  # deferred: qudit builds on this module
 
         n_in, n_out, ent = qudit.generator_entries(g, ring, d)
@@ -201,10 +201,10 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     """
     if d < 2:
         raise ArityError("dimension must be >= 2")
-    if d > 2 and ring.kind != _ring.COMPLEX_APPROX:
+    if d > 2 and ring.exact:
         raise UnsupportedOperationError(
             "dimensions above 2 need the approximate complex ring")
-    if ring.kind == _ring.COMPLEX_APPROX:
+    if not ring.exact:
         from . import qudit  # deferred: qudit builds on this module
 
         qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
@@ -279,6 +279,12 @@ def json_fields(data, *spec) -> list:
     return [data[k] for k, _ in spec]
 
 
+def json_dimension(d: int) -> None:
+    """Check that a dimension read from JSON spells each level as one letter."""
+    if not 2 <= d <= 10:
+        raise _ring.RingError(f"dimension d={d} is outside 2..10")
+
+
 def json_word(word: str, d: int) -> str:
     """A word read from JSON, checked to spell levels below d."""
     if not set(word) <= set("0123456789"[:d]):
@@ -289,6 +295,7 @@ def json_word(word: str, d: int) -> str:
 def from_json_dict(data: dict, ring: RingDescriptor) -> SparseMap:
     d, n_in, n_out, rows = json_fields(
         data, ("d", int), ("in", int), ("out", int), ("entries", list))
+    json_dimension(d)
     if min(n_in, n_out) < 0:
         raise _ring.RingError(f"negative arity ({n_in}, {n_out})")
     entries = {}

@@ -23,11 +23,11 @@ take terms of any depth and width.
 Generators
 ----------
 
-``id, swap, cup, cap, x, xinv`` are the wire generators; ``x`` is the
-phased crossing, which at dimension 2 equals its own inverse.  ``w(k, m)``
-is the W spider with ``k`` inputs and ``m`` outputs (all transposes of the
-same state), ``z(k, m)[r]`` the Z spider with label ``r`` drawn from the
-coefficient ring, and ``ket(l)`` the level-``l`` basis state.
+``id, swap, cup, cap, x, xinv`` are the wire leaves ``ID`` to ``XINV``;
+``x`` is the phased crossing, which at dimension 2 equals its own inverse.
+``wspider(k, m)`` is the W spider ``w(k, m)`` (all transposes of one
+state), ``zspider(k, m, r)`` the Z spider ``z(k, m)[r]`` with a label from
+the coefficient ring, and ``ket(l)`` the level-``l`` basis state.
 """
 
 from __future__ import annotations
@@ -165,40 +165,24 @@ def _shared_leaf(g: Generator) -> Term:
     return Gen(g)
 
 
-def make_generator(kind: str, params: tuple = (), d: int = 2) -> Term:
-    """Build a generator leaf; params per kind, d only bounds ket levels."""
-    if kind in _FIXED_ARITY:
-        return _WIRES[kind]
-    if kind == "w":
-        k, m = params
-        return _shared_leaf(Generator("w", k, m))
-    if kind == "z":
-        k, m, label = params
-        g = Generator("z", k, m, label=label)
-        # complex labels that compare equal may differ in the sign of a zero
-        # part, which the anyonic tables keep, so they get leaves of their own
-        return _shared_leaf(g) if label.ring.exact else Gen(g)
-    if kind == "ket":
-        (level,) = params
-        if not 0 <= level < d:
-            raise ArityError(f"ket level {level} out of range for d={d}")
-        return Gen(Generator("ket", 0, 1, level=level))
-    raise ArityError(f"unknown generator kind {kind!r}")
-
-
 ID, SWAP, CUP, CAP, X, XINV = (_WIRES[k] for k in ("id", "swap", "cup", "cap", "x", "xinv"))
 
 
 def wspider(k: int, m: int) -> Term:
-    return make_generator("w", (k, m))
+    return _shared_leaf(Generator("w", k, m))
 
 
 def zspider(k: int, m: int, label: RingElement) -> Term:
-    return make_generator("z", (k, m, label))
+    g = Generator("z", k, m, label=label)
+    # complex labels that compare equal may differ in the sign of a zero
+    # part, which the anyonic tables keep, so they get leaves of their own
+    return _shared_leaf(g) if label.ring.exact else Gen(g)
 
 
 def ket(level: int, d: int = 2) -> Term:
-    return make_generator("ket", (level,), d=d)
+    if not 0 <= level < d:
+        raise ArityError(f"ket level {level} out of range for d={d}")
+    return Gen(Generator("ket", 0, 1, level=level))
 
 
 def identity(n: int) -> Term:
@@ -382,27 +366,12 @@ def adjoint(t: Term) -> Term:
 
 def _reflect(g: Generator) -> Term:
     if g.kind in _MIRROR:
-        return make_generator(_MIRROR[g.kind])
+        return _WIRES[_MIRROR[g.kind]]
     if g.kind == "w":
         return wspider(g.n_out, g.n_in)
     if g.kind == "z":
         return zspider(g.n_out, g.n_in, _ring.conjugate(g.label))
     return bra(g.level, g.level + 1)  # ket reflects to the matching effect
-
-
-def transpose_output(t: Term, k: int) -> Term:
-    """Bend output k of t into a new first input using a cap.
-
-    The new input is prepended (index 0); output k disappears.  Routing to
-    the cap uses plain swaps, which do not change the interpretation.
-    """
-    if not 0 <= k < t.n_out:
-        raise ArityError(f"output index {k} out of range for {t.n_out} outputs")
-    n = t.n_out
-    body = ID @ t  # wires: [new input] + outputs
-    for i in range(k):
-        body = body >> par_all([identity(i), SWAP, identity(n - 1 - i)])
-    return body >> par_all([identity(k), CAP, identity(n - 1 - k)])
 
 
 # ---------------------------------------------------------------------------
@@ -412,51 +381,36 @@ def transpose_output(t: Term, k: int) -> Term:
 def render(t: Term) -> str:
     """Inverse of :func:`parse`: ``parse(render(t)) == t`` structurally.
 
-    Chains and rows are joined along their left spines.  A composite
-    operand is written as a bracketed NUL mark and set aside; the text is
-    cut at the marks, and the operands wait on a stack between the pieces."""
-    nested: list[Term] = []  # composite operands, in order of appearance
-
-    def atom(u: Term) -> str:
-        if isinstance(u, Gen):
-            g = u.gen
-            if g.kind in _FIXED_ARITY:
-                return g.kind
-            if g.kind == "w":
-                return f"w({g.n_in},{g.n_out})"
-            if g.kind == "z":
-                return f"z({g.n_in},{g.n_out})[{_ring.format_literal(g.label)}]"
-            return f"ket({g.level})"
-        if isinstance(u, _Empty):
-            raise ValueError("the empty diagram has no concrete syntax")
-        nested.append(u)
-        return "(\0)"
-
-    def par_level(u: Term) -> str:
-        tail = []
-        while isinstance(u, Par):
-            tail.append(u.right)
-            u = u.left
-        return " * ".join([atom(u)] + [atom(p) for p in reversed(tail)])
-
-    def chain(u: Term) -> str:
-        tail = []
-        while isinstance(u, Seq):
-            tail.append(u.then)
-            u = u.first
-        return " ; ".join([par_level(u)] + [par_level(p) for p in reversed(tail)])
-
+    ``*`` binds tighter than ``;`` and both associate to the left, so an
+    operand is bracketed only when it is a ``;`` on the right of a ``;``,
+    a ``;`` on either side of a ``*``, or a ``*`` on the right of a ``*``.
+    Text and operands wait on one stack, the leftmost on top."""
     out, todo = [], [t]
-    while todo:
+    while todo:  # exact type tests, which cost less than isinstance on this hot path
         u = todo.pop()
-        if isinstance(u, str):
+        if type(u) is str:
             out.append(u)
-            continue
-        pieces = chain(u).split("\0")
-        todo.append(pieces.pop())
-        while nested:
-            todo += [nested.pop(), pieces.pop()]
+        elif type(u) is Gen:
+            out.append(_atom(u.gen))
+        elif type(u) is Seq:
+            todo += [")", u.then, " ; ("] if type(u.then) is Seq else [u.then, " ; "]
+            todo.append(u.first)
+        elif type(u) is Par:
+            todo += [")", u.right, " * ("] if type(u.right) in (Seq, Par) else [u.right, " * "]
+            todo += [")", u.left, "("] if type(u.left) is Seq else [u.left]
+        else:
+            raise ValueError("the empty diagram has no concrete syntax")
     return "".join(out)
+
+
+def _atom(g: Generator) -> str:
+    if g.kind in _FIXED_ARITY:
+        return g.kind
+    if g.kind == "w":
+        return f"w({g.n_in},{g.n_out})"
+    if g.kind == "z":
+        return f"z({g.n_in},{g.n_out})[{_ring.format_literal(g.label)}]"
+    return f"ket({g.level})"
 
 
 # One token, after optional whitespace: an operator or bracket, a
@@ -490,7 +444,7 @@ def _generator(m: re.Match, ring: RingDescriptor, start: int) -> Term:
         raise ParseError(str(exc), m.start("label")) from None
     word = m["word"]
     if word in _FIXED_ARITY:
-        return make_generator(word)
+        return _WIRES[word]
     if word in _SHAPES:
         raise ParseError(f"expected {_SHAPES[word]}", start)
     raise ParseError(f"expected a generator, got {word!r}" if word else "expected a term",

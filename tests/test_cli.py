@@ -348,6 +348,13 @@ def test_negative_arity_state_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--max-arity", "--max-nm"])
+def test_negative_rule_bound_exits_2(capsys, flag):
+    # a negative bound would read as empty rule families and exit 0
+    code, out, err = run(capsys, "check-axioms", "--max-arity", "1", "--max-nm", "1", flag, "-1")
+    assert code == 2 and out == "" and err.startswith("error: --max-arity and --max-nm must be >= 0")
+
+
 # the flags each verb takes; the rule checks always get small bounds
 VERB_FLAGS = {
     **dict.fromkeys(["eval"], ["--ring", "--mod", "--tol", "--d", "--output"]),

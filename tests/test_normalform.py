@@ -325,6 +325,14 @@ def test_json_reader_canonicalizes_its_rows(case):
         from_json_dict({**data, "rows": data["rows"] + [{"v": "1", "w": "011"}]}, Z)
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1, 11])
+def test_json_reader_rejects_dimensions_outside_2_to_10(d):
+    # at d = -1 the row would be dropped, giving an empty normal form
+    data = {"n": 1, "d": d, "rows": [{"v": "1", "w": "1"}]}
+    with pytest.raises(ring.RingError, match=f"d={d} is outside 2..10"):
+        from_json_dict(data, Z)
+
+
 def test_opening_layer_starts_from_its_first_block(monkeypatch):
     # ket(0) * ket(1) * ket(0) is one product per further block in each
     # pillar, with no multiplication by one to start from

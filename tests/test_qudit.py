@@ -16,7 +16,6 @@ from zwcalc.qudit import (
     check_bialgebra,
     check_commutation,
     check_q_vandermonde,
-    classical_vandermonde,
     law_terms,
     q_binom,
     q_factorial,
@@ -102,14 +101,6 @@ def test_vandermonde_all_small_dimensions(d):
         for j in range(n + 1):
             for k in range(n + 1):
                 assert check_q_vandermonde(p, n, j, k)
-
-
-def test_vandermonde_classical():
-    assert classical_vandermonde(6, 3, 4)
-    for n in range(9):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                assert classical_vandermonde(n, j, k)
 
 
 def test_split_tables_match_known_values():

@@ -140,14 +140,12 @@ def test_descriptors_are_interned_and_mix_by_value():
     assert direct is not QI and direct == QI and hash(direct) == hash(QI)
     a, b = ring.gaussian(direct, 1, 2), ring.gaussian(QI, Fraction(1, 3))
     assert (a + b).value == (b + a).value == ring.GaussianRational(Fraction(4, 3), 2)
-    assert ring_equal(a * b, ring.gaussian(QI, Fraction(1, 3), Fraction(2, 3)), direct)
+    assert ring_equal(a * b, ring.gaussian(QI, Fraction(1, 3), Fraction(2, 3)))
     assert ring_equal(a - a, ring.zero(QI)) and (a - a).is_zero()
     for other in (ring.from_int(Z, 1), ring.from_int(Z6, 1)):
         for mixed in (lambda: a + other, lambda: other * b, lambda: ring_equal(b, other)):
             with pytest.raises(RingMismatchError):
                 mixed()
-    with pytest.raises(RingMismatchError):
-        ring_equal(a, b, Z)
 
 
 @given(qi_elements(), qi_elements())

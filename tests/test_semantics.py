@@ -177,6 +177,14 @@ def test_json_round_trip():
     assert data["entries"][0] == {"out": "000", "in": "", "v": "1"}
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1, 11])
+def test_json_reader_rejects_dimensions_outside_2_to_10(d):
+    # the letters below d = -1 would be "012345678", so "5" would be read back
+    data = {"d": d, "in": 0, "out": 1, "entries": [{"out": "5", "in": "", "v": "1"}]}
+    with pytest.raises(ring.RingError, match=f"d={d} is outside 2..10"):
+        from_json_dict(data, Z)
+
+
 def test_ket_matches_w1():
     assert map_equal(interpret(term.ket(1), Z), interpret(term.wspider(0, 1), Z))
 

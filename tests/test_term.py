@@ -14,7 +14,6 @@ from zwcalc.term import (
     ParseError,
     parse,
     render,
-    transpose_output,
 )
 from zwcalc import normalform, semantics
 from zwcalc.cli import main
@@ -41,7 +40,7 @@ def test_bad_generators_rejected():
     with pytest.raises(ArityError):
         term.ket(2)  # default dimension 2
     with pytest.raises(ArityError):
-        term.make_generator("nosuch")
+        term.Generator("nosuch", 1, 1)
 
 
 def test_composition_arities():
@@ -50,38 +49,6 @@ def test_composition_arities():
     assert (ID @ ID).n_in == 2
     with pytest.raises(ArityError):
         term.seq(term.wspider(0, 3), ID)
-
-
-def test_transpose_output_arity_and_identity():
-    t = transpose_output(term.zspider(0, 2, ONE), 0)
-    assert (t.n_in, t.n_out) == (1, 1)
-    assert semantics.map_equal(semantics.interpret(t, Z), semantics.interpret(ID, Z))
-    w = transpose_output(term.wspider(0, 3), 0)
-    assert (w.n_in, w.n_out) == (1, 2)
-    with pytest.raises(ArityError):
-        transpose_output(term.wspider(0, 3), 3)
-
-
-def _bend_input_back(t2, k):
-    """Undo transpose_output: cup the first input back into output slot k."""
-    rest = term.identity(t2.n_in - 1)
-    t3 = term.par_all([CUP, rest]) >> term.par_all([ID, t2])
-    # returned wire sits at position 0; route it to position k
-    for i in range(k):
-        t3 = t3 >> term.par_all([term.identity(i), term.SWAP,
-                                 term.identity(t3.n_out - i - 2)])
-    return t3
-
-
-@pytest.mark.parametrize("t,k", [
-    (term.wspider(0, 3), 1),
-    (term.zspider(0, 2, ONE), 0),
-    (term.X >> (term.wspider(1, 2) @ ID), 2),
-])
-def test_double_transposition_is_semantically_trivial(t, k):
-    back = _bend_input_back(transpose_output(t, k), k)
-    assert semantics.map_equal(semantics.interpret(back, Z),
-                               semantics.interpret(t, Z))
 
 
 def test_parse_examples():
@@ -104,6 +71,30 @@ def test_parse_errors_carry_positions():
         parse("z(1,1)[1/2]", Z)  # label not in the ring
     with pytest.raises(ParseError):
         parse("w(0,2", Z)
+
+
+W11 = term.wspider(1, 1)
+
+
+@pytest.mark.parametrize("t,text", [
+    (term.Seq(ID, term.Seq(W11, ID)), "id ; (w(1,1) ; id)"),
+    (term.Par(ID, term.Par(W11, term.X)), "id * (w(1,1) * x)"),
+    (term.Par(term.Seq(ID, W11), term.X), "(id ; w(1,1)) * x"),
+    (term.Par(term.X, term.Seq(ID, W11)), "x * (id ; w(1,1))"),
+    (term.Seq(term.Par(ID, W11), term.X), "id * w(1,1) ; x"),
+    (term.Seq(term.Seq(ID, W11), ID), "id ; w(1,1) ; id"),
+    (term.Par(term.Par(ID, W11), term.X), "id * w(1,1) * x"),
+])
+def test_render_brackets_only_where_parse_needs_them(t, text):
+    # a ';' right of a ';', a ';' either side of a '*', a '*' right of a '*'
+    assert render(t) == text and parse(text, Z) == t
+
+
+@pytest.mark.parametrize("t", [term.EMPTY, term.Par(ID, term.EMPTY),
+                               term.Seq(term.EMPTY, term.wspider(0, 1))])
+def test_render_rejects_the_empty_diagram(t):
+    with pytest.raises(ValueError, match="empty diagram"):
+        render(t)
 
 
 def test_precedence_and_associativity():
