@@ -35,9 +35,7 @@ def _ring_from_flags(args) -> _ring.RingDescriptor:
         if args.mod is None:
             raise UsageError("--ring Zn needs --mod N")
         return _ring.Zn(args.mod)
-    if name == "C":
-        return _ring.C(args.tol)
-    raise UsageError(f"unknown ring {name!r}")
+    return _ring.C(args.tol)
 
 
 def _emit(data, args):
@@ -62,8 +60,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_normalize(args) -> int:
     ring = _ring_from_flags(args)
-    if not ring.exact:
-        raise UsageError("normalize runs over exact rings")
     t = _term.parse(args.term, ring)
     m = _nf.normalize(t, ring)
     data = _nf.to_json_dict(m.nf)
@@ -101,9 +97,6 @@ def _bounds_from_flags(args) -> _rules.RuleBounds:
 
 def _cmd_check_rules(args) -> int:
     ring = _ring_from_flags(args)
-    if not ring.exact:
-        raise UsageError("--ring C selects the anyonic qudit tables; "
-                         "the rule catalogue is checked over Z, Zn or Qi")
     build = (_rules.axiom_instances if args.verb == "check-axioms"
              else _rules.derived_instances)
     reports = _rules.check_all(build(_bounds_from_flags(args), ring), ring)
@@ -168,13 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
                  description="evaluate, normalize and verify string-diagram terms")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def verb(name, func, text, ring=True, d=False, term=False):
+    def verb(name, func, text, rings=("Z", "Qi", "Zn"), tol=False, d=False, term=False):
         """A verb's parser, with only the flags its handler reads."""
         sp = sub.add_parser(name, help=text)
-        if ring:
-            sp.add_argument("--ring", default="Z", choices=["Z", "Qi", "Zn", "C"])
+        if rings:
+            sp.add_argument("--ring", default="Z", choices=rings)
             sp.add_argument("--mod", type=int, default=None, help="modulus for --ring Zn")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9)
         if d:
             sp.add_argument("--d", type=int, default=2)
         sp.add_argument("--output", default=None, help="write JSON here")
@@ -183,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    verb("eval", _cmd_eval, "interpret a term as a sparse map", d=True, term=True)
+    verb("eval", _cmd_eval, "interpret a term as a sparse map",
+         rings=("Z", "Qi", "Zn", "C"), tol=True, d=True, term=True)
     verb("normalize", _cmd_normalize, "canonical normal form of a term", term=True)
     verb("roundtrip", _cmd_roundtrip, "check normalize against the interpreter", term=True)
     for name in ("check-axioms", "check-derived"):
@@ -193,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-nm", type=int, default=_rules.DEFAULT_BOUNDS.max_nm)
         sp.add_argument("--labels", default=None, help="comma-separated label literals")
     verb("check-qudit", _cmd_check_qudit, "anyonic law checks at dimension d",
-         ring=False, d=True)
+         rings=(), tol=True, d=True)
     sp = verb("universal", _cmd_universal, "rebuild a JSON state as a diagram and verify",
-              ring=False, d=True)
+              rings=(), tol=True, d=True)
     sp.add_argument("state", help="sparse state as JSON")
     return ap
 

@@ -189,12 +189,10 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
             raise _ring.RingMismatchError(
                 f"label {g.label} does not live in {ring}")
         rows = [(one, "0" * width), (g.label, "1" * width)]
-    elif kind == "ket":
+    else:  # ket
         if g.level > 1:
             raise ArityError(f"ket({g.level}) needs dimension > {g.level}")
         rows = [(one, str(g.level))]
-    else:
-        raise ArityError(f"unknown generator {kind!r}")
     nf = canonicalize(PreNormalForm(2, g.n_in + g.n_out, tuple(rows)))
     return MapNormalForm(g.n_in, g.n_out, nf)
 

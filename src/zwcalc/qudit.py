@@ -5,9 +5,9 @@ root of unity.  The deformed integers ``[n] = 1 + q + ... + q^(n-1)``
 vanish at ``n = d``, which truncates the particle ladder to d levels.
 Words spell one level per character, so d runs from 2 to 10.
 
-:func:`generator_entries` is the one generator table; ``interpret``
-reads it on the qudit path through :func:`zwcalc.semantics.generator_map`,
-which builds it once per generator, ring and d.  With levels ``j, k, n`` in ``0 .. d-1``:
+:func:`generator_entries` is the one generator table of ``interpret``, for
+every ring; over C it holds the anyonic generators, with levels ``j, k, n``
+in ``0 .. d-1``:
 
 * crossing  ``x: |k>|j> -> q^(jk) |j>|k>``, and ``xinv`` its inverse;
 * split     ``w(1,2): |n> -> sum_k binom(n, k)_q^(1/2) |k>|n-k>``, merge
@@ -177,44 +177,56 @@ def _tree_coeff(word: str, p: QParams) -> complex:
     return coeff
 
 
-def generator_entries(g: Generator, ring: RingDescriptor, d: int):
-    """Sparse entries of a generator on the qudit path.
+def generator_entries(g: Generator, ring: RingDescriptor, d: int) -> dict:
+    """The entries of a generator over ``ring`` at dimension ``d``: the one
+    table ``interpret`` reads, through :func:`zwcalc.semantics.generator_map`,
+    which checks the label's ring and takes the arity from ``g``.
 
-    W spiders are split/merge trees: ``w(k, m)`` with ``k >= 1`` merges k
-    wires and splits the result m ways; ``w(0, m)`` is the m-fold split
-    of the one-particle state.  Z spiders scale the diagonal:
+    ``id, swap, cup, cap`` are the wire maps on the d levels, ``ket(l)``
+    is |l>.  Over exact rings, at d = 2: ``x`` sends |b1 b2> to
+    (-1)^(b1 b2) |b2 b1>, ``w(k, m)`` has entry 1 on each (output, input)
+    pair of total weight 1, and ``z(k, m)[r]`` entry 1 on the all-zero
+    pair and r on the all-one pair.  Over C, the anyonic generators:
+    ``w(k, m)`` with ``k >= 1`` merges k wires and splits the result m
+    ways, ``w(0, m)`` is the m-fold split of the one-particle state, and
     ``z(k, m)[u]`` has entry ``c_l^(k+m-2) u^l`` on level l, with
     ``c_l = sqrt([l]!)``.
     """
-    p = QParams(d, tolerance=ring.tolerance)
     one = _ring.one(ring)
-    kind = g.kind
+    kind, k, m = g.kind, g.n_in, g.n_out
+    levels = "0123456789"[:d]
     if kind == "id":
-        return 1, 1, {(w, w): one for w in map(str, range(d))}
+        return {(a, a): one for a in levels}
     if kind == "swap":
-        return 2, 2, {
-            (b + a, a + b): one for a in map(str, range(d)) for b in map(str, range(d))
-        }
+        return {(b + a, a + b): one for a in levels for b in levels}
+    if kind == "cup":
+        return {(a + a, ""): one for a in levels}
+    if kind == "cap":
+        return {("", a + a): one for a in levels}
+    if kind == "ket":
+        if g.level >= d:
+            raise ArityError(f"ket({g.level}) out of range for d={d}")
+        return {(str(g.level), ""): one}
+    if ring.exact:
+        if kind in ("x", "xinv"):
+            return {(b2 + b1, b1 + b2): -one if b1 == b2 == "1" else one
+                    for b1 in "01" for b2 in "01"}
+        if kind == "w":
+            words = ("0" * pos + "1" + "0" * (k + m - 1 - pos) for pos in range(k + m))
+            return {(word[k:], word[:k]): one for word in words}
+        ent = {("0" * m, "0" * k): one}
+        if not _ring.ring_equal(g.label, _ring.zero(ring)):
+            ent["1" * m, "1" * k] = g.label
+        return ent
+    p = QParams(d, tolerance=ring.tolerance)
     if kind in ("x", "xinv"):
         q = p.q if kind == "x" else p.q.conjugate()
-        ent = {}
-        for k in range(d):
-            for j in range(d):
-                ent[(f"{j}{k}", f"{k}{j}")] = _ring.complex_value(ring, q ** (j * k))
-        return 2, 2, ent
-    if kind == "cup":
-        return 0, 2, {(f"{j}{j}", ""): one for j in range(d)}
-    if kind == "cap":
-        return 2, 0, {("", f"{j}{j}"): one for j in range(d)}
-    if kind == "ket":
-        if not 0 <= g.level < d:
-            raise ArityError(f"ket({g.level}) out of range for d={d}")
-        return 0, 1, {(str(g.level), ""): one}
+        return {(f"{j}{i}", f"{i}{j}"): _ring.complex_value(ring, q ** (j * i))
+                for i in range(d) for j in range(d)}
     if kind == "w":
-        k, m = g.n_in, g.n_out
         if k == 0:  # the m one-hot words; a zero leg weighs binom(n, 0) = 1
             v = _ring.complex_value(ring, _tree_coeff("1", p))
-            return 0, m, {("0" * (m - 1 - i) + "1" + "0" * i, ""): v for i in range(m)}
+            return {("0" * (m - 1 - i) + "1" + "0" * i, ""): v for i in range(m)}
         outs: dict[int, list[tuple[str, complex]]] = {}  # output words by digit sum
         for out_w, s in _bounded_words(m, d - 1, d):
             outs.setdefault(s, []).append((out_w, _tree_coeff(out_w, p)))
@@ -227,33 +239,28 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int):
                 v = a * b
                 if abs(v) > p.tolerance:
                     ent[(out_w, in_w)] = _ring.complex_value(ring, v)
-        return k, m, ent
-    if kind == "z":
-        k, m = g.n_in, g.n_out
-        if g.label.ring != ring:
-            raise _ring.RingMismatchError(f"label {g.label} does not live in {ring}")
-        lam = complex(g.label.value)
-        c = binomial_table(p).sqrt_factorials
-        ent = {}
-        try:
-            for l in range(d):
-                v = c[l] ** (k + m - 2) * lam ** l
-                if abs(v) > p.tolerance:
-                    ent[(str(l) * m, str(l) * k)] = _ring.complex_value(ring, v)
-        except OverflowError:
-            raise QuditError(f"z({k},{m})[{g.label}] overflows at level {l}") from None
-        return k, m, ent
-    raise ArityError(f"unknown generator {kind!r}")
+        return ent
+    lam = complex(g.label.value)
+    c = binomial_table(p).sqrt_factorials
+    ent = {}
+    try:
+        for l in range(d):
+            v = c[l] ** (k + m - 2) * lam ** l
+            if abs(v) > p.tolerance:
+                ent[(str(l) * m, str(l) * k)] = _ring.complex_value(ring, v)
+    except OverflowError:
+        raise QuditError(f"z({k},{m})[{g.label}] overflows at level {l}") from None
+    return ent
 
 
 def antipode_term(d: int) -> Term:
     """The antipode as a diagram: the strand crosses a split-off copy of
     the top level, which is then merged back and post-selected."""
-    side = _term.ket(d - 1, d) >> _term.wspider(1, 2)
+    side = _term.ket(d - 1) >> _term.wspider(1, 2)
     t = _term.ID @ side
     t = t >> (_term.X @ _term.ID)
     t = t >> (_term.ID @ _term.wspider(2, 1))
-    return t >> (_term.ID @ _term.bra(d - 1, d))
+    return t >> (_term.ID @ _term.bra(d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +277,7 @@ def law_terms(d: int) -> dict[str, tuple[Term, Term]]:
             merge >> split),
         "antipode-hopf": (
             _term.seq_all([split, antipode_term(d) @ wire, merge]),
-            _term.bra(0, d) >> _term.ket(0, d)),
+            _term.bra(0) >> _term.ket(0)),
     }
 
 
@@ -321,8 +328,8 @@ def check_commutation(p: QParams) -> RuleReport:
     """a a+ = 1 + q a+ a at the deformation q, for the creation map
     a+ = (ket(1) * id) ; w(2,1) and its transpose a."""
     d, ring = p.d, p.ring()
-    create = (_term.ket(1, d) @ _term.ID) >> _term.wspider(2, 1)
-    annihilate = _term.wspider(1, 2) >> (_term.bra(1, d) @ _term.ID)
+    create = (_term.ket(1) @ _term.ID) >> _term.wspider(2, 1)
+    annihilate = _term.wspider(1, 2) >> (_term.bra(1) @ _term.ID)
     q = _ring.complex_value(ring, p.q)
     rhs = {(str(n), str(n)): _ring.one(ring) for n in range(d)}
     for key, v in interpret(annihilate >> create, ring, d).entries.items():
@@ -361,10 +368,10 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
         if abs(complex(v.value)) > p.tolerance
     ]
     if not rows:
-        absorbing = _term.ket(1, p.d) >> _term.wspider(1, 0)
-        t = _term.par_all([absorbing] + [_term.ket(0, p.d)] * n)
+        absorbing = _term.ket(1) >> _term.wspider(1, 0)
+        t = _term.par_all([absorbing] + [_term.ket(0)] * n)
         return t, NormalForm(p.d, n, ())
-    bottom = _term.ket(1, p.d) >> _term.wspider(1, len(rows))
+    bottom = _term.ket(1) >> _term.wspider(1, len(rows))
     whites = []
     for amp, word in rows:
         adjusted = amp
@@ -376,7 +383,7 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
     merges = []
     for j in range(n):
         k_j = sum(int(word[j]) for _, word in rows)
-        merges.append(_term.wspider(k_j, 1) if k_j else _term.ket(0, p.d))
+        merges.append(_term.wspider(k_j, 1) if k_j else _term.ket(0))
     t = canonical_diagram(bottom, whites, [w for _, w in rows], merges)
     nf = canonicalize(PreNormalForm(
         p.d, n, tuple((_ring.complex_value(ring, a), w) for a, w in rows)))

@@ -11,19 +11,11 @@ concatenated on and its coefficient multiplied in.  The first layer has
 nothing below it, so its input words are concatenated too.  Nothing is
 densified, so states with few amplitudes stay small on any number of wires.
 
-Exact rings interpret at dimension 2 (the qubit tables below); the
-approximate complex ring switches to the anyonic qudit tables provided by
-:mod:`zwcalc.qudit`.  :func:`generator_map` builds each generator's table
-once per ``(generator, ring, d)`` and every leaf shares it read-only,
-with the index a layer join looks its entries up by.
-
-Qubit generator table (words are bit strings, weight = number of 1s):
-
-* ``id, swap, cup, cap``: the usual wire maps, cup = |00> + |11>;
-* ``x``: |b1 b2> to (-1)^(b1 b2) |b2 b1>;
-* ``w(k, m)``: entry 1 on each (input, output) pair of total weight 1;
-* ``z(k, m)[r]``: entry 1 on the all-zero pair, r on the all-one pair;
-* ``ket(l)``: the basis state |l>.
+Exact rings interpret at dimension 2 and the approximate complex ring at
+any d in 2..10, each with its calculus in the one generator table,
+:func:`zwcalc.qudit.generator_entries`.  :func:`generator_map` builds each
+generator's table once per ``(generator, ring, d)`` and every leaf shares
+it read-only, with the index a layer join looks its entries up by.
 
 Maps are immutable once built; evaluation is pure.
 """
@@ -88,51 +80,12 @@ def make_map(ring, d, n_in, n_out, entries) -> SparseMap:
     return SparseMap(ring, d, n_in, n_out, _clean(ring, dict(entries)))
 
 
-def _qubit_generator_entries(g, ring) -> tuple[int, int, dict]:
-    one = _ring.one(ring)
-    kind = g.kind
-    if kind == "id":
-        return 1, 1, {("0", "0"): one, ("1", "1"): one}
-    if kind == "swap":
-        return 2, 2, {(b2 + b1, b1 + b2): one for b1 in "01" for b2 in "01"}
-    if kind in ("x", "xinv"):
-        ent = {}
-        for b1 in "01":
-            for b2 in "01":
-                v = -one if b1 == b2 == "1" else one
-                ent[(b2 + b1, b1 + b2)] = v
-        return 2, 2, ent
-    if kind == "cup":
-        return 0, 2, {("00", ""): one, ("11", ""): one}
-    if kind == "cap":
-        return 2, 0, {("", "00"): one, ("", "11"): one}
-    if kind == "w":
-        k, m = g.n_in, g.n_out
-        ent = {}
-        for pos in range(k + m):
-            word = "0" * pos + "1" + "0" * (k + m - 1 - pos)
-            ent[(word[k:], word[:k])] = one
-        return k, m, ent
-    if kind == "z":
-        k, m = g.n_in, g.n_out
-        ent = {("0" * m, "0" * k): one}
-        key = ("1" * m, "1" * k)
-        ent[key] = ent.get(key, _ring.zero(ring)) + g.label
-        return k, m, _clean(ring, ent)
-    if kind == "ket":
-        if g.level > 1:
-            raise ArityError(f"ket({g.level}) needs dimension > {g.level}")
-        return 0, 1, {(str(g.level), ""): one}
-    raise ArityError(f"unknown generator {kind!r}")
-
-
 def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
-    """The table of one generator over ``ring`` at dimension ``d``.
-
-    Exact rings read the qubit table above, the approximate complex ring
-    :func:`zwcalc.qudit.generator_entries`.  Each table is built once per
-    ``(generator, ring, d)`` and shared, so its entries are read-only;
-    errors are not cached and are raised on every call."""
+    """The table of one generator over ``ring`` at dimension ``d``, read
+    from :func:`zwcalc.qudit.generator_entries`, the one table for every
+    ring.  Each table is built once per ``(generator, ring, d)`` and
+    shared, so its entries are read-only; errors are not cached and are
+    raised on every call."""
     value = None if g.label is None else g.label.value
     # complex labels that compare equal may differ in the sign of a zero
     # part, which the table keeps, so they are told apart by their repr
@@ -141,16 +94,12 @@ def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
 
 @lru_cache(maxsize=1024)
 def _generator_map(g: Generator, ring: RingDescriptor, d: int, label_repr) -> SparseMap:
-    if not ring.exact:
-        from . import qudit  # deferred: qudit builds on this module
+    from . import qudit  # deferred: qudit builds on this module
 
-        n_in, n_out, ent = qudit.generator_entries(g, ring, d)
-    else:
-        if g.label is not None and g.label.ring != ring:
-            raise _ring.RingMismatchError(
-                f"label {g.label} does not live in {ring}")
-        n_in, n_out, ent = _qubit_generator_entries(g, ring)
-    return SparseMap(ring, d, n_in, n_out, MappingProxyType(ent))
+    if g.label is not None and g.label.ring != ring:
+        raise _ring.RingMismatchError(f"label {g.label} does not live in {ring}")
+    entries = qudit.generator_entries(g, ring, d)
+    return SparseMap(ring, d, g.n_in, g.n_out, MappingProxyType(entries))
 
 
 def _apply_blocks(a: SparseMap | None, blocks: list[SparseMap],

@@ -179,9 +179,9 @@ def zspider(k: int, m: int, label: RingElement) -> Term:
     return _shared_leaf(g) if label.ring.exact else Gen(g)
 
 
-def ket(level: int, d: int = 2) -> Term:
-    if not 0 <= level < d:
-        raise ArityError(f"ket level {level} out of range for d={d}")
+def ket(level: int) -> Term:
+    """The basis state |level>; ``interpret`` and ``normalize`` check the
+    level against their dimension."""
     return Gen(Generator("ket", 0, 1, level=level))
 
 
@@ -302,9 +302,9 @@ def twist() -> Term:
     return seq_all([ID @ CUP, X @ ID, ID @ CAP])
 
 
-def bra(level: int, d: int = 2) -> Term:
+def bra(level: int) -> Term:
     """Effect <level| as a term: pair the wire with ket(level) and cap."""
-    return seq(ID @ ket(level, d), CAP)
+    return seq(ID @ ket(level), CAP)
 
 
 def crossing_perm(perm) -> Term:
@@ -371,7 +371,7 @@ def _reflect(g: Generator) -> Term:
         return wspider(g.n_out, g.n_in)
     if g.kind == "z":
         return zspider(g.n_out, g.n_in, _ring.conjugate(g.label))
-    return bra(g.level, g.level + 1)  # ket reflects to the matching effect
+    return bra(g.level)  # ket reflects to the matching effect
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def _generator(m: re.Match, ring: RingDescriptor, start: int) -> Term:
         if m["zk"] is not None:
             return zspider(int(m["zk"]), int(m["zm"]), _ring.parse_literal(ring, m["label"]))
         if m["level"] is not None:
-            return Gen(Generator("ket", 0, 1, level=int(m["level"])))
+            return ket(int(m["level"]))
     except ArityError as exc:
         raise ParseError(str(exc), start) from None
     except _ring.RingError as exc:

@@ -166,7 +166,7 @@ def test_crossing_order_and_inverse(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_comonoid_laws(d):
     R = QParams(d).ring()
-    split, wire, counit = term.wspider(1, 2), term.ID, term.bra(0, d)
+    split, wire, counit = term.wspider(1, 2), term.ID, term.bra(0)
 
     def same(a, b):
         return map_equal(interpret(a, R, d), interpret(b, R, d))
@@ -214,8 +214,8 @@ def test_commutation(d):
     assert rep.passed, str(rep)
     if d == 2:
         # q = -1: a a+ = 1 - a+ a
-        create = (term.ket(1, 2) @ term.ID) >> term.wspider(2, 1)
-        annihilate = term.wspider(1, 2) >> (term.bra(1, 2) @ term.ID)
+        create = (term.ket(1) @ term.ID) >> term.wspider(2, 1)
+        annihilate = term.wspider(1, 2) >> (term.bra(1) @ term.ID)
         a_adag = helpers.qudit_to_dense(interpret(create >> annihilate, p.ring(), 2))
         adag_a = helpers.qudit_to_dense(interpret(annihilate >> create, p.ring(), 2))
         assert np.allclose(a_adag, np.eye(2) - adag_a, atol=TOL)

@@ -38,8 +38,6 @@ def test_bad_generators_rejected():
     with pytest.raises(ArityError):
         term.zspider(0, 0, ONE)
     with pytest.raises(ArityError):
-        term.ket(2)  # default dimension 2
-    with pytest.raises(ArityError):
         term.Generator("nosuch", 1, 1)
 
 
