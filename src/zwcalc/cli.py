@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ring as _ring
@@ -47,7 +48,10 @@ def _emit(data, args):
         except OSError as exc:
             raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader has gone: the rest goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_eval(args) -> int:

@@ -19,15 +19,18 @@ joined layer by layer: the running rows meet each layer block by block,
 matching letters on every block's inputs, so identity padding costs
 nothing and a layer's own normal form is never built.  The first layer
 has nothing below it; its rows concatenate the blocks' bent words, and
-one permutation moves the input letters to the front.  The test suite
-checks the result against :func:`zwcalc.semantics.interpret`, which
-shares the fold but not the tables or the join.
+one permutation moves the input letters to the front.  The join runs on
+raw ring values, canonicalized per layer by :func:`canonicalize`'s own
+helper, and a result holds ring elements.  The test suite checks the
+result against :func:`zwcalc.semantics.interpret`, which shares the fold
+but not the tables or the join.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
@@ -77,17 +80,40 @@ class NormalForm:
         return not self.rows
 
 
-def canonicalize(p: PreNormalForm | NormalForm) -> NormalForm:
+def canonicalize(p: PreNormalForm | NormalForm, perm: list[int] | None = None) -> NormalForm:
     """Merge duplicate words, drop zero rows, drop rows whose letters the
-    dimension cannot support, and sort."""
-    acc: dict[str, RingElement] = {}
-    for coeff, word in p.rows:
-        if not _below(word, p.d):
-            continue
-        acc[word] = acc[word] + coeff if word in acc else coeff
+    dimension cannot support, and sort; with ``perm``, first send
+    coordinate i to position perm[i] in every word."""
+    if perm is not None and sorted(perm) != list(range(p.n)):
+        raise ArityError(f"{perm!r} is not a permutation of {p.n} coordinates")
+    ring = p.rows[0][0].ring if p.rows else _ring.Z()  # with no rows, any ring
+    if any(c.ring is not ring and c.ring != ring for c, _ in p.rows):
+        raise _ring.RingMismatchError(f"rows over more than one ring, {ring} first")
+    return _wrapped(p.d, p.n, _merged([(c.value, w) for c, w in p.rows], ring, p.d, perm), ring)
+
+
+def _merged(rows, ring: RingDescriptor, d: int | None = None,
+            perm: list[int] | None = None) -> list:
+    """:func:`canonicalize` on raw values of ``ring``; without ``d`` no
+    letter is checked, as the joins of dimension-2 tables spell none above 1."""
+    if perm is not None:
+        source = [0] * len(perm)  # source[j]: the coordinate that lands at j
+        for i, j in enumerate(perm):
+            source[j] = i
+        rows = [(c, "".join([w[i] for i in source])) for c, w in rows]
+    if d is not None:
+        rows = [(c, w) for c, w in rows if _below(w, d)]
+    add, eq, zero = ring.ops["add"], ring.eq, ring.zero.value
+    acc: dict[str, object] = {}
+    for c, w in rows:
+        acc[w] = add(acc[w], c) if w in acc else c
+    return [(c, w) for w, c in sorted(acc.items()) if not eq(c, zero)]
+
+
+def _wrapped(d: int, n: int, rows, ring: RingDescriptor) -> NormalForm:
+    """The normal form of raw rows that :func:`_merged` made canonical."""
     nf = object.__new__(NormalForm)  # sorted, distinct and nonzero by construction
-    nf.__dict__.update(d=p.d, n=p.n, rows=tuple(
-        (v, w) for w, v in sorted(acc.items()) if not v.is_zero()))
+    nf.__dict__.update(d=d, n=n, rows=tuple((RingElement(ring, c), w) for c, w in rows))
     return nf
 
 
@@ -134,13 +160,7 @@ def nf_negate(a: NormalForm, j: int) -> NormalForm:
 
 def nf_permute(a: NormalForm | PreNormalForm, perm: list[int]) -> NormalForm:
     """Send coordinate i to position perm[i] in every word."""
-    if sorted(perm) != list(range(a.n)):
-        raise ArityError(f"{perm!r} is not a permutation of {a.n} coordinates")
-    source = [0] * a.n  # source[j]: the coordinate that lands at position j
-    for i, j in enumerate(perm):
-        source[j] = i
-    rows = tuple((c, "".join([w[i] for i in source])) for c, w in a.rows)
-    return canonicalize(PreNormalForm(a.d, a.n, rows))
+    return canonicalize(a, perm)
 
 
 @dataclass(frozen=True)
@@ -164,6 +184,15 @@ class MapNormalForm:
             (w[self.n_in:], w[:self.n_in]): c for c, w in self.nf.rows
         }
         return make_map(ring, self.nf.d, self.n_in, self.n_out, entries)
+
+    @cached_property
+    def _raw(self) -> _RawNF:
+        """Raw rows, kept with the normal form (not a field)."""
+        return _RawNF(self.n_in, self.n_out, [(c.value, w) for c, w in self.nf.rows])
+
+
+# a map's normal form inside a layer join: canonical bent rows on raw ring values
+_RawNF = namedtuple("_RawNF", "n_in n_out rows")
 
 
 @lru_cache(maxsize=1024)
@@ -201,16 +230,19 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     """Rewrite a dimension-2 term to its canonical normal form without
     evaluating it: a fold (:func:`zwcalc.term.fold`) of the generators'
     hardcoded normal forms, each layer joined block by block (see
-    :func:`_plug`) with one canonicalization per layer."""
+    :func:`_plug`) on raw values, wrapped as ring elements at the end."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
-    wire = generator_nf(_term.ID.gen, ring)
-    return _term.fold(t, lambda g: generator_nf(g, ring),
-                      lambda acc, blocks: _plug(acc, blocks, ring, wire))
+    if isinstance(t, _term.Gen):
+        return generator_nf(t.gen, ring)
+    wire = generator_nf(_term.ID.gen, ring)._raw
+    m = _term.fold(t, lambda g: generator_nf(g, ring)._raw,
+                   lambda acc, blocks: _plug(acc, blocks, ring, wire))
+    return MapNormalForm(m.n_in, m.n_out, _wrapped(2, m.n_in + m.n_out, m.rows, ring))
 
 
-def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
-          ring: RingDescriptor, wire: MapNormalForm) -> MapNormalForm:
+def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
+          wire: _RawNF) -> _RawNF:
     """Plug the outputs of ``a`` into a parallel layer of blocks, block by
     block, without building the layer's own normal form.
 
@@ -219,13 +251,14 @@ def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
     directly: cut it into one segment per block, look each segment up
     among the block's rows by their input letters, and for every match
     append the block's output letters and multiply the coefficients.
-    Blocks that are ``wire`` (the cached normal form of ``id``) copy
-    their segment unchanged, so the rows stay proportional to ``a``.
+    Blocks that are ``wire`` (the cached rows of ``id``) copy their
+    segment unchanged, so the rows stay proportional to ``a``.
 
     With ``a = None`` the layer opens a chain: rows start from the first
     block's own rows and append every further block's whole bent word,
-    and one :func:`nf_permute` (the layer's one canonicalization) moves
-    the input letters to the front.
+    and one permutation, in the layer's one canonicalization, moves the
+    input letters to the front.  The coefficients are raw values, all from
+    tables of ``ring``, so no product checks the ring again.
     """
     opening = a is None
     n_in = sum(b.n_in for b in blocks)
@@ -234,13 +267,12 @@ def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
     # kept; a plugged layer keeps the input letters of a's rows
     if opening:
         if len(blocks) < 2:  # the empty layer is the unit row
-            return blocks[0] if blocks else MapNormalForm(
-                0, 0, NormalForm(2, 0, ((_ring.one(ring), ""),)))
-        start, kept, rest = blocks[0].nf.rows, blocks[0].nf.n, blocks[1:]
+            return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")])
+        start, kept, rest = blocks[0].rows, blocks[0].n_in + blocks[0].n_out, blocks[1:]
     else:
         if a.n_out != n_in:
             raise ArityError("middle arity mismatch")
-        start, kept, rest = a.nf.rows, a.n_in, blocks
+        start, kept, rest = a.rows, a.n_in, blocks
     # (segment width, block rows by the letters they match); None copies the segment
     segments: list[tuple[int, dict | None]] = []
     for b in rest:
@@ -249,35 +281,30 @@ def _plug(a: MapNormalForm | None, blocks: list[MapNormalForm],
             segments.append((run + 1, None))
             continue
         width = 0 if opening else b.n_in
-        by_in: dict[str, list[tuple[str, RingElement]]] = {}
-        for c, w in b.nf.rows:
+        by_in: dict[str, list[tuple[str, object]]] = {}
+        for c, w in b.rows:
             by_in.setdefault(w[:width], []).append((w[width:], c))
         segments.append((width, by_in))
-    rows = []
-    for c, w in start:
-        partial = [(w[:kept], c)]
-        pos = kept
-        for width, by_in in segments:
-            seg = w[pos:pos + width]
-            pos += width
-            if by_in is None:
-                partial = [(v + seg, x) for v, x in partial]
-                continue
-            matches = by_in.get(seg)
-            if not matches:
-                break
-            partial = [(v + bv, x * bc) for v, x in partial for bv, bc in matches]
+    mul = ring.ops["mul"]
+    # segment by segment over all rows: (word so far, whole word, coefficient)
+    rows = [(w[:kept], w, c) for c, w in start]
+    pos = kept
+    for width, by_in in segments:
+        end = pos + width
+        if by_in is None:
+            rows = [(v + w[pos:end], w, x) for v, w, x in rows]
         else:
-            rows.extend((x, v) for v, x in partial)
+            rows = [(v + bv, w, mul(x, bc)) for v, w, x in rows
+                    for bv, bc in by_in.get(w[pos:end], ())]
+        pos = end
+    rows = [(x, v) for v, _, x in rows]
     if not opening:
-        nf = canonicalize(PreNormalForm(2, kept + n_out, tuple(rows)))
-        return MapNormalForm(kept, n_out, nf)
+        return _RawNF(kept, n_out, _merged(rows, ring))
     # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
     ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
     perm = [next(ins) if j < b.n_in else next(outs)
             for b in blocks for j in range(b.n_in + b.n_out)]
-    nf = nf_permute(PreNormalForm(2, n_in + n_out, tuple(rows)), perm)
-    return MapNormalForm(n_in, n_out, nf)
+    return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm))
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:

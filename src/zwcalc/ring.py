@@ -14,10 +14,10 @@ rounds.  ``C`` exists for the anyonic qudit checks, whose coefficients
 care to implement.  Values never coerce between rings; mixing raises
 :class:`RingMismatchError`.  ``Z()``, ``Zn(n)``, ``Qi()`` and ``C(tol)``
 return interned descriptors, so the same-ring check is mostly an ``is``
-test, and each descriptor carries its own operations on raw values, its
-zero and its one, so no operation dispatches on the ring's kind.  Values
-are checked where they enter: in :func:`parse_literal` and the
-constructors.
+test, each carrying its own operations on raw values, zero and one.  The
+layer joins of both evaluators run on those operations and wrap values as
+:class:`RingElement` only in their results; parsers, labels and JSON use
+elements, which are checked where they enter.
 
 All values are immutable and all operations are pure functions, so
 elements can be shared freely between threads.

@@ -37,9 +37,9 @@ from pathlib import Path
 
 from . import normalform as _nf
 from . import ring as _ring
-from .ring import RingDescriptor, RingElement
+from .ring import RingDescriptor, RingElement, format_literal
 from . import term as _term
-from .term import Term, parse, render
+from .term import Term, identity, parse, render, w_comonoid, w_monoid, zspider
 from .semantics import SparseMap, first_difference, interpret, map_equal
 
 
@@ -97,26 +97,6 @@ def labels_for(ring: RingDescriptor, bounds: RuleBounds) -> list[RingElement]:
 
 # --- term builders ---------------------------------------------------------
 
-def _lit(r: RingElement) -> str:
-    return _ring.format_literal(r)
-
-
-def _wires(n: int) -> Term:
-    return _term.identity(n)
-
-
-def _delta(m: int) -> Term:
-    return _term.w_comonoid(m)
-
-
-def _mu(n: int) -> Term:
-    return _term.w_monoid(n)
-
-
-def _zc(m: int, r: RingElement) -> Term:
-    return _term.zspider(1, m, r)
-
-
 _ONE_SCALAR = "z(0,1)[1] ; w(1,0)"  # the empty diagram written in the grammar
 
 
@@ -156,21 +136,21 @@ def _fixed_rules(ring: RingDescriptor) -> list[RuleInstance]:
               (_term.ID @ _term.X) >> (_term.X @ _term.ID) >> (_term.ID @ _term.CAP),
               ring),
         _rule("nat_x_w", "",
-              (_delta(2) @ _term.ID) >> (_term.ID @ _term.X) >> (_term.X @ _term.ID),
-              _term.X >> (_term.ID @ _delta(2)), ring),
+              (w_comonoid(2) @ _term.ID) >> (_term.ID @ _term.X) >> (_term.X @ _term.ID),
+              _term.X >> (_term.ID @ w_comonoid(2)), ring),
         _rule("inv", "", _term.negate() >> _term.negate(), _term.ID, ring),
         _rule("ant_x_n", "", (_term.negate() @ _term.ID) >> _term.X,
               _term.X >> (tw @ _term.negate()), ring),
         _rule("frm", "", tw >> tw, _term.ID, ring),
-        _rule("id", "", _term.zspider(1, 1, _ring.one(ring)), _term.ID, ring),
-        _rule("rng_1", "", _term.zspider(1, 1, _ring.one(ring)), _term.ID, ring),
-        _rule("rng_-1", "", _term.zspider(1, 1, -_ring.one(ring)), tw, ring),
+        _rule("id", "", zspider(1, 1, _ring.one(ring)), _term.ID, ring),
+        _rule("rng_1", "", zspider(1, 1, _ring.one(ring)), _term.ID, ring),
+        _rule("rng_-1", "", zspider(1, 1, -_ring.one(ring)), tw, ring),
         _rule("ph", "",
-              _zc(2, _ring.one(ring)) >> (tw @ _term.ID),
-              tw >> _zc(2, _ring.one(ring)), ring),
+              zspider(1, 2, _ring.one(ring)) >> (tw @ _term.ID),
+              tw >> zspider(1, 2, _ring.one(ring)), ring),
         _rule("nat_c_n", "",
-              _zc(2, _ring.one(ring)) >> (_term.negate() @ _term.negate()),
-              _term.negate() >> _zc(2, _ring.one(ring)), ring),
+              zspider(1, 2, _ring.one(ring)) >> (_term.negate() @ _term.negate()),
+              _term.negate() >> zspider(1, 2, _ring.one(ring)), ring),
     ]
     return out
 
@@ -180,8 +160,8 @@ def _join(a: Term, leg_a: int, b: Term, through_tick: bool) -> Term:
     through a binary node; a and b are states."""
     mid = _term.negate() if through_tick else _term.ID
     t = a @ b
-    t = t >> _term.par_all([_wires(leg_a - 1), mid, _wires(b.n_out)])
-    return t >> _term.par_all([_wires(leg_a - 1), _term.CAP, _wires(b.n_out - 1)])
+    t = t >> _term.par_all([identity(leg_a - 1), mid, identity(b.n_out)])
+    return t >> _term.par_all([identity(leg_a - 1), _term.CAP, identity(b.n_out - 1)])
 
 
 def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
@@ -204,12 +184,12 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
                              rhs, ring))
     for n in range(0, bounds.max_spider_arity - 1):
         out.append(_rule("tr_w", f"n={n}",
-                         _term.wspider(0, n + 2) >> _term.par_all([_wires(n), _term.CAP]),
+                         _term.wspider(0, n + 2) >> _term.par_all([identity(n), _term.CAP]),
                          _term.wspider(0, n) if n
                          else _term.parse("w(0,2) ; cap", ring), ring))
     for n in range(2, bounds.max_spider_arity + 1):
         w_n = _term.wspider(0, n)
-        rest = _wires(n - 2)
+        rest = identity(n - 2)
         out.append(_rule("sym_w", f"n={n}", w_n >> _term.par_all([_term.SWAP, rest]),
                          w_n, ring))
         out.append(_rule("sym_w_x", f"n={n}", w_n >> _term.par_all([_term.X, rest]),
@@ -219,8 +199,8 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
             if (n, m) == (0, 0):  # the square without spiders has no layer
                 lhs, rhs = _ONE_SCALAR, "w(0,1) ; w(1,0)"
             else:
-                lhs = _nf.canonical_diagram(_term.EMPTY, [_delta(m)] * n, ["1" * m] * n,
-                                            [_mu(n)] * m)
+                lhs = _nf.canonical_diagram(_term.EMPTY, [w_comonoid(m)] * n, ["1" * m] * n,
+                                            [w_monoid(n)] * m)
                 rhs = _term.wspider(n, 1) >> _term.wspider(1, m)
             out.append(_rule("ba_w", f"n={n},m={m}", lhs, rhs, ring))
 
@@ -231,52 +211,52 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
             for r, s in pairs:
                 if a + b == 2:
                     # scalar fusion: z_1^r plugged into z_1^s gives 1 + rs
-                    rhs = parse(f"z(0,2)[{_lit(r * s)}] ; cap", ring)
+                    rhs = parse(f"z(0,2)[{format_literal(r * s)}] ; cap", ring)
                 else:
-                    rhs = _term.zspider(0, a + b - 2, r * s)
+                    rhs = zspider(0, a + b - 2, r * s)
                 out.append(_rule(
-                    "cut_z", f"a={a},b={b},r={_lit(r)},s={_lit(s)}",
-                    _join(_term.zspider(0, a, r), a, _term.zspider(0, b, s), False),
+                    "cut_z", f"a={a},b={b},r={format_literal(r)},s={format_literal(s)}",
+                    _join(zspider(0, a, r), a, zspider(0, b, s), False),
                     rhs, ring))
     for n in range(0, bounds.max_spider_arity - 1):
         for r in labels:
-            lhs = _term.zspider(0, n + 2, r) >> _term.par_all([_wires(n), _term.CAP])
-            rhs = (_term.zspider(0, n, r) if n
-                   else _term.parse(f"z(0,2)[{_lit(r)}] ; cap", ring))
-            out.append(_rule("tr_z", f"n={n},r={_lit(r)}", lhs, rhs, ring))
+            lhs = zspider(0, n + 2, r) >> _term.par_all([identity(n), _term.CAP])
+            rhs = (zspider(0, n, r) if n
+                   else _term.parse(f"z(0,2)[{format_literal(r)}] ; cap", ring))
+            out.append(_rule("tr_z", f"n={n},r={format_literal(r)}", lhs, rhs, ring))
     for n in range(2, bounds.max_spider_arity + 1):
         for r in labels:
-            z_n = _term.zspider(0, n, r)
-            out.append(_rule("sym_z", f"n={n},r={_lit(r)}",
-                             z_n >> _term.par_all([_term.SWAP, _wires(n - 2)]),
+            z_n = zspider(0, n, r)
+            out.append(_rule("sym_z", f"n={n},r={format_literal(r)}",
+                             z_n >> _term.par_all([_term.SWAP, identity(n - 2)]),
                              z_n, ring))
 
     for n in nms:
         for m in range(1, bounds.max_nm + 1):
             rs = labels if (n, m) == (2, 2) else [three]
             for r in rs:
-                lhs = _nf.canonical_diagram(_term.EMPTY, [_zc(m, r)] * n, ["1" * m] * n,
-                                            [_mu(n)] * m)
-                rhs = _mu(n) >> _zc(m, r)
-                out.append(_rule("ba_zw", f"n={n},m={m},r={_lit(r)}",
+                lhs = _nf.canonical_diagram(_term.EMPTY, [zspider(1, m, r)] * n, ["1" * m] * n,
+                                            [w_monoid(n)] * m)
+                rhs = w_monoid(n) >> zspider(1, m, r)
+                out.append(_rule("ba_zw", f"n={n},m={m},r={format_literal(r)}",
                                  lhs, rhs, ring))
     for r in labels:
-        out.append(_rule("loop", f"r={_lit(r)}",
-                         _zc(2, r) >> _mu(2), _delta(0) >> _mu(0), ring))
+        out.append(_rule("loop", f"r={format_literal(r)}",
+                         zspider(1, 2, r) >> w_monoid(2), w_comonoid(0) >> w_monoid(0), ring))
     for r in labels:
         for s in labels:
             out.append(_rule(
-                "unx", f"r={_lit(r)},s={_lit(s)}",
-                _delta(2) >> (_zc(2, r) @ _zc(2, s))
+                "unx", f"r={format_literal(r)},s={format_literal(s)}",
+                w_comonoid(2) >> (zspider(1, 2, r) @ zspider(1, 2, s))
                 >> _term.par_all([_term.ID, _term.X, _term.ID]),
-                _delta(2) >> (_zc(2, r) @ _zc(2, s))
+                w_comonoid(2) >> (zspider(1, 2, r) @ zspider(1, 2, s))
                 >> _term.par_all([_term.ID, _term.SWAP, _term.ID]), ring))
     for r in labels:
         for s in labels:
             out.append(_rule(
-                "rng_+", f"r={_lit(r)},s={_lit(s)}",
-                _delta(2) >> (_term.zspider(1, 1, r) @ _term.zspider(1, 1, s)) >> _mu(2),
-                _term.zspider(1, 1, r + s), ring))
+                "rng_+", f"r={format_literal(r)},s={format_literal(s)}",
+                w_comonoid(2) >> (zspider(1, 1, r) @ zspider(1, 1, s)) >> w_monoid(2),
+                zspider(1, 1, r + s), ring))
     return out
 
 
@@ -289,37 +269,39 @@ def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
     out = []
     for n in range(0, bounds.max_nm + 1):
         rot = list(range(1, n + 1)) + [0]
-        lhs = (_delta(n) @ _term.ID) >> _term.crossing_perm(rot)
-        rhs = _term.X >> (_term.ID @ _delta(n))
+        lhs = (w_comonoid(n) @ _term.ID) >> _term.crossing_perm(rot)
+        rhs = _term.X >> (_term.ID @ w_comonoid(n))
         out.append(_rule("xnat", f"n={n}", lhs, rhs, ring))
     for n in range(0, bounds.max_nm + 1):
         negs = _term.par_all([_term.negate()] * n)
-        lhs = _zc(n, one) >> negs if n else _zc(0, one)
-        rhs = _term.negate() >> _zc(n, one)
+        lhs = zspider(1, n, one) >> negs if n else zspider(1, 0, one)
+        rhs = _term.negate() >> zspider(1, n, one)
         out.append(_rule("aut", f"n={n}", lhs, rhs, ring))
     for n in range(2, bounds.max_spider_arity + 1):
         for r in labels:
-            out.append(_rule("lp", f"n={n},r={_lit(r)}",
-                             _zc(n, r) >> _mu(n), _delta(0) >> _mu(0), ring))
+            lhs = zspider(1, n, r) >> w_monoid(n)
+            out.append(_rule("lp", f"n={n},r={format_literal(r)}", lhs,
+                             w_comonoid(0) >> w_monoid(0), ring))
     sum_tuples = [(), *((r,) for r in labels)]
     pool = labels * 3
     sum_tuples += [tuple(pool[:2]), tuple(pool[1:3]), tuple(pool[2:5:2]),
                    tuple(pool[:3])]
     for rs in sum_tuples:
         n = len(rs)
-        mids = _term.par_all([_term.zspider(1, 1, r) for r in rs])
-        lhs = _delta(n) >> mids >> _mu(n) if n else _delta(0) >> _mu(0)
+        mids = _term.par_all([zspider(1, 1, r) for r in rs])
+        lhs = w_comonoid(n) >> mids >> w_monoid(n) if n else w_comonoid(0) >> w_monoid(0)
         total = _ring.zero(ring)
         for r in rs:
             total = total + r
-        rhs = _term.zspider(1, 1, total)
-        out.append(_rule("sum", "rs=" + ",".join(_lit(r) for r in rs), lhs, rhs, ring))
+        rhs = zspider(1, 1, total)
+        params = "rs=" + ",".join(format_literal(r) for r in rs)
+        out.append(_rule("sum", params, lhs, rhs, ring))
     for r in labels:
-        out.append(_rule("crossminus", f"r={_lit(r)}",
-                         _zc(2, r) >> _term.X, _zc(2, -r), ring))
+        out.append(_rule("crossminus", f"r={format_literal(r)}",
+                         zspider(1, 2, r) >> _term.X, zspider(1, 2, -r), ring))
     out.append(_rule("hopf", "",
-                     _delta(2) >> (_term.ID @ _term.twist()) >> _mu(2),
-                     _delta(0) >> _mu(0), ring))
+                     w_comonoid(2) >> (_term.ID @ _term.twist()) >> w_monoid(2),
+                     w_comonoid(0) >> w_monoid(0), ring))
     out.extend(_lemma_schema_instances(ring))
     # the generalized bialgebra squares are derivable as well as axiomatic
     for inst in axiom_instances(RuleBounds(bounds.max_spider_arity, bounds.max_nm,
@@ -341,12 +323,12 @@ def _lemma_schema_instances(ring: RingDescriptor) -> list[RuleInstance]:
     out = []
     for j in range(3):
         lhs = _nf.nf_to_term(sample) >> _term.par_all(
-            [_wires(j), _term.negate(), _wires(2 - j)])
+            [identity(j), _term.negate(), identity(2 - j)])
         rhs = _nf.nf_to_term(_nf.nf_negate(sample, j))
         out.append(_rule("negation", f"j={j}", lhs, rhs, ring))
     for j, k in [(0, 1), (0, 2), (1, 2)]:
-        plug = _term.par_all([_wires(j), _term.CAP, _wires(1)]) if (j, k) == (0, 1) \
-            else _term.par_all([_wires(1), _term.CAP]) if (j, k) == (1, 2) \
+        plug = _term.par_all([identity(j), _term.CAP, identity(1)]) if (j, k) == (0, 1) \
+            else _term.par_all([identity(1), _term.CAP]) if (j, k) == (1, 2) \
             else (_term.par_all([_term.ID, _term.SWAP])
                   >> _term.par_all([_term.CAP, _term.ID]))
         lhs = _nf.nf_to_term(sample) >> plug
@@ -395,9 +377,9 @@ def check_all(instances, desc: RingDescriptor) -> list[RuleReport]:
 def mutate(r: RuleInstance) -> RuleInstance:
     """Negative control: damage the left side with a stray binary node."""
     if r.lhs.n_out >= 1:
-        lhs = r.lhs >> _term.par_all([_term.negate(), _wires(r.lhs.n_out - 1)])
+        lhs = r.lhs >> _term.par_all([_term.negate(), identity(r.lhs.n_out - 1)])
     elif r.lhs.n_in >= 1:
-        lhs = _term.par_all([_term.negate(), _wires(r.lhs.n_in - 1)]) >> r.lhs
+        lhs = _term.par_all([_term.negate(), identity(r.lhs.n_in - 1)]) >> r.lhs
     else:
         flip = parse("z(0,1)[-1] ; w(1,0)", _ring.Qi())  # the scalar -1
         lhs = r.lhs @ flip

@@ -13,15 +13,18 @@ densified, so states with few amplitudes stay small on any number of wires.
 
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,
-:func:`zwcalc.qudit.generator_entries`.  :func:`generator_map` builds each
-generator's table once per ``(generator, ring, d)`` and every leaf shares
-it read-only, with the index a layer join looks its entries up by.
+:func:`zwcalc.qudit.generator_entries`.  :func:`generator_map` checks d,
+builds each generator's table once per ``(generator, ring, d)``, and
+every leaf shares it read-only, with its raw values (ints, Gaussian
+rationals, complex numbers) indexed for the join.  The join multiplies
+raw values with the ring's own operations; a result holds ring elements.
 
 Maps are immutable once built; evaluation is pure.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -55,14 +58,10 @@ class SparseMap:
         return not self.entries
 
     @cached_property
-    def _by_input(self) -> dict[Word, list[tuple[Word, RingElement]]]:
-        """(output word, value) pairs by input word, as a layer join looks
-        this map up; built on first use and kept with the map (not a
-        field), so a shared generator table is indexed once."""
-        index: dict[Word, list] = {}
-        for (w, u), v in self.entries.items():
-            index.setdefault(u, []).append((w, v))
-        return index
+    def _raw(self) -> _RawMap:
+        """Raw values and their index, kept with the map (not a field)."""
+        entries = {k: v.value for k, v in self.entries.items()}
+        return _RawMap(self.n_in, self.n_out, entries, _by_input(entries))
 
     def scalar(self) -> RingElement:
         """The value of a (0, 0) map."""
@@ -71,9 +70,24 @@ class SparseMap:
         return self.entries.get(("", ""), _ring.zero(self.ring))
 
 
+# a map inside a layer join: raw entries in SparseMap order, a table's index or None
+_RawMap = namedtuple("_RawMap", "n_in n_out entries by_input")
+
+
+def _by_input(entries: dict) -> dict[Word, list]:
+    """(output word, value) pairs by input word, as a layer join looks them up."""
+    index: dict[Word, list] = {}
+    for (w, u), v in entries.items():
+        index.setdefault(u, []).append((w, v))
+    return index
+
+
 def _clean(ring: RingDescriptor, entries: dict) -> dict:
-    zero = _ring.zero(ring)
-    return {k: v for k, v in entries.items() if not _ring.ring_equal(v, zero)}
+    """The nonzero entries, each checked to live in ``ring``."""
+    if any(v.ring is not ring and v.ring != ring for v in entries.values()):
+        raise _ring.RingMismatchError(f"an entry does not live in {ring}")
+    eq, zero = ring.eq, ring.zero.value
+    return {k: v for k, v in entries.items() if not eq(v.value, zero)}
 
 
 def make_map(ring, d, n_in, n_out, entries) -> SparseMap:
@@ -96,70 +110,79 @@ def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
 def _generator_map(g: Generator, ring: RingDescriptor, d: int, label_repr) -> SparseMap:
     from . import qudit  # deferred: qudit builds on this module
 
+    _check_dimension(ring, d)
     if g.label is not None and g.label.ring != ring:
         raise _ring.RingMismatchError(f"label {g.label} does not live in {ring}")
     entries = qudit.generator_entries(g, ring, d)
     return SparseMap(ring, d, g.n_in, g.n_out, MappingProxyType(entries))
 
 
-def _apply_blocks(a: SparseMap | None, blocks: list[SparseMap],
-                  ring: RingDescriptor, d: int) -> SparseMap:
+def _check_dimension(ring: RingDescriptor, d: int) -> None:
+    """Exact rings run at d = 2, the approximate complex ring at 2..10."""
+    if d < 2:
+        raise ArityError("dimension must be >= 2")
+    if d > 2 and ring.exact:
+        raise UnsupportedOperationError("dimensions above 2 need the approximate complex ring")
+    if not ring.exact:
+        from . import qudit  # deferred: qudit builds on this module
+        qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
+
+
+def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor) -> _RawMap:
     """Compose ``a`` with a parallel layer of blocks without ever building
     the layer's own map; wide identity padding stays free this way.
 
     With ``a = None`` the layer opens a chain and its inputs stay open:
     starting from the first block's entries, each further block entry
     adds its input letters to the input word and its output letters to
-    the output word.  A lone opening block is returned."""
+    the output word.  A lone opening block is returned.  The values are
+    raw, all from tables of ``ring``, so no product checks the ring again."""
+    mul, add = ring.ops["mul"], ring.ops["add"]
     if a is None:
         if len(blocks) == 1:
             return blocks[0]
         # the empty layer is the unit row
-        partial = blocks[0].entries.items() if blocks else [(("", ""), _ring.one(ring))]
+        partial = blocks[0].entries.items() if blocks else [(("", ""), ring.one.value)]
         for b in blocks[1:]:
-            partial = [((w + bw, u + bu), v * bv)
+            partial = [((w + bw, u + bu), mul(v, bv))
                        for (w, u), v in partial for (bw, bu), bv in b.entries.items()]
         acc = dict(partial)  # the blocks' keys are distinct, so these are too
         n_in = sum(b.n_in for b in blocks)
     else:
+        # block by block over a's entries: (output word so far, middle, input, value)
+        rows = [("", mid, u, v) for (mid, u), v in a.entries.items()]
+        pos = 0
+        for b in blocks:
+            index = _by_input(b.entries) if b.by_input is None else b.by_input
+            end = pos + b.n_in
+            rows = [(w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
+                    for bw, bv in index.get(mid[pos:end], ())]
+            pos = end
         acc = {}
-        for (mid, u), base in a.entries.items():
-            partial = [("", base)]
-            pos = 0
-            for b in blocks:
-                matches = b._by_input.get(mid[pos:pos + b.n_in])
-                pos += b.n_in
-                if not matches:
-                    partial = []
-                    break
-                partial = [(w + bw, v * bv) for w, v in partial for bw, bv in matches]
-            for w, v in partial:
-                key = (w, u)
-                acc[key] = acc[key] + v if key in acc else v
+        for w, _, u, v in rows:
+            key = (w, u)
+            acc[key] = add(acc[key], v) if key in acc else v
         n_in = a.n_in
-    return SparseMap(ring, d, n_in, sum(b.n_out for b in blocks), _clean(ring, acc))
+    eq, zero = ring.eq, ring.zero.value
+    return _RawMap(n_in, sum(b.n_out for b in blocks),
+                   {k: v for k, v in acc.items() if not eq(v, zero)}, None)
 
 
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     """Evaluate a term to its sparse map over ``ring`` at dimension ``d``.
 
-    Exact rings require d = 2; the qudit tables (any d >= 2) require the
-    approximate complex ring.  Generator leaves read the shared tables of
-    :func:`generator_map`, so the map of a bare generator is that table,
-    with read-only entries.
+    Exact rings require d = 2; the qudit tables (d in 2..10) require the
+    approximate complex ring.  A bare generator's map is its shared table
+    from :func:`generator_map`, with read-only entries; other maps are
+    joined on raw values and wrapped as ring elements at the end.
     """
-    if d < 2:
-        raise ArityError("dimension must be >= 2")
-    if d > 2 and ring.exact:
-        raise UnsupportedOperationError(
-            "dimensions above 2 need the approximate complex ring")
-    if not ring.exact:
-        from . import qudit  # deferred: qudit builds on this module
-
-        qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
-
-    return _term.fold(t, lambda g: generator_map(g, ring, d),
-                      lambda acc, blocks: _apply_blocks(acc, blocks, ring, d))
+    _check_dimension(ring, d)
+    if isinstance(t, _term.Gen):
+        return generator_map(t.gen, ring, d)
+    m = _term.fold(t, lambda g: generator_map(g, ring, d)._raw,
+                   lambda acc, blocks: _apply_blocks(acc, blocks, ring))
+    return SparseMap(ring, d, m.n_in, m.n_out,
+                     {k: RingElement(ring, v) for k, v in m.entries.items()})
 
 
 def map_equal(a: SparseMap, b: SparseMap) -> bool:
@@ -168,21 +191,21 @@ def map_equal(a: SparseMap, b: SparseMap) -> bool:
         raise _ring.RingMismatchError(f"maps over {a.ring} and {b.ring}")
     if a.d != b.d or (a.n_in, a.n_out) != (b.n_in, b.n_out):
         return False
-    zero = _ring.zero(a.ring)
-    for key in a.entries.keys() | b.entries.keys():
-        if not _ring.ring_equal(a.entries.get(key, zero), b.entries.get(key, zero)):
-            return False
-    return True
+    eq, zero = a.ring.eq, a.ring.zero
+    return all(eq(a.entries.get(key, zero).value, b.entries.get(key, zero).value)
+               for key in a.entries.keys() | b.entries.keys())
 
 
 def first_difference(a: SparseMap, b: SparseMap):
     """The smallest (out, in) key where the two maps differ, or None."""
+    if a.ring != b.ring:
+        raise _ring.RingMismatchError(f"maps over {a.ring} and {b.ring}")
     if a.d != b.d or (a.n_in, a.n_out) != (b.n_in, b.n_out):
         return ("<arity>", "<arity>", f"{a.n_in}->{a.n_out}", f"{b.n_in}->{b.n_out}")
-    zero = _ring.zero(a.ring)
+    eq, zero = a.ring.eq, a.ring.zero
     for key in sorted(a.entries.keys() | b.entries.keys()):
         va, vb = a.entries.get(key, zero), b.entries.get(key, zero)
-        if not _ring.ring_equal(va, vb):
+        if not eq(va.value, vb.value):
             return (key[0], key[1], str(va), str(vb))
     return None
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwcalc import normalform, semantics
+from zwcalc import normalform, rules, semantics
 from zwcalc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -343,6 +343,34 @@ def test_unwritable_output_exits_2(tmp_path, capsys, target):
     # the report table follows the JSON, so the error is the first line
     code, out, err = run(capsys, "check-qudit", "--output", target.format(tmp=tmp_path))
     assert code == 2 and out == "" and err.startswith("error: cannot write")
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, on the descriptor of ``path``."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("status", [0, 1])
+def test_closed_stdout_keeps_the_exit_status(tmp_path, capsys, monkeypatch, status):
+    if status:  # plant a failed rule
+        failed = rules.RuleReport("adj_L", "", False, ("0", "0", "1", "2"))
+        monkeypatch.setattr(rules, "check_all", lambda instances, r: [failed])
+    stdout = _ClosedStdout(tmp_path / "out")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["check-axioms", "--max-arity", "1", "--max-nm", "1"]) == status
+    os.write(stdout.fd, b"later output")  # the descriptor now leads to devnull
+    os.close(stdout.fd)
+    assert (tmp_path / "out").read_bytes() == b""
+    assert "BrokenPipe" not in capsys.readouterr().err
 
 
 def test_negative_arity_state_exits_2(capsys):

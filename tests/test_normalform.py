@@ -339,18 +339,18 @@ def test_opening_layer_starts_from_its_first_block(monkeypatch):
     t = term.parse("ket(0) * ket(1) * ket(0)", Z)
     want = interpret(t, Z), normalize(t, Z)
     calls = []
-    real = ring.ring_arith
+    real = Z.ops["mul"]
 
-    def counting(op, a, b):
-        calls.append(op)
-        return real(op, a, b)
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
 
-    monkeypatch.setattr(ring, "ring_arith", counting)
+    monkeypatch.setitem(Z.ops, "mul", counting)
     m = interpret(t, Z)
-    assert calls == ["mul", "mul"]
+    assert len(calls) == 2
     calls.clear()
     nf = normalize(t, Z)
-    assert calls == ["mul", "mul"]
+    assert len(calls) == 2
     assert m.entries == want[0].entries and nf == want[1]
     assert rows_of(nf.nf) == [("1", "010")]
 
@@ -362,17 +362,17 @@ def test_only_the_shared_id_table_copies_its_segment(monkeypatch):
     t = term.parse("w(0,3) ; (id * w(2,1)) ; x", Z)
     want = normalize(t, Z)
     calls = []
-    real_arith, real_nf = ring.ring_arith, normalform.generator_nf
+    real_mul, real_nf = Z.ops["mul"], normalform.generator_nf
 
-    def counting(op, a, b):
-        calls.append(op)
-        return real_arith(op, a, b)
+    def counting(a, b):
+        calls.append((a, b))
+        return real_mul(a, b)
 
     def rebuilt(g, r):
         m = real_nf(g, r)
         return MapNormalForm(m.n_in, m.n_out, m.nf) if g.kind == "id" else m
 
-    monkeypatch.setattr(ring, "ring_arith", counting)
+    monkeypatch.setitem(Z.ops, "mul", counting)
     assert normalize(t, Z) == want
     shared = len(calls)
     calls.clear()

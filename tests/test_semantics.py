@@ -255,3 +255,44 @@ def test_generator_errors_are_raised_on_every_call():
     for _ in range(2):
         with pytest.raises(QuditError):
             generator_map(term.wspider(1, 2).gen, ring.C(), 11)
+
+
+@pytest.mark.parametrize("g", [term.ID.gen, term.ket(0).gen, term.wspider(1, 2).gen,
+                               term.zspider(0, 2, ring.one(ring.C())).gen])
+def test_generator_map_checks_the_dimension_as_interpret_does(g):
+    from zwcalc.qudit import QuditError
+    from zwcalc.semantics import generator_map
+
+    C = ring.C()
+    exact = g.label is None
+    cases = [(C, 1, term.ArityError), (C, 11, QuditError)]
+    if exact:
+        cases += [(Z, 1, term.ArityError), (Z, 3, UnsupportedOperationError),
+                  (QI, 0, term.ArityError), (QI, 4, UnsupportedOperationError)]
+    for r, d, error in cases:
+        for _ in range(2):  # errors are not cached
+            with pytest.raises(error):
+                generator_map(g, r, d)
+            with pytest.raises(error):
+                interpret(term.Gen(g), r, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["Z", "Zn6", "Qi", "C"]))
+def test_results_hold_ring_elements_of_the_call_ring(seed, name):
+    # the joins run on raw values; every result wraps them again
+    from zwcalc import normalform
+
+    r = {"Z": Z, "Zn6": ring.Zn(6), "Qi": QI, "C": ring.C()}[name]
+    d = 3 if name == "C" else 2
+    labels = [ring.parse_literal(r, s) for s in ("2", "-1", "0", "3")]
+    t = helpers.random_term(random.Random(seed), labels)
+    m = interpret(t, r, d)
+    values = list(m.entries.values())
+    to_json_dict(m)
+    if r.exact:
+        nf = normalform.normalize(t, r)
+        values += [c for c, _ in nf.nf.rows]
+        normalform.to_json_dict(nf.nf)
+    assert all(type(v) is ring.RingElement and v.ring == r for v in values)
