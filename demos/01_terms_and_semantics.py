@@ -12,7 +12,7 @@ QI = ring.Qi()
 
 # The tripartite white spider is the unnormalised GHZ state,
 # the black spider the W state.
-ghz = term.zspider(0, 3, ring.one(Z))
+ghz = term.zspider(0, 3, Z.one)
 w3 = term.wspider(0, 3)
 
 print("GHZ amplitudes:", to_json_dict(interpret(ghz, Z))["entries"])

@@ -43,4 +43,4 @@ print(" ", check_rule(inst, R))
 
 # Negative control: break the left side and watch the witness appear.
 print("\ndamaged instance:")
-print(" ", check_rule(mutate(inst), R))
+print(" ", check_rule(mutate(inst, R), R))

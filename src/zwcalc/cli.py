@@ -91,11 +91,15 @@ def _emit_verdict(data: dict, rep: _rules.RuleReport, args) -> int:
     return 0 if rep.passed else 1
 
 
-def _bounds_from_flags(args) -> _rules.RuleBounds:
+def _bounds_from_flags(args, ring: _ring.RingDescriptor) -> _rules.RuleBounds:
+    """The catalogue's bounds; each given label must be a literal of ``ring``."""
     if min(args.max_arity, args.max_nm) < 0:
         raise UsageError("--max-arity and --max-nm must be >= 0")
-    labels = tuple(args.labels.split(",")) if args.labels else \
-        _rules.DEFAULT_BOUNDS.label_samples
+    if not args.labels:
+        return _rules.RuleBounds(args.max_arity, args.max_nm)
+    labels = tuple(args.labels.split(","))
+    for text in labels:
+        _ring.parse_literal(ring, text)  # RingError: exit 2
     return _rules.RuleBounds(args.max_arity, args.max_nm, labels)
 
 
@@ -103,7 +107,7 @@ def _cmd_check_rules(args) -> int:
     ring = _ring_from_flags(args)
     build = (_rules.axiom_instances if args.verb == "check-axioms"
              else _rules.derived_instances)
-    reports = _rules.check_all(build(_bounds_from_flags(args), ring), ring)
+    reports = _rules.check_all(build(_bounds_from_flags(args, ring), ring), ring)
     failed = [r for r in reports if not r.passed]
     _emit({
         "ring": str(ring),
@@ -190,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-arity", type=int,
                         default=_rules.DEFAULT_BOUNDS.max_spider_arity)
         sp.add_argument("--max-nm", type=int, default=_rules.DEFAULT_BOUNDS.max_nm)
-        sp.add_argument("--labels", default=None, help="comma-separated label literals")
+        sp.add_argument("--labels", default=None,
+                        help="comma-separated literals of --ring")
     verb("check-qudit", _cmd_check_qudit, "anyonic law checks at dimension d",
          rings=(), tol=True, d=True)
     sp = verb("universal", _cmd_universal, "rebuild a JSON state as a diagram and verify",

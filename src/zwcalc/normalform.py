@@ -201,7 +201,7 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     states.  Transposing any wires of a spider leaves its bent state
     unchanged, so one table per spider covers every transpose.  Normal
     forms are immutable, so each table is built once per ring."""
-    one = _ring.one(ring)
+    one = ring.one
     kind = g.kind
     if kind in ("id", "cup", "cap"):
         rows = [(one, "00"), (one, "11")]

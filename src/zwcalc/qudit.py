@@ -3,7 +3,9 @@
 Everything here is driven by ``q = exp(2 pi i / d)``, a primitive d-th
 root of unity.  The deformed integers ``[n] = 1 + q + ... + q^(n-1)``
 vanish at ``n = d``, which truncates the particle ladder to d levels.
-Words spell one level per character, so d runs from 2 to 10.
+Words spell one level per character, so d runs from 2 to 10.  q is
+primitive by construction, so :class:`QParams` checks only its inputs:
+d in 2..10 and a tolerance in ``0 < T < |q - 1|``.
 
 :func:`generator_entries` is the one generator table of ``interpret``, for
 every ring; over C it holds the anyonic generators, with levels ``j, k, n``
@@ -68,14 +70,9 @@ class QParams:
             raise QuditError("dimension must be >= 2")
         if self.d > 10:
             raise QuditError(f"dimension {self.d} > 10: words spell one level per character")
-        if not self.tolerance > 0:
-            raise QuditError("tolerance must be positive")
-        q = self.q
-        if abs(q ** self.d - 1) > self.tolerance:
-            raise QuditError("q is not a d-th root of unity")
-        for k in range(1, self.d):
-            if abs(q ** k - 1) <= self.tolerance:
-                raise QuditError("q is not primitive")
+        gap = abs(self.q - 1)  # no other power q^k, 0 < k < d, lies nearer to 1
+        if not 0 < self.tolerance < gap:
+            raise QuditError(f"tolerance {self.tolerance} not in 0 < T < |q - 1| = {gap:.6g}")
 
     @cached_property
     def q(self) -> complex:
@@ -105,11 +102,9 @@ def q_binom(n: int, k: int, p: QParams) -> complex:
 
 
 class QBinomialTable(NamedTuple):
-    """q-integers and factorials for levels 0..d, and for levels below d
-    the binomials, their square roots and the roots of the factorials."""
+    """For levels below d: the q-binomials, their square roots and the
+    roots of the q-factorials."""
 
-    ints: list
-    factorials: list
     binomials: list
     sqrt_binomials: list
     sqrt_factorials: list
@@ -126,13 +121,10 @@ def _sqrt_binom(d: int, n: int, k: int) -> complex:
 @lru_cache(maxsize=None)
 def binomial_table(p: QParams) -> QBinomialTable:
     d = p.d
-    facts = [q_factorial(n, p) for n in range(d + 1)]
     return QBinomialTable(
-        ints=[q_int(n, p) for n in range(d + 1)],
-        factorials=facts,
         binomials=[[q_binom(n, k, p) for k in range(n + 1)] for n in range(d)],
         sqrt_binomials=[[_sqrt_binom(d, n, k) for k in range(n + 1)] for n in range(d)],
-        sqrt_factorials=[cmath.sqrt(v) for v in facts[:d]],
+        sqrt_factorials=[cmath.sqrt(q_factorial(n, p)) for n in range(d)],
     )
 
 
@@ -192,7 +184,7 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int) -> dict:
     ``z(k, m)[u]`` has entry ``c_l^(k+m-2) u^l`` on level l, with
     ``c_l = sqrt([l]!)``.
     """
-    one = _ring.one(ring)
+    one = ring.one
     kind, k, m = g.kind, g.n_in, g.n_out
     levels = "0123456789"[:d]
     if kind == "id":
@@ -215,7 +207,7 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int) -> dict:
             words = ("0" * pos + "1" + "0" * (k + m - 1 - pos) for pos in range(k + m))
             return {(word[k:], word[:k]): one for word in words}
         ent = {("0" * m, "0" * k): one}
-        if not _ring.ring_equal(g.label, _ring.zero(ring)):
+        if not _ring.ring_equal(g.label, ring.zero):
             ent["1" * m, "1" * k] = g.label
         return ent
     p = QParams(d, tolerance=ring.tolerance)
@@ -331,9 +323,9 @@ def check_commutation(p: QParams) -> RuleReport:
     create = (_term.ket(1) @ _term.ID) >> _term.wspider(2, 1)
     annihilate = _term.wspider(1, 2) >> (_term.bra(1) @ _term.ID)
     q = _ring.complex_value(ring, p.q)
-    rhs = {(str(n), str(n)): _ring.one(ring) for n in range(d)}
+    rhs = {(str(n), str(n)): ring.one for n in range(d)}
     for key, v in interpret(annihilate >> create, ring, d).entries.items():
-        rhs[key] = rhs.get(key, _ring.zero(ring)) + q * v
+        rhs[key] = rhs.get(key, ring.zero) + q * v
     return check_maps("commutation", f"d={d}", interpret(create >> annihilate, ring, d),
                       make_map(ring, d, 1, 1, rhs))
 

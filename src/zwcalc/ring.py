@@ -244,14 +244,6 @@ def ring_equal(a: RingElement, b: RingElement) -> bool:
     return _check_same(a, b).eq(a.value, b.value)
 
 
-def zero(ring: RingDescriptor) -> RingElement:
-    return ring.zero
-
-
-def one(ring: RingDescriptor) -> RingElement:
-    return ring.one
-
-
 def from_int(ring: RingDescriptor, k: int) -> RingElement:
     return RingElement(ring, ring.of_int(k))
 

@@ -9,7 +9,10 @@ no bottom layer and n all-ones words
 (:func:`zwcalc.normalform.canonical_diagram`).  A rule's two
 sides are built as term-grammar strings first and parsed back, so the
 whole catalogue can be dumped to a plain text file and audited line by
-line; see :func:`write_catalog`.
+line; see :func:`write_catalog`.  The catalogue's ring is ``QI``, the
+Gaussian rationals, unless a caller passes another.  :func:`mutate`
+builds a negative control, and the scalar -1 it puts beside a closed
+rule lives in the ring the control is checked in.
 
 :func:`check_maps` is zwcalc's one verdict on two maps: the rule
 checks, the anyonic laws of :mod:`zwcalc.qudit` and the command line's
@@ -83,6 +86,7 @@ class RuleBounds:
 
 
 DEFAULT_BOUNDS = RuleBounds()
+QI = _ring.Qi()
 
 
 def labels_for(ring: RingDescriptor, bounds: RuleBounds) -> list[RingElement]:
@@ -142,15 +146,15 @@ def _fixed_rules(ring: RingDescriptor) -> list[RuleInstance]:
         _rule("ant_x_n", "", (_term.negate() @ _term.ID) >> _term.X,
               _term.X >> (tw @ _term.negate()), ring),
         _rule("frm", "", tw >> tw, _term.ID, ring),
-        _rule("id", "", zspider(1, 1, _ring.one(ring)), _term.ID, ring),
-        _rule("rng_1", "", zspider(1, 1, _ring.one(ring)), _term.ID, ring),
-        _rule("rng_-1", "", zspider(1, 1, -_ring.one(ring)), tw, ring),
+        _rule("id", "", zspider(1, 1, ring.one), _term.ID, ring),
+        _rule("rng_1", "", zspider(1, 1, ring.one), _term.ID, ring),
+        _rule("rng_-1", "", zspider(1, 1, -ring.one), tw, ring),
         _rule("ph", "",
-              zspider(1, 2, _ring.one(ring)) >> (tw @ _term.ID),
-              tw >> zspider(1, 2, _ring.one(ring)), ring),
+              zspider(1, 2, ring.one) >> (tw @ _term.ID),
+              tw >> zspider(1, 2, ring.one), ring),
         _rule("nat_c_n", "",
-              zspider(1, 2, _ring.one(ring)) >> (_term.negate() @ _term.negate()),
-              _term.negate() >> zspider(1, 2, _ring.one(ring)), ring),
+              zspider(1, 2, ring.one) >> (_term.negate() @ _term.negate()),
+              _term.negate() >> zspider(1, 2, ring.one), ring),
     ]
     return out
 
@@ -165,9 +169,8 @@ def _join(a: Term, leg_a: int, b: Term, through_tick: bool) -> Term:
 
 
 def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
-                    ring: RingDescriptor | None = None) -> list[RuleInstance]:
+                    ring: RingDescriptor = QI) -> list[RuleInstance]:
     """One instance per axiom per admissible parameter tuple."""
-    ring = _ring.Qi() if ring is None else ring
     labels = labels_for(ring, bounds)
     two = _ring.from_int(ring, 2)
     three = _ring.from_int(ring, 3)
@@ -261,11 +264,10 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
 
 
 def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
-                      ring: RingDescriptor | None = None) -> list[RuleInstance]:
+                      ring: RingDescriptor = QI) -> list[RuleInstance]:
     """Instances of the derived rules; the checker treats them like axioms."""
-    ring = _ring.Qi() if ring is None else ring
     labels = labels_for(ring, bounds)
-    one = _ring.one(ring)
+    one = ring.one
     out = []
     for n in range(0, bounds.max_nm + 1):
         rot = list(range(1, n + 1)) + [0]
@@ -290,7 +292,7 @@ def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
         n = len(rs)
         mids = _term.par_all([zspider(1, 1, r) for r in rs])
         lhs = w_comonoid(n) >> mids >> w_monoid(n) if n else w_comonoid(0) >> w_monoid(0)
-        total = _ring.zero(ring)
+        total = ring.zero
         for r in rs:
             total = total + r
         rhs = zspider(1, 1, total)
@@ -315,7 +317,7 @@ def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
 def _lemma_schema_instances(ring: RingDescriptor) -> list[RuleInstance]:
     """Negation, trace and absorption, stated on concrete small diagrams
     via the canonical-form builders."""
-    one = _ring.one(ring)
+    one = ring.one
     two = _ring.from_int(ring, 2)
     m_two = -two
     sample = _nf.canonicalize(_nf.PreNormalForm(2, 3, (
@@ -351,7 +353,7 @@ def check_maps(name: str, params: str, lhs: SparseMap, rhs: SparseMap) -> RuleRe
     passed = map_equal(lhs, rhs)
     max_error = None
     if not lhs.ring.exact and (lhs.d, lhs.n_in, lhs.n_out) == (rhs.d, rhs.n_in, rhs.n_out):
-        a, b, zero = lhs.entries, rhs.entries, _ring.zero(lhs.ring)
+        a, b, zero = lhs.entries, rhs.entries, lhs.ring.zero
         max_error = max((abs(a.get(k, zero).value - b.get(k, zero).value)
                          for k in a.keys() | b.keys()), default=0.0)
     return RuleReport(name, params, passed,
@@ -374,14 +376,15 @@ def check_all(instances, desc: RingDescriptor) -> list[RuleReport]:
     return reports
 
 
-def mutate(r: RuleInstance) -> RuleInstance:
-    """Negative control: damage the left side with a stray binary node."""
+def mutate(r: RuleInstance, ring: RingDescriptor = QI) -> RuleInstance:
+    """Negative control: damage the left side with a stray binary node, or
+    a closed one with the scalar -1 of ``ring``, the ring it is checked in."""
     if r.lhs.n_out >= 1:
         lhs = r.lhs >> _term.par_all([_term.negate(), identity(r.lhs.n_out - 1)])
     elif r.lhs.n_in >= 1:
         lhs = _term.par_all([_term.negate(), identity(r.lhs.n_in - 1)]) >> r.lhs
     else:
-        flip = parse("z(0,1)[-1] ; w(1,0)", _ring.Qi())  # the scalar -1
+        flip = parse("z(0,1)[-1] ; w(1,0)", ring)  # the scalar -1
         lhs = r.lhs @ flip
     return RuleInstance("mut_" + r.name, r.params, lhs, r.rhs,
                         render(lhs), r.rhs_text)
@@ -390,16 +393,14 @@ def mutate(r: RuleInstance) -> RuleInstance:
 # --- catalogue file --------------------------------------------------------
 
 def write_catalog(path: str | Path, bounds: RuleBounds = DEFAULT_BOUNDS,
-                  ring: RingDescriptor | None = None) -> None:
-    ring = _ring.Qi() if ring is None else ring
+                  ring: RingDescriptor = QI) -> None:
     lines = []
     for inst in axiom_instances(bounds, ring) + derived_instances(bounds, ring):
         lines.append(f"{inst.name} | {inst.params} | {inst.lhs_text} | {inst.rhs_text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_catalog(path: str | Path, ring: RingDescriptor | None = None) -> list[RuleInstance]:
-    ring = _ring.Qi() if ring is None else ring
+def load_catalog(path: str | Path, ring: RingDescriptor = QI) -> list[RuleInstance]:
     out = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()

@@ -67,7 +67,7 @@ class SparseMap:
         """The value of a (0, 0) map."""
         if (self.n_in, self.n_out) != (0, 0):
             raise ArityError("not a scalar map")
-        return self.entries.get(("", ""), _ring.zero(self.ring))
+        return self.entries.get(("", ""), self.ring.zero)
 
 
 # a map inside a layer join: raw entries in SparseMap order, a table's index or None

@@ -462,14 +462,13 @@ def _reduce(terms: list[Term], ops: list[str], floor: int, pos: int) -> None:
             raise ParseError(str(exc), pos) from None
 
 
-def parse(text: str, ring: RingDescriptor | None = None) -> Term:
+def parse(text: str, ring: RingDescriptor = _ring.Qi()) -> Term:
     """Parse the term grammar; labels are read as literals of ``ring``
     (Gaussian rationals by default).
 
     Operator precedence on two explicit stacks (Dijkstra's shunting-yard):
     ``*`` binds tighter than ``;``, both associate to the left, and
     brackets may nest to any depth."""
-    ring = _ring.Qi() if ring is None else ring
     terms: list[Term] = []
     ops: list[str] = []  # pending ';', '*' and '('
     pos, operand = 0, True  # operand: a term must start at pos

@@ -29,8 +29,8 @@ def _kron(a, b):
 
 
 def _gen_matrix(g, ring):
-    one = zring.one(ring)
-    zero = zring.zero(ring)
+    one = ring.one
+    zero = ring.zero
 
     def mat(rows, cols):
         m = np.empty((rows, cols), dtype=object)
@@ -86,7 +86,7 @@ def dense_evaluate(t: Term, ring) -> np.ndarray:
     """Dense matrix of a d=2 term, 2^n_out x 2^n_in, object entries."""
     if isinstance(t, _Empty):
         m = np.empty((1, 1), dtype=object)
-        m[0, 0] = zring.one(ring)
+        m[0, 0] = ring.one
         return m
     if isinstance(t, Gen):
         return _gen_matrix(t.gen, ring)
@@ -99,7 +99,7 @@ def dense_evaluate(t: Term, ring) -> np.ndarray:
 
 def sparse_to_dense(m, ring) -> np.ndarray:
     out = np.empty((2 ** m.n_out, 2 ** m.n_in), dtype=object)
-    out[:] = zring.zero(ring)
+    out[:] = ring.zero
     for (w, u), v in m.entries.items():
         r = int(w, 2) if w else 0
         c = int(u, 2) if u else 0

@@ -133,6 +133,14 @@ def test_check_qudit_every_dimension(capsys, d):
     assert code == 0 and json.loads(out)["failed"] == 0
 
 
+def test_tolerance_below_float_rounding_runs(capsys):
+    # |q^d - 1| is float rounding and no longer bounds --tol from below
+    code, out, _ = run(capsys, "eval", "--ring", "C", "--tol", "1e-16", "id")
+    assert code == 0 and json.loads(out)["d"] == 2
+    code, out, err = run(capsys, "check-qudit", "--d", "3", "--tol", "1e-300")
+    assert code == 1 and json.loads(out)["failed"] >= 1 and " FAIL at " in err
+
+
 @pytest.mark.parametrize("d", ["1", "11"])
 def test_check_qudit_rejects_dimension(capsys, d):
     code, out, err = run(capsys, "check-qudit", "--d", d)
@@ -384,6 +392,14 @@ def test_negative_rule_bound_exits_2(capsys, flag):
     # a negative bound would read as empty rule families and exit 0
     code, out, err = run(capsys, "check-axioms", "--max-arity", "1", "--max-nm", "1", flag, "-1")
     assert code == 2 and out == "" and err.startswith("error: --max-arity and --max-nm must be >= 0")
+
+
+@pytest.mark.parametrize("argv", [["--labels", "x"], ["--ring", "Z", "--labels", "1,i"]])
+def test_labels_must_be_literals_of_the_ring(capsys, argv):
+    # a label outside --ring was dropped, and the rest checked with exit 0
+    code, out, err = run(capsys, "check-axioms", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "is not an integer literal" in err
 
 
 # the flags each verb takes; the rule checks always get small bounds

@@ -29,7 +29,7 @@ import helpers
 
 Z = ring.Z()
 QI = ring.Qi()
-ONE = ring.one(Z)
+ONE = Z.one
 
 
 def iz(k):

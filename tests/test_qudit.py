@@ -59,6 +59,15 @@ def test_qparams_validation():
         interpret(term.wspider(1, 2), ring.C(), 11)
 
 
+def test_qparams_checks_only_its_inputs():
+    # |q^d - 1| is float rounding (up to 8.9e-16 at d = 8): no lower bound
+    for d in DIMS:
+        assert QParams(d, 1e-300).tolerance == 1e-300
+    # at |q - 1| or above, q itself would pass for 1
+    with pytest.raises(QuditError, match=r"not in 0 < T < \|q - 1\| = 1.73205"):
+        QParams(3, 2.0)
+
+
 def test_qparams_q_is_computed_once():
     p = QParams(5)
     assert p.q is p.q and p.q == cmath.exp(2j * cmath.pi / 5)
@@ -89,8 +98,8 @@ def test_table_caching_and_sqrt():
     p = QParams(3)
     tab = binomial_table(p)
     assert binomial_table(QParams(3)) is tab
-    assert close(tab.ints[3], 0)
-    assert close(tab.factorials[0], 1)
+    assert close(q_int(3, p), 0)
+    assert close(q_factorial(0, p), 1)
     assert close(tab.sqrt_binomials[2][1], cmath.exp(1j * cmath.pi / 6))
 
 
@@ -261,7 +270,7 @@ def test_qudit_spider_entries():
     z = interpret(term.zspider(1, 1, ring.complex_value(R, 2 + 0j)), R, 3)
     for lvl in range(3):
         assert close(complex(z.entries[(str(lvl), str(lvl))].value), 2 ** lvl)
-    disc = interpret(term.zspider(1, 0, ring.one(R)), R, 3)
+    disc = interpret(term.zspider(1, 0, R.one), R, 3)
     c2 = cmath.sqrt(q_factorial(2, p))
     assert close(complex(disc.entries[("", "2")].value), 1 / c2)
 
@@ -273,7 +282,7 @@ def test_wide_w_spiders_need_no_recursion():
     m = interpret(term.wspider(0, 3000), R, 3)
     assert len(m.entries) == 3000
     assert list(m.entries)[:2] == [("0" * 2999 + "1", ""), ("0" * 2998 + "10", "")]
-    assert all(v == ring.one(R) for v in m.entries.values())
+    assert all(v == R.one for v in m.entries.values())
 
 
 def test_z_table_overflow_is_an_error():
@@ -288,7 +297,7 @@ def test_z_table_overflow_is_an_error():
 def test_universal_example_from_two_rows():
     p = QParams(3)
     R = p.ring()
-    one = ring.one(R)
+    one = R.one
     state = interpret(term.parse("ket(0) * ket(1)", R), R, 3)
     entries = {("01", ""): one, ("22", ""): one}
     from zwcalc.semantics import make_map

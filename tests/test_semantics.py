@@ -22,7 +22,7 @@ import helpers
 Z = ring.Z()
 Z2 = ring.Zn(2)
 QI = ring.Qi()
-ONE = ring.one(Z)
+ONE = Z.one
 
 
 def ent(m):
@@ -80,7 +80,7 @@ def test_dagger():
     conj = interpret(term.zspider(1, 0, ring.gaussian(QI, 0, -1)), QI)
     assert map_equal(flipped, conj)
     with pytest.raises(UnsupportedOperationError):
-        dagger(interpret(term.zspider(0, 1, ring.one(Z2)), Z2))
+        dagger(interpret(term.zspider(0, 1, Z2.one), Z2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +224,7 @@ def test_cached_tables_are_read_only():
     with pytest.raises(TypeError):
         m.entries[("00", "00")] = ONE
     with pytest.raises(TypeError):
-        interpret(term.wspider(1, 2), ring.C(), 3).entries[("10", "1")] = ring.one(ring.C())
+        interpret(term.wspider(1, 2), ring.C(), 3).entries[("10", "1")] = ring.C().one
     assert ent(interpret(X, Z))[("11", "11")] == "-1"
 
 
@@ -258,7 +258,7 @@ def test_generator_errors_are_raised_on_every_call():
 
 
 @pytest.mark.parametrize("g", [term.ID.gen, term.ket(0).gen, term.wspider(1, 2).gen,
-                               term.zspider(0, 2, ring.one(ring.C())).gen])
+                               term.zspider(0, 2, ring.C().one).gen])
 def test_generator_map_checks_the_dimension_as_interpret_does(g):
     from zwcalc.qudit import QuditError
     from zwcalc.semantics import generator_map

@@ -22,7 +22,7 @@ import helpers
 
 Z = ring.Z()
 QI = ring.Qi()
-ONE = ring.one(Z)
+ONE = Z.one
 
 
 def test_generator_arities():
