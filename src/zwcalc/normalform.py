@@ -21,9 +21,11 @@ nothing and a layer's own normal form is never built.  The first layer
 has nothing below it; its rows concatenate the blocks' bent words, and
 one permutation moves the input letters to the front.  The join runs on
 raw ring values, canonicalized per layer by :func:`canonicalize`'s own
-helper, and a result holds ring elements.  The test suite checks the
-result against :func:`zwcalc.semantics.interpret`, which shares the fold
-but not the tables or the join.
+helper, and reads a generator table's rows through the index by input
+letters that is cached with the table; a result holds ring elements.
+The test suite checks the result against
+:func:`zwcalc.semantics.interpret`, which shares the fold but not the
+tables or the join.
 """
 
 from __future__ import annotations
@@ -187,12 +189,24 @@ class MapNormalForm:
 
     @cached_property
     def _raw(self) -> _RawNF:
-        """Raw rows, kept with the normal form (not a field)."""
-        return _RawNF(self.n_in, self.n_out, [(c.value, w) for c, w in self.nf.rows])
+        """Raw rows and their index by input letters, kept with the normal
+        form (not a field)."""
+        rows = [(c.value, w) for c, w in self.nf.rows]
+        return _RawNF(self.n_in, self.n_out, rows, _by_input(rows, self.n_in))
 
 
-# a map's normal form inside a layer join: canonical bent rows on raw ring values
-_RawNF = namedtuple("_RawNF", "n_in n_out rows")
+# a map's normal form inside a layer join: canonical bent rows on raw ring
+# values, and a table's index by input letters or None
+_RawNF = namedtuple("_RawNF", "n_in n_out rows by_input")
+
+
+def _by_input(rows, n_in: int) -> dict[str, list]:
+    """(the rest of the word, coefficient) pairs by the first ``n_in``
+    letters, as a plugged layer looks them up."""
+    index: dict[str, list] = {}
+    for c, w in rows:
+        index.setdefault(w[:n_in], []).append((w[n_in:], c))
+    return index
 
 
 @lru_cache(maxsize=1024)
@@ -251,6 +265,9 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     directly: cut it into one segment per block, look each segment up
     among the block's rows by their input letters, and for every match
     append the block's output letters and multiply the coefficients.
+    A generator table keeps that index with its cached rows
+    (``MapNormalForm._raw``); only the result of a nested chain is
+    indexed here, once per layer it is plugged into.
     Blocks that are ``wire`` (the cached rows of ``id``) copy their
     segment unchanged, so the rows stay proportional to ``a``.
 
@@ -267,7 +284,7 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     # kept; a plugged layer keeps the input letters of a's rows
     if opening:
         if len(blocks) < 2:  # the empty layer is the unit row
-            return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")])
+            return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")], None)
         start, kept, rest = blocks[0].rows, blocks[0].n_in + blocks[0].n_out, blocks[1:]
     else:
         if a.n_out != n_in:
@@ -276,15 +293,14 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     # (segment width, block rows by the letters they match); None copies the segment
     segments: list[tuple[int, dict | None]] = []
     for b in rest:
-        if b is wire and not opening:  # a run of wires copies one segment
+        if opening:  # the whole bent word joins on the empty segment
+            segments.append((0, _by_input(b.rows, 0)))
+        elif b is wire:  # a run of wires copies one segment
             run = segments.pop()[0] if segments and segments[-1][1] is None else 0
             segments.append((run + 1, None))
-            continue
-        width = 0 if opening else b.n_in
-        by_in: dict[str, list[tuple[str, object]]] = {}
-        for c, w in b.rows:
-            by_in.setdefault(w[:width], []).append((w[width:], c))
-        segments.append((width, by_in))
+        else:
+            segments.append((b.n_in, _by_input(b.rows, b.n_in) if b.by_input is None
+                             else b.by_input))
     mul = ring.ops["mul"]
     # segment by segment over all rows: (word so far, whole word, coefficient)
     rows = [(w[:kept], w, c) for c, w in start]
@@ -299,12 +315,12 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
         pos = end
     rows = [(x, v) for v, _, x in rows]
     if not opening:
-        return _RawNF(kept, n_out, _merged(rows, ring))
+        return _RawNF(kept, n_out, _merged(rows, ring), None)
     # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
     ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
     perm = [next(ins) if j < b.n_in else next(outs)
             for b in blocks for j in range(b.n_in + b.n_out)]
-    return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm))
+    return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm), None)
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:

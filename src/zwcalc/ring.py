@@ -6,7 +6,10 @@ Four coefficient rings are supported:
 * ``Zn(n)`` -- integers modulo ``n``, residues kept in ``[0, n)``,
 * ``Qi`` -- Gaussian rationals, kept as three ints ``(a + b*i)/den`` in
   lowest terms; Gaussian integers (``den`` = 1) add and multiply as ints,
-* ``C(tol)`` -- double-precision complex numbers compared up to ``tol``.
+  and a product with a factor equal to one returns the other factor,
+* ``C(tol)`` -- double-precision complex numbers compared up to ``tol``;
+  a product by ``1+0j`` is still computed, as it can flip the sign of a
+  zero part and turns ``inf`` into ``nan``.
 
 The first three are exact: equality is bit-exact and arithmetic never
 rounds.  ``C`` exists for the anyonic qudit checks, whose coefficients
@@ -107,6 +110,12 @@ def _qi_add(x: GaussianRational, y: GaussianRational) -> GaussianRational:
 
 
 def _qi_mul(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    # values are canonical, so a factor equal to one is exactly (1, 0, 1)
+    # and the product is the other factor itself
+    if y.a == 1 and y.b == 0 and y.den == 1:
+        return x
+    if x.a == 1 and x.b == 0 and x.den == 1:
+        return y
     xa, xb, ya, yb, den = x.a, x.b, y.a, y.b, x.den * y.den
     a, b = xa * ya - xb * yb, xa * yb + xb * ya
     return _gr(a, b, 1) if den == 1 else _reduced(a, b, den)

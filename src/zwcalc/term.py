@@ -215,17 +215,17 @@ def layers(t: Term) -> list[list[Term]]:
     """The ``;`` chain of ``t`` as its ``*`` layers, each the list of its
     blocks left to right (without ``EMPTY``), walked without recursion."""
     out, chain = [], [t]
-    while chain:
+    while chain:  # exact type tests, as in render
         u = chain.pop()
-        if isinstance(u, Seq):
+        if type(u) is Seq:
             chain += [u.then, u.first]
             continue
         blocks, row = [], [u]
         while row:
             b = row.pop()
-            if isinstance(b, Par):
+            if type(b) is Par:
                 row += [b.right, b.left]
-            elif not isinstance(b, _Empty):
+            elif type(b) is not _Empty:
                 blocks.append(b)
         out.append(blocks)
     return out
@@ -236,24 +236,38 @@ def fold(t: Term, leaf, layer):
     ``leaf(generator)`` is the value of a generator leaf, ``layer(acc,
     values)`` joins the values of a layer's blocks onto the value ``acc``
     of the chain below it (None at the first layer), and a chain's value
-    is its last ``acc``.  A bare generator is a one-layer chain."""
-    # chains being folded: [layers, layer at hand, acc, its blocks' values so far]
-    frames = [[layers(t), 0, None, []]]
+    is its last ``acc``.  A bare generator is a one-layer chain.
+
+    ``leaf`` runs once per distinct generator object in ``t``: shared
+    leaves reuse its value, keyed by ``id``, which stays valid because
+    ``t`` keeps every generator alive until the call returns.  The memo
+    belongs to the call, so no value outlives it, and a ``leaf`` that
+    raises raises again on the next call."""
+    memo = {}  # id(generator) -> leaf(generator)
+    # chains being folded: [its layers left, the layer's blocks left, acc, their values so far]
+    chain = iter(layers(t))
+    frames = [[chain, iter(next(chain)), None, []]]
     while True:
         frame = frames[-1]
-        chain, i, acc, values = frame
-        for u in chain[i][len(values):]:
-            if isinstance(u, Gen):
-                values.append(leaf(u.gen))
-            elif isinstance(u, Seq):
-                frames.append([layers(u), 0, None, []])
+        chain, blocks, acc, values = frame
+        for u in blocks:
+            if type(u) is Gen:
+                g = u.gen
+                v = memo.get(id(g))
+                if v is None:
+                    v = memo[id(g)] = leaf(g)
+                values.append(v)
+            elif type(u) is Seq:
+                chain = iter(layers(u))
+                frames.append([chain, iter(next(chain)), None, []])
                 break
             else:
                 raise ArityError(f"not a term: {u!r}")
         else:  # every block of the layer has its value
             acc = layer(acc, values)
-            if i + 1 < len(chain):
-                frame[1:] = i + 1, acc, []
+            following = next(chain, None)
+            if following is not None:
+                frame[1:] = iter(following), acc, []
                 continue
             frames.pop()
             if not frames:

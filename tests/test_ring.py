@@ -109,6 +109,24 @@ def _reference_str(re: Fraction, im: Fraction) -> str:
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
+# one, parsed (the interned one is None), and values that share two of its three ints
+ONE_LIKE = (None, "1", "1/2", "1+i", "-1")
+
+
+@given(st.tuples(fracs, fracs), st.sampled_from(ONE_LIKE), st.booleans())
+def test_products_by_one_match_the_general_formula(x, text, one_first):
+    """A factor equal to one returns the other factor, and a factor that
+    only looks like one does not: each product is the same value, by ==
+    and by repr, as the general formula gives."""
+    assert ring.parse_literal(QI, "1").value is not QI.one.value
+    a = ring.gaussian(QI, *x)
+    b = QI.one if text is None else ring.parse_literal(QI, text)
+    got = ring_arith("mul", b, a) if one_first else ring_arith("mul", a, b)
+    (p, q), (r, s) = x, (b.value.re, b.value.im)
+    want = ring.gaussian(QI, p * r - q * s, p * s + q * r)
+    assert got == want and repr(got) == repr(want)
+
+
 @given(st.tuples(small_fracs, small_fracs), st.tuples(small_fracs, small_fracs))
 def test_qi_arithmetic_matches_fraction_pairs(x, y):
     a, b = ring.gaussian(QI, *x), ring.gaussian(QI, *y)

@@ -156,6 +156,43 @@ def test_fold_joins_each_chain_layer_by_layer():
         term.fold("id", None, None)
 
 
+def _spy(monkeypatch, module, name) -> list:
+    """The generators ``module.name`` is called with, in order."""
+    calls, real = [], getattr(module, name)
+
+    def spy(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("pillar, module, lookup", [
+    (semantics.interpret, semantics, "generator_map"),
+    (normalform.normalize, normalform, "generator_nf"),
+], ids=["interpret", "normalize"])
+def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, pillar, module, lookup):
+    calls = _spy(monkeypatch, module, lookup)
+    spider = term.zspider(10, 10, QI.one)
+    t = term.identity(10) >> spider >> term.identity(10)  # 20 id leaves
+    # normalize also fetches id's table once, as its join's wire
+    want = {ID.gen: 1 + (pillar is normalform.normalize), spider.gen: 1}
+    for _ in range(2):  # the memo lives for one call, so a second call looks up again
+        calls.clear()
+        pillar(t, QI)
+        assert {g: calls.count(g) for g in calls} == want
+
+
+def test_a_leaf_that_raises_raises_on_every_call(monkeypatch):
+    calls = _spy(monkeypatch, normalform, "generator_nf")
+    t = term.identity(20) @ term.ket(2)
+    for n in (1, 2):
+        with pytest.raises(ArityError, match=r"ket\(2\)"):
+            normalform.normalize(t, QI)
+        assert calls.count(term.ket(2).gen) == n
+
+
 def _scalar():
     return term.seq(term.wspider(0, 1), term.wspider(1, 0))
 
