@@ -28,6 +28,8 @@ class UsageError(Exception):
 
 def _ring_from_flags(args) -> _ring.RingDescriptor:
     name = args.ring
+    if args.mod is not None and name != "Zn":  # it would go unread
+        raise UsageError("--mod N goes with --ring Zn only")
     if name == "Z":
         return _ring.Z()
     if name == "Qi":

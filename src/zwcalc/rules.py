@@ -7,9 +7,10 @@ bialgebra squares, ...) are enumerated over small bounds.  The squares
 spiders, which is the canonical diagram of the normal-form theorem with
 no bottom layer and n all-ones words
 (:func:`zwcalc.normalform.canonical_diagram`).  A rule's two
-sides are built as term-grammar strings first and parsed back, so the
-whole catalogue can be dumped to a plain text file and audited line by
-line; see :func:`write_catalog`.  The catalogue's ring is ``QI``, the
+sides are kept only as the terms its builder makes; their text is
+rendered when read, so the whole catalogue can be written to a plain
+text file and audited line by line (:func:`write_catalog`; the file
+reads back with :func:`load_catalog`).  The catalogue's ring is ``QI``, the
 Gaussian rationals, unless a caller passes another.  :func:`mutate`
 builds a negative control, and the scalar -1 it puts beside a closed
 rule lives in the ring the control is checked in.
@@ -35,7 +36,7 @@ sliding, ``unx`` crossing removal over copied wires, and the derived
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import normalform as _nf
@@ -52,13 +53,19 @@ class RuleInstance:
     params: str
     lhs: Term
     rhs: Term
-    lhs_text: str
-    rhs_text: str
 
     def __post_init__(self):
         if (self.lhs.n_in, self.lhs.n_out) != (self.rhs.n_in, self.rhs.n_out):
             raise _term.ArityError(
                 f"rule {self.name}[{self.params}] sides have different arities")
+
+    @property
+    def lhs_text(self) -> str:
+        return render(self.lhs)
+
+    @property
+    def rhs_text(self) -> str:
+        return render(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -90,73 +97,63 @@ QI = _ring.Qi()
 
 
 def labels_for(ring: RingDescriptor, bounds: RuleBounds) -> list[RingElement]:
-    out = []
+    """The samples that are literals of ``ring``, each value once, in first-seen
+    order: samples that coincide in the ring (2 and 0 mod 2) would repeat instances."""
+    out = {}
     for text in bounds.label_samples:
         try:
-            out.append(_ring.parse_literal(ring, text))
+            out.setdefault(_ring.parse_literal(ring, text))
         except _ring.RingError:
             continue  # imaginary samples do not exist over the integers
-    return out
+    return list(out)
 
 
 # --- term builders ---------------------------------------------------------
 
-_ONE_SCALAR = "z(0,1)[1] ; w(1,0)"  # the empty diagram written in the grammar
+def _scalar(r: RingElement) -> Term:
+    """The closed diagram of value r: z(0,1)[r] ; w(1,0)."""
+    return zspider(0, 1, r) >> _term.wspider(1, 0)
 
 
-def _rule(name: str, params: str, lhs: Term | str, rhs: Term | str,
-          ring: RingDescriptor) -> RuleInstance:
-    lhs_text = lhs if isinstance(lhs, str) else render(lhs)
-    rhs_text = rhs if isinstance(rhs, str) else render(rhs)
-    return RuleInstance(name, params,
-                        parse(lhs_text, ring), parse(rhs_text, ring),
-                        lhs_text, rhs_text)
+def _w_state(n: int) -> Term:
+    """w(0,n); with no legs, w(0,2) closed by a cap, the zero scalar."""
+    return _term.wspider(0, n) if n else _term.wspider(0, 2) >> _term.CAP
+
+
+def _z_state(n: int, r: RingElement) -> Term:
+    """z(0,n)[r]; with no legs, z(0,2)[r] closed by a cap, the scalar 1 + r."""
+    return zspider(0, n, r) if n else zspider(0, 2, r) >> _term.CAP
 
 
 # --- the catalogue ---------------------------------------------------------
 
 def _fixed_rules(ring: RingDescriptor) -> list[RuleInstance]:
-    tw = _term.twist()
-    out = [
-        _rule("adj_L", "", (_term.ID @ _term.CUP) >> (_term.CAP @ _term.ID),
-              _term.ID, ring),
-        _rule("adj_R", "", (_term.CUP @ _term.ID) >> (_term.ID @ _term.CAP),
-              _term.ID, ring),
-        _rule("com_co", "", _term.CUP >> _term.SWAP, _term.CUP, ring),
-        _rule("com", "", _term.SWAP >> _term.CAP, _term.CAP, ring),
-        _rule("rei_x_1", "",
-              (_term.ID @ _term.CUP) >> (_term.X @ _term.ID) >> (_term.ID @ _term.CAP),
-              (_term.CUP @ _term.ID) >> (_term.ID @ _term.X) >> (_term.CAP @ _term.ID),
-              ring),
-        _rule("rei_x_2", "", _term.X >> _term.X, _term.ID @ _term.ID, ring),
-        _rule("rei_x_3", "",
-              (_term.X @ _term.ID) >> (_term.ID @ _term.X) >> (_term.X @ _term.ID),
-              (_term.ID @ _term.X) >> (_term.X @ _term.ID) >> (_term.ID @ _term.X),
-              ring),
-        _rule("nat_x_eta", "",
-              (_term.CUP @ _term.ID) >> (_term.ID @ _term.X) >> (_term.X @ _term.ID),
-              _term.ID @ _term.CUP, ring),
-        _rule("nat_x_eps", "", _term.CAP @ _term.ID,
-              (_term.ID @ _term.X) >> (_term.X @ _term.ID) >> (_term.ID @ _term.CAP),
-              ring),
-        _rule("nat_x_w", "",
-              (w_comonoid(2) @ _term.ID) >> (_term.ID @ _term.X) >> (_term.X @ _term.ID),
-              _term.X >> (_term.ID @ w_comonoid(2)), ring),
-        _rule("inv", "", _term.negate() >> _term.negate(), _term.ID, ring),
-        _rule("ant_x_n", "", (_term.negate() @ _term.ID) >> _term.X,
-              _term.X >> (tw @ _term.negate()), ring),
-        _rule("frm", "", tw >> tw, _term.ID, ring),
-        _rule("id", "", zspider(1, 1, ring.one), _term.ID, ring),
-        _rule("rng_1", "", zspider(1, 1, ring.one), _term.ID, ring),
-        _rule("rng_-1", "", zspider(1, 1, -ring.one), tw, ring),
-        _rule("ph", "",
-              zspider(1, 2, ring.one) >> (tw @ _term.ID),
-              tw >> zspider(1, 2, ring.one), ring),
-        _rule("nat_c_n", "",
-              zspider(1, 2, ring.one) >> (_term.negate() @ _term.negate()),
-              _term.negate() >> zspider(1, 2, ring.one), ring),
+    ID, CUP, CAP, SWAP, X = _term.ID, _term.CUP, _term.CAP, _term.SWAP, _term.X
+    tw, neg, one = _term.twist(), _term.negate(), ring.one
+    return [
+        RuleInstance("adj_L", "", (ID @ CUP) >> (CAP @ ID), ID),
+        RuleInstance("adj_R", "", (CUP @ ID) >> (ID @ CAP), ID),
+        RuleInstance("com_co", "", CUP >> SWAP, CUP),
+        RuleInstance("com", "", SWAP >> CAP, CAP),
+        RuleInstance("rei_x_1", "", (ID @ CUP) >> (X @ ID) >> (ID @ CAP),
+                     (CUP @ ID) >> (ID @ X) >> (CAP @ ID)),
+        RuleInstance("rei_x_2", "", X >> X, ID @ ID),
+        RuleInstance("rei_x_3", "", (X @ ID) >> (ID @ X) >> (X @ ID),
+                     (ID @ X) >> (X @ ID) >> (ID @ X)),
+        RuleInstance("nat_x_eta", "", (CUP @ ID) >> (ID @ X) >> (X @ ID), ID @ CUP),
+        RuleInstance("nat_x_eps", "", CAP @ ID, (ID @ X) >> (X @ ID) >> (ID @ CAP)),
+        RuleInstance("nat_x_w", "", (w_comonoid(2) @ ID) >> (ID @ X) >> (X @ ID),
+                     X >> (ID @ w_comonoid(2))),
+        RuleInstance("inv", "", neg >> neg, ID),
+        RuleInstance("ant_x_n", "", (neg @ ID) >> X, X >> (tw @ neg)),
+        RuleInstance("frm", "", tw >> tw, ID),
+        RuleInstance("id", "", zspider(1, 1, one), ID),
+        RuleInstance("rng_1", "", zspider(1, 1, one), ID),
+        RuleInstance("rng_-1", "", zspider(1, 1, -one), tw),
+        RuleInstance("ph", "", zspider(1, 2, one) >> (tw @ ID), tw >> zspider(1, 2, one)),
+        RuleInstance("nat_c_n", "", zspider(1, 2, one) >> (neg @ neg),
+                     neg >> zspider(1, 2, one)),
     ]
-    return out
 
 
 def _join(a: Term, leg_a: int, b: Term, through_tick: bool) -> Term:
@@ -180,59 +177,46 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
 
     for a in arities:
         for b in arities:
-            rhs = (_term.wspider(0, a + b - 2) if a + b > 2
-                   else parse("w(0,2) ; cap", ring))  # the zero scalar
-            out.append(_rule("cut_w", f"a={a},b={b}",
-                             _join(_term.wspider(0, a), a, _term.wspider(0, b), True),
-                             rhs, ring))
+            out.append(RuleInstance("cut_w", f"a={a},b={b}",
+                                    _join(_term.wspider(0, a), a, _term.wspider(0, b), True),
+                                    _w_state(a + b - 2)))
     for n in range(0, bounds.max_spider_arity - 1):
-        out.append(_rule("tr_w", f"n={n}",
-                         _term.wspider(0, n + 2) >> _term.par_all([identity(n), _term.CAP]),
-                         _term.wspider(0, n) if n
-                         else _term.parse("w(0,2) ; cap", ring), ring))
+        out.append(RuleInstance("tr_w", f"n={n}",
+                                _term.wspider(0, n + 2) >> _term.par_all([identity(n), _term.CAP]),
+                                _w_state(n)))
     for n in range(2, bounds.max_spider_arity + 1):
         w_n = _term.wspider(0, n)
         rest = identity(n - 2)
-        out.append(_rule("sym_w", f"n={n}", w_n >> _term.par_all([_term.SWAP, rest]),
-                         w_n, ring))
-        out.append(_rule("sym_w_x", f"n={n}", w_n >> _term.par_all([_term.X, rest]),
-                         w_n, ring))
+        out.append(RuleInstance("sym_w", f"n={n}", w_n >> _term.par_all([_term.SWAP, rest]), w_n))
+        out.append(RuleInstance("sym_w_x", f"n={n}", w_n >> _term.par_all([_term.X, rest]), w_n))
     for n in nms:
         for m in nms:
             if (n, m) == (0, 0):  # the square without spiders has no layer
-                lhs, rhs = _ONE_SCALAR, "w(0,1) ; w(1,0)"
+                lhs, rhs = _scalar(ring.one), _term.wspider(0, 1) >> _term.wspider(1, 0)
             else:
                 lhs = _nf.canonical_diagram(_term.EMPTY, [w_comonoid(m)] * n, ["1" * m] * n,
                                             [w_monoid(n)] * m)
                 rhs = _term.wspider(n, 1) >> _term.wspider(1, m)
-            out.append(_rule("ba_w", f"n={n},m={m}", lhs, rhs, ring))
+            out.append(RuleInstance("ba_w", f"n={n},m={m}", lhs, rhs))
 
     cut_z_pairs = [(r, s) for r in labels for s in labels]
     for a in arities:
         for b in arities:
             pairs = cut_z_pairs if (a, b) == (2, 2) else [(two, three)]
             for r, s in pairs:
-                if a + b == 2:
-                    # scalar fusion: z_1^r plugged into z_1^s gives 1 + rs
-                    rhs = parse(f"z(0,2)[{format_literal(r * s)}] ; cap", ring)
-                else:
-                    rhs = zspider(0, a + b - 2, r * s)
-                out.append(_rule(
+                out.append(RuleInstance(
                     "cut_z", f"a={a},b={b},r={format_literal(r)},s={format_literal(s)}",
                     _join(zspider(0, a, r), a, zspider(0, b, s), False),
-                    rhs, ring))
+                    _z_state(a + b - 2, r * s)))
     for n in range(0, bounds.max_spider_arity - 1):
         for r in labels:
             lhs = zspider(0, n + 2, r) >> _term.par_all([identity(n), _term.CAP])
-            rhs = (zspider(0, n, r) if n
-                   else _term.parse(f"z(0,2)[{format_literal(r)}] ; cap", ring))
-            out.append(_rule("tr_z", f"n={n},r={format_literal(r)}", lhs, rhs, ring))
+            out.append(RuleInstance("tr_z", f"n={n},r={format_literal(r)}", lhs, _z_state(n, r)))
     for n in range(2, bounds.max_spider_arity + 1):
         for r in labels:
             z_n = zspider(0, n, r)
-            out.append(_rule("sym_z", f"n={n},r={format_literal(r)}",
-                             z_n >> _term.par_all([_term.SWAP, identity(n - 2)]),
-                             z_n, ring))
+            out.append(RuleInstance("sym_z", f"n={n},r={format_literal(r)}",
+                                    z_n >> _term.par_all([_term.SWAP, identity(n - 2)]), z_n))
 
     for n in nms:
         for m in range(1, bounds.max_nm + 1):
@@ -241,25 +225,24 @@ def axiom_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
                 lhs = _nf.canonical_diagram(_term.EMPTY, [zspider(1, m, r)] * n, ["1" * m] * n,
                                             [w_monoid(n)] * m)
                 rhs = w_monoid(n) >> zspider(1, m, r)
-                out.append(_rule("ba_zw", f"n={n},m={m},r={format_literal(r)}",
-                                 lhs, rhs, ring))
+                out.append(RuleInstance("ba_zw", f"n={n},m={m},r={format_literal(r)}", lhs, rhs))
     for r in labels:
-        out.append(_rule("loop", f"r={format_literal(r)}",
-                         zspider(1, 2, r) >> w_monoid(2), w_comonoid(0) >> w_monoid(0), ring))
+        out.append(RuleInstance("loop", f"r={format_literal(r)}",
+                                zspider(1, 2, r) >> w_monoid(2), w_comonoid(0) >> w_monoid(0)))
     for r in labels:
         for s in labels:
-            out.append(_rule(
+            out.append(RuleInstance(
                 "unx", f"r={format_literal(r)},s={format_literal(s)}",
                 w_comonoid(2) >> (zspider(1, 2, r) @ zspider(1, 2, s))
                 >> _term.par_all([_term.ID, _term.X, _term.ID]),
                 w_comonoid(2) >> (zspider(1, 2, r) @ zspider(1, 2, s))
-                >> _term.par_all([_term.ID, _term.SWAP, _term.ID]), ring))
+                >> _term.par_all([_term.ID, _term.SWAP, _term.ID])))
     for r in labels:
         for s in labels:
-            out.append(_rule(
+            out.append(RuleInstance(
                 "rng_+", f"r={format_literal(r)},s={format_literal(s)}",
                 w_comonoid(2) >> (zspider(1, 1, r) @ zspider(1, 1, s)) >> w_monoid(2),
-                zspider(1, 1, r + s), ring))
+                zspider(1, 1, r + s)))
     return out
 
 
@@ -273,22 +256,22 @@ def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
         rot = list(range(1, n + 1)) + [0]
         lhs = (w_comonoid(n) @ _term.ID) >> _term.crossing_perm(rot)
         rhs = _term.X >> (_term.ID @ w_comonoid(n))
-        out.append(_rule("xnat", f"n={n}", lhs, rhs, ring))
+        out.append(RuleInstance("xnat", f"n={n}", lhs, rhs))
     for n in range(0, bounds.max_nm + 1):
         negs = _term.par_all([_term.negate()] * n)
         lhs = zspider(1, n, one) >> negs if n else zspider(1, 0, one)
         rhs = _term.negate() >> zspider(1, n, one)
-        out.append(_rule("aut", f"n={n}", lhs, rhs, ring))
+        out.append(RuleInstance("aut", f"n={n}", lhs, rhs))
     for n in range(2, bounds.max_spider_arity + 1):
         for r in labels:
             lhs = zspider(1, n, r) >> w_monoid(n)
-            out.append(_rule("lp", f"n={n},r={format_literal(r)}", lhs,
-                             w_comonoid(0) >> w_monoid(0), ring))
+            out.append(RuleInstance("lp", f"n={n},r={format_literal(r)}", lhs,
+                                    w_comonoid(0) >> w_monoid(0)))
     sum_tuples = [(), *((r,) for r in labels)]
     pool = labels * 3
     sum_tuples += [tuple(pool[:2]), tuple(pool[1:3]), tuple(pool[2:5:2]),
                    tuple(pool[:3])]
-    for rs in sum_tuples:
+    for rs in dict.fromkeys(sum_tuples):  # with fewer than two labels, tuples repeat
         n = len(rs)
         mids = _term.par_all([zspider(1, 1, r) for r in rs])
         lhs = w_comonoid(n) >> mids >> w_monoid(n) if n else w_comonoid(0) >> w_monoid(0)
@@ -297,20 +280,19 @@ def derived_instances(bounds: RuleBounds = DEFAULT_BOUNDS,
             total = total + r
         rhs = zspider(1, 1, total)
         params = "rs=" + ",".join(format_literal(r) for r in rs)
-        out.append(_rule("sum", params, lhs, rhs, ring))
+        out.append(RuleInstance("sum", params, lhs, rhs))
     for r in labels:
-        out.append(_rule("crossminus", f"r={format_literal(r)}",
-                         zspider(1, 2, r) >> _term.X, zspider(1, 2, -r), ring))
-    out.append(_rule("hopf", "",
-                     w_comonoid(2) >> (_term.ID @ _term.twist()) >> w_monoid(2),
-                     w_comonoid(0) >> w_monoid(0), ring))
+        out.append(RuleInstance("crossminus", f"r={format_literal(r)}",
+                                zspider(1, 2, r) >> _term.X, zspider(1, 2, -r)))
+    out.append(RuleInstance("hopf", "",
+                            w_comonoid(2) >> (_term.ID @ _term.twist()) >> w_monoid(2),
+                            w_comonoid(0) >> w_monoid(0)))
     out.extend(_lemma_schema_instances(ring))
     # the generalized bialgebra squares are derivable as well as axiomatic
     for inst in axiom_instances(RuleBounds(bounds.max_spider_arity, bounds.max_nm,
                                            bounds.label_samples[:4]), ring):
         if inst.name in ("ba_w", "ba_zw"):
-            out.append(RuleInstance("d_" + inst.name, inst.params, inst.lhs,
-                                    inst.rhs, inst.lhs_text, inst.rhs_text))
+            out.append(replace(inst, name="d_" + inst.name))
     return out
 
 
@@ -327,7 +309,7 @@ def _lemma_schema_instances(ring: RingDescriptor) -> list[RuleInstance]:
         lhs = _nf.nf_to_term(sample) >> _term.par_all(
             [identity(j), _term.negate(), identity(2 - j)])
         rhs = _nf.nf_to_term(_nf.nf_negate(sample, j))
-        out.append(_rule("negation", f"j={j}", lhs, rhs, ring))
+        out.append(RuleInstance("negation", f"j={j}", lhs, rhs))
     for j, k in [(0, 1), (0, 2), (1, 2)]:
         plug = _term.par_all([identity(j), _term.CAP, identity(1)]) if (j, k) == (0, 1) \
             else _term.par_all([identity(1), _term.CAP]) if (j, k) == (1, 2) \
@@ -335,13 +317,13 @@ def _lemma_schema_instances(ring: RingDescriptor) -> list[RuleInstance]:
                   >> _term.par_all([_term.CAP, _term.ID]))
         lhs = _nf.nf_to_term(sample) >> plug
         rhs = _nf.nf_to_term(_nf.nf_trace(sample, j, k))
-        out.append(_rule("trace", f"j={j},k={k}", lhs, rhs, ring))
+        out.append(RuleInstance("trace", f"j={j},k={k}", lhs, rhs))
     empty2 = _nf.NormalForm(2, 2, ())
     other = _nf.canonicalize(_nf.PreNormalForm(2, 1, ((one, "0"), (two, "1"))))
-    out.append(_rule(
+    out.append(RuleInstance(
         "absorption", "",
         _term.par(_nf.nf_to_term(empty2), _nf.nf_to_term(other)),
-        _nf.nf_to_term(_nf.NormalForm(2, 3, ())), ring))
+        _nf.nf_to_term(_nf.NormalForm(2, 3, ()))))
     return out
 
 
@@ -390,10 +372,8 @@ def mutate(r: RuleInstance, ring: RingDescriptor = QI) -> RuleInstance:
     elif r.lhs.n_in >= 1:
         lhs = _term.par_all([_term.negate(), identity(r.lhs.n_in - 1)]) >> r.lhs
     else:
-        flip = parse("z(0,1)[-1] ; w(1,0)", ring)  # the scalar -1
-        lhs = r.lhs @ flip
-    return RuleInstance("mut_" + r.name, r.params, lhs, r.rhs,
-                        render(lhs), r.rhs_text)
+        lhs = r.lhs @ _scalar(-ring.one)
+    return RuleInstance("mut_" + r.name, r.params, lhs, r.rhs)
 
 
 # --- catalogue file --------------------------------------------------------
@@ -416,9 +396,5 @@ def load_catalog(path: str | Path, ring: RingDescriptor = QI) -> list[RuleInstan
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields")
         name, params, lhs_text, rhs_text = parts
-        out.append(RuleInstance(name, params, parse(lhs_text, ring),
-                                parse(rhs_text, ring), lhs_text, rhs_text))
+        out.append(RuleInstance(name, params, parse(lhs_text, ring), parse(rhs_text, ring)))
     return out
-
-
-DEFAULT_CATALOG = Path(__file__).with_name("rules_default.txt")

@@ -331,6 +331,8 @@ def test_output_file(tmp_path, capsys):
     # ... and the d = 2 verbs over exact rings only
     ["normalize", "--tol", "1e-9", "id"],
     ["check-axioms", "--ring", "C"],
+    # ... and --mod only with --ring Zn
+    ["eval", "--ring", "Qi", "--mod", "5", "z(1,1)[1/2]"],
 ])
 def test_flags_a_verb_does_not_read_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

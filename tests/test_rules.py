@@ -1,9 +1,8 @@
 import pytest
 
-from zwcalc import ring
+from zwcalc import ring, rules, term
 from zwcalc.rules import (
     DEFAULT_BOUNDS,
-    DEFAULT_CATALOG,
     RuleBounds,
     axiom_instances,
     check_all,
@@ -161,21 +160,46 @@ def test_check_maps_over_c():
     assert "(max error 3)" in str(far)
 
 
-def test_catalog_file_round_trip(tmp_path):
+@pytest.mark.parametrize("R", [QI, Z, ring.Zn(6)], ids=["Qi", "Z", "Zn6"])
+@pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, SMALL], ids=["DEFAULT", "SMALL"])
+def test_catalog_file_round_trip(tmp_path, bounds, R):
+    # the audit file reads back to the built terms, and so do the controls' texts
     path = tmp_path / "rules.txt"
-    write_catalog(path, SMALL, QI)
-    loaded = load_catalog(path, QI)
-    direct = axiom_instances(SMALL, QI) + derived_instances(SMALL, QI)
+    write_catalog(path, bounds, R)
+    loaded = load_catalog(path, R)
+    direct = axiom_instances(bounds, R) + derived_instances(bounds, R)
     assert [(i.name, i.params, i.lhs, i.rhs) for i in loaded] == \
         [(i.name, i.params, i.lhs, i.rhs) for i in direct]
+    for inst in direct:
+        mutant = mutate(inst, R)
+        assert term.parse(mutant.lhs_text, R) == mutant.lhs
 
 
-def test_shipped_catalog_matches_generator():
-    loaded = load_catalog(DEFAULT_CATALOG, QI)
-    direct = axiom_instances(DEFAULT_BOUNDS, QI) + derived_instances(DEFAULT_BOUNDS, QI)
-    assert [(i.name, i.params) for i in loaded] == \
-        [(i.name, i.params) for i in direct]
-    assert all(a.lhs == b.lhs and a.rhs == b.rhs for a, b in zip(loaded, direct))
+def test_catalogue_is_built_without_parsing(monkeypatch):
+    # every side is built as a term; only load_catalog reads text
+    def no_parse(*args):
+        raise AssertionError("parse called while building the catalogue")
+
+    monkeypatch.setattr(term, "parse", no_parse)
+    monkeypatch.setattr(rules, "parse", no_parse)
+    for R in (QI, Z, ring.Zn(6)):
+        for inst in axiom_instances(DEFAULT_BOUNDS, R) + derived_instances(DEFAULT_BOUNDS, R):
+            mutate(inst, R)
+
+
+@pytest.mark.parametrize("R, labels", [
+    (ring.Zn(2), DEFAULT_BOUNDS.label_samples),
+    (ring.Zn(3), DEFAULT_BOUNDS.label_samples),
+    (ring.Zn(4), DEFAULT_BOUNDS.label_samples),
+    (Z, ("1", "1", "2")),
+    (Z, ("1",)),
+], ids=["Zn2", "Zn3", "Zn4", "Z-1,1,2", "Z-1"])
+def test_samples_equal_in_the_ring_give_one_instance(R, labels):
+    # samples equal in the ring (2 and -2 are 0 mod 2) give one label, and
+    # one label gives one sum of each length: no (name, params) repeats
+    bounds = RuleBounds(label_samples=labels)
+    keys = [(i.name, i.params) for i in axiom_instances(bounds, R) + derived_instances(bounds, R)]
+    assert len(keys) == len(set(keys))
 
 
 def test_catalogue_is_ring_generic():
