@@ -23,6 +23,11 @@ one permutation moves the input letters to the front.  The join runs on
 raw ring values, canonicalized per layer by :func:`canonicalize`'s own
 helper, and reads a generator table's rows through the index by input
 letters that is cached with the table; a result holds ring elements.
+A run of wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only)
+that the fold hands over is plugged in one step (:func:`_plug_run`):
+each row takes the signs that its crossing pairs of output letters read
+from the crossings' hardcoded rows (the row "1111" of ``x``), and its
+output letters are permuted once.
 The test suite checks the result against
 :func:`zwcalc.semantics.interpret`, which shares the fold but not the
 tables or the join.
@@ -189,15 +194,18 @@ class MapNormalForm:
 
     @cached_property
     def _raw(self) -> _RawNF:
-        """Raw rows and their index by input letters, kept with the normal
-        form (not a field)."""
+        """Raw rows, their index by input letters and a crossing's signs,
+        kept with the normal form (not a field)."""
         rows = [(c.value, w) for c, w in self.nf.rows]
-        return _RawNF(self.n_in, self.n_out, rows, _by_input(rows, self.n_in))
+        index = _by_input(rows, self.n_in)
+        ring = self.nf.rows[0][0].ring if rows else None  # no rows, no crossing
+        return _RawNF(self.n_in, self.n_out, rows, index, _swap_signs(index, ring))
 
 
 # a map's normal form inside a layer join: canonical bent rows on raw ring
-# values, and a table's index by input letters or None
-_RawNF = namedtuple("_RawNF", "n_in n_out rows by_input")
+# values, and a table's index by input letters and crossing signs (see
+# _swap_signs) or None
+_RawNF = namedtuple("_RawNF", "n_in n_out rows by_input signs", defaults=(None, None))
 
 
 def _by_input(rows, n_in: int) -> dict[str, list]:
@@ -207,6 +215,26 @@ def _by_input(rows, n_in: int) -> dict[str, list]:
     for c, w in rows:
         index.setdefault(w[:n_in], []).append((w[n_in:], c))
     return index
+
+
+# the input letters of a crossing's table
+_LETTER_PAIRS = frozenset(("00", "01", "10", "11"))
+
+
+def _swap_signs(index: dict, ring: RingDescriptor) -> tuple[dict, dict] | None:
+    """A crossing table's coefficients other than one by the letters of
+    the wires on its right and left, then on its left and right, if each
+    input pair of letters has one row and its output letters are the two
+    swapped; else None."""
+    if index.keys() != _LETTER_PAIRS:
+        return None
+    signs = {}
+    for u, outs in index.items():
+        if len(outs) != 1 or outs[0][0] != u[::-1]:
+            return None
+        if not ring.eq(outs[0][1], ring.one.value):
+            signs[u] = outs[0][1]
+    return {u[::-1]: c for u, c in signs.items()}, signs
 
 
 @lru_cache(maxsize=1024)
@@ -244,14 +272,16 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     """Rewrite a dimension-2 term to its canonical normal form without
     evaluating it: a fold (:func:`zwcalc.term.fold`) of the generators'
     hardcoded normal forms, each layer joined block by block (see
-    :func:`_plug`) on raw values, wrapped as ring elements at the end."""
+    :func:`_plug`) and each run of wiring layers in one step (see
+    :func:`_plug_run`) on raw values, wrapped as ring elements at the end."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
     if isinstance(t, _term.Gen):
         return generator_nf(t.gen, ring)
     wire = generator_nf(_term.ID.gen, ring)._raw
     m = _term.fold(t, lambda g: generator_nf(g, ring)._raw,
-                   lambda acc, blocks: _plug(acc, blocks, ring, wire))
+                   lambda acc, blocks: _plug(acc, blocks, ring, wire),
+                   lambda acc, perm, crossings: _plug_run(acc, perm, crossings, ring))
     return MapNormalForm(m.n_in, m.n_out, _wrapped(2, m.n_in + m.n_out, m.rows, ring))
 
 
@@ -278,13 +308,14 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     tables of ``ring``, so no product checks the ring again.
     """
     opening = a is None
-    n_in = sum(b.n_in for b in blocks)
-    n_out = sum(b.n_out for b in blocks)
+    n_in = n_out = 0
+    for b in blocks:  # a loop costs less than two generator sums per layer
+        n_in, n_out = n_in + b.n_in, n_out + b.n_out
     # the opening layer starts from its first block's rows, whole words
     # kept; a plugged layer keeps the input letters of a's rows
     if opening:
         if len(blocks) < 2:  # the empty layer is the unit row
-            return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")], None)
+            return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")])
         start, kept, rest = blocks[0].rows, blocks[0].n_in + blocks[0].n_out, blocks[1:]
     else:
         if a.n_out != n_in:
@@ -315,12 +346,56 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
         pos = end
     rows = [(x, v) for v, _, x in rows]
     if not opening:
-        return _RawNF(kept, n_out, _merged(rows, ring), None)
+        return _RawNF(kept, n_out, _merged(rows, ring))
     # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
     ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
     perm = [next(ins) if j < b.n_in else next(outs)
             for b in blocks for j in range(b.n_in + b.n_out)]
-    return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm), None)
+    return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm))
+
+
+def _plug_run(a: _RawNF, perm: list[int], crossings: dict,
+              ring: RingDescriptor) -> _RawNF | None:
+    """Plug the outputs of ``a`` into a run of wiring layers as one signed
+    permutation of the output letters (see :func:`zwcalc.term.fold`), or
+    None when a crossing's table is not a signed swap.
+
+    Each crossing pair keeps, by the pair's letters, the products over
+    its crossings of the table's coefficients that are not one: the row
+    "1111" of ``x`` and ``xinv``, none of ``swap``, and an ``x ; x`` pair
+    drops out.  A row takes the factors of the pairs among its output
+    letters that take part, then its output letters are permuted once."""
+    mul, eq, one = ring.ops["mul"], ring.eq, ring.one.value
+    factors = {}  # (i, j) -> {letters of wires i and j: their product}
+    for pair, seq in crossings.items():
+        prod = {}
+        for table, i_left in seq:
+            if table.signs is None:
+                return None
+            signs = table.signs[i_left]
+            if not prod:
+                prod = signs
+            elif signs:  # multiply the letters both hold, drop products that are one
+                both = {w: mul(prod[w], c) for w, c in signs.items() if w in prod}
+                prod = {w: c for w, c in {**prod, **signs, **both}.items() if not eq(c, one)}
+        if prod:
+            factors[pair] = prod
+    if not factors and perm == sorted(perm):
+        return a
+    wires = sorted({i for pair in factors for i in pair})
+    part = {c for prod in factors.values() for word in prod for c in word}
+    n = a.n_in
+    rows = []
+    for c, w in a.rows:
+        v = w[n:]
+        lit = [i for i in wires if v[i] in part]
+        for x, i in enumerate(lit):
+            for j in lit[x + 1:]:
+                prod = factors.get((i, j))
+                if prod is not None and v[i] + v[j] in prod:
+                    c = mul(c, prod[v[i] + v[j]])
+        rows.append((c, w[:n] + "".join([v[p] for p in perm])))
+    return _RawNF(n, a.n_out, _merged(rows, ring))
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:

@@ -19,6 +19,12 @@ every leaf shares it read-only, with its raw values (ints, Gaussian
 rationals, complex numbers) indexed for the join.  The join multiplies
 raw values with the ring's own operations; a result holds ring elements.
 
+Over the exact rings, a run of wiring layers (``id``, ``x``, ``xinv`` and
+``swap`` leaves only) on a map is joined in one step, as the fold hands
+it over: each output word takes the signs that its crossing pairs of
+letters read from the crossings' tables (the "11" entry of ``x``), and is
+permuted once.  Over C every layer is joined on its own.
+
 Maps are immutable once built; evaluation is pure.
 """
 
@@ -59,9 +65,11 @@ class SparseMap:
 
     @cached_property
     def _raw(self) -> _RawMap:
-        """Raw values and their index, kept with the map (not a field)."""
+        """Raw values, their index and a crossing's signs, kept with the map
+        (not a field)."""
         entries = {k: v.value for k, v in self.entries.items()}
-        return _RawMap(self.n_in, self.n_out, entries, _by_input(entries))
+        index = _by_input(entries)
+        return _RawMap(self.n_in, self.n_out, entries, index, _swap_signs(index, self.ring))
 
     def scalar(self) -> RingElement:
         """The value of a (0, 0) map."""
@@ -70,8 +78,9 @@ class SparseMap:
         return self.entries.get(("", ""), self.ring.zero)
 
 
-# a map inside a layer join: raw entries in SparseMap order, a table's index or None
-_RawMap = namedtuple("_RawMap", "n_in n_out entries by_input")
+# a map inside a layer join: raw entries in SparseMap order, and a table's
+# index and crossing signs (see _swap_signs) or None
+_RawMap = namedtuple("_RawMap", "n_in n_out entries by_input signs", defaults=(None, None))
 
 
 def _by_input(entries: dict) -> dict[Word, list]:
@@ -80,6 +89,25 @@ def _by_input(entries: dict) -> dict[Word, list]:
     for (w, u), v in entries.items():
         index.setdefault(u, []).append((w, v))
     return index
+
+
+# the input words of a crossing's table at d = 2
+_LETTER_PAIRS = frozenset(("00", "01", "10", "11"))
+
+
+def _swap_signs(index: dict, ring: RingDescriptor) -> tuple[dict, dict] | None:
+    """A crossing table's values other than one by the letters of the
+    wires on its right and left, then on its left and right, if it sends
+    each input word to that word swapped and to nothing else; else None."""
+    if index.keys() != _LETTER_PAIRS:
+        return None
+    signs = {}
+    for u, outs in index.items():
+        if len(outs) != 1 or outs[0][0] != u[::-1]:
+            return None
+        if not ring.eq(outs[0][1], ring.one.value):
+            signs[u] = outs[0][1]
+    return {u[::-1]: f for u, f in signs.items()}, signs
 
 
 def _clean(ring: RingDescriptor, entries: dict) -> dict:
@@ -147,25 +175,68 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
             partial = [((w + bw, u + bu), mul(v, bv))
                        for (w, u), v in partial for (bw, bu), bv in b.entries.items()]
         acc = dict(partial)  # the blocks' keys are distinct, so these are too
-        n_in = sum(b.n_in for b in blocks)
+        n_in, n_out = sum(b.n_in for b in blocks), sum(b.n_out for b in blocks)
     else:
         # block by block over a's entries: (output word so far, middle, input, value)
         rows = [("", mid, u, v) for (mid, u), v in a.entries.items()]
-        pos = 0
+        pos = n_out = 0
         for b in blocks:
             index = _by_input(b.entries) if b.by_input is None else b.by_input
             end = pos + b.n_in
             rows = [(w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
                     for bw, bv in index.get(mid[pos:end], ())]
-            pos = end
+            pos, n_out = end, n_out + b.n_out
         acc = {}
         for w, _, u, v in rows:
             key = (w, u)
             acc[key] = add(acc[key], v) if key in acc else v
         n_in = a.n_in
     eq, zero = ring.eq, ring.zero.value
-    return _RawMap(n_in, sum(b.n_out for b in blocks),
-                   {k: v for k, v in acc.items() if not eq(v, zero)}, None)
+    return _RawMap(n_in, n_out, {k: v for k, v in acc.items() if not eq(v, zero)})
+
+
+def _apply_run(a: _RawMap, perm: list[int], crossings: dict,
+               ring: RingDescriptor) -> _RawMap | None:
+    """Join a run of wiring layers onto ``a`` as one signed permutation of
+    its output words (see :func:`zwcalc.term.fold`), or None when a
+    crossing's table is not a signed swap.
+
+    Each pair of wires that cross keeps, by the pair's letters, the
+    products over its crossings that are not one: "11" for ``x`` and
+    ``xinv``, nothing for ``swap``, and an ``x ; x`` pair drops out.  A
+    word takes the factors of the pairs among its letters that take part,
+    then is permuted once."""
+    mul, eq, one = ring.ops["mul"], ring.eq, ring.one.value
+    factors = {}  # (i, j) -> {letters of wires i and j: their product}
+    for pair, seq in crossings.items():
+        prod = {}
+        for table, i_left in seq:
+            if table.signs is None:
+                return None
+            signs = table.signs[i_left]
+            if not prod:
+                prod = signs
+            elif signs:  # multiply the letters both hold, drop products that are one
+                both = {w: mul(prod[w], f) for w, f in signs.items() if w in prod}
+                prod = {w: f for w, f in {**prod, **signs, **both}.items() if not eq(f, one)}
+        if prod:
+            factors[pair] = prod
+    if not factors and perm == sorted(perm):
+        return a
+    wires = sorted({i for pair in factors for i in pair})
+    part = {c for prod in factors.values() for word in prod for c in word}
+    zero = ring.zero.value
+    entries = {}
+    for (w, u), v in a.entries.items():
+        lit = [i for i in wires if w[i] in part]
+        for x, i in enumerate(lit):
+            for j in lit[x + 1:]:
+                prod = factors.get((i, j))
+                if prod is not None and w[i] + w[j] in prod:
+                    v = mul(v, prod[w[i] + w[j]])
+        if not eq(v, zero):
+            entries["".join([w[p] for p in perm]), u] = v
+    return _RawMap(a.n_in, a.n_out, entries)
 
 
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
@@ -179,8 +250,11 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     _check_dimension(ring, d)
     if isinstance(t, _term.Gen):
         return generator_map(t.gen, ring, d)
+    run = None
+    if ring.exact:  # over C a product by one can flip the sign of a zero part
+        run = lambda acc, perm, crossings: _apply_run(acc, perm, crossings, ring)
     m = _term.fold(t, lambda g: generator_map(g, ring, d)._raw,
-                   lambda acc, blocks: _apply_blocks(acc, blocks, ring))
+                   lambda acc, blocks: _apply_blocks(acc, blocks, ring), run)
     return SparseMap(ring, d, m.n_in, m.n_out,
                      {k: RingElement(ring, v) for k, v in m.entries.items()})
 

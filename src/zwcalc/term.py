@@ -60,6 +60,8 @@ _FIXED_ARITY = {
     "x": (2, 2),
     "xinv": (2, 2),
 }
+# the leaves that only move wires: a layer of them is joined in a run by fold
+_WIRING = frozenset(("id", "swap", "x", "xinv"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,12 +233,24 @@ def layers(t: Term) -> list[list[Term]]:
     return out
 
 
-def fold(t: Term, leaf, layer):
+def fold(t: Term, leaf, layer, run=None):
     """Fold ``t`` bottom-up along its chains, on an explicit stack:
     ``leaf(generator)`` is the value of a generator leaf, ``layer(acc,
     values)`` joins the values of a layer's blocks onto the value ``acc``
     of the chain below it (None at the first layer), and a chain's value
     is its last ``acc``.  A bare generator is a one-layer chain.
+
+    With ``run``, wiring layers (every block an ``id``, ``swap``, ``x`` or
+    ``xinv`` leaf) that follow each other on a value ``acc`` form a run,
+    which only moves wires and is joined in one call, ``run(acc, perm,
+    crossings)``.  Number the wires by their positions below the run:
+    after it, position p holds wire ``perm[p]``, and ``crossings`` maps
+    each pair ``(i, j)``, i < j, of wires that cross to their crossings
+    in order, each ``(leaf value, whether wire i is on the left)``; an
+    ``id`` leaf holds its wire in place.  ``run`` returns the joined
+    value, or None to have the run joined layer by layer.  ``layer``
+    joins a run of one layer, which has nothing to collapse, and a
+    chain's opening layer, which has no value below it.
 
     ``leaf`` runs once per distinct generator object in ``t``: shared
     leaves reuse its value, keyed by ``id``, which stays valid because
@@ -244,35 +258,79 @@ def fold(t: Term, leaf, layer):
     belongs to the call, so no value outlives it, and a ``leaf`` that
     raises raises again on the next call."""
     memo = {}  # id(generator) -> leaf(generator)
-    # chains being folded: [its layers left, the layer's blocks left, acc, their values so far]
+    # chains being folded: [its layers left, the layer, its blocks left, acc,
+    # their values so far, the run's (blocks, values) so far]
     chain = iter(layers(t))
-    frames = [[chain, iter(next(chain)), None, []]]
+    blocks = next(chain)
+    frames = [[chain, blocks, iter(blocks), None, [], []]]
     while True:
         frame = frames[-1]
-        chain, blocks, acc, values = frame
-        for u in blocks:
+        chain, blocks, todo, acc, values, pending = frame
+        # a layer that resumes after a nested chain holds its value: no wiring
+        wiring = run is not None and acc is not None and not values
+        for u in todo:
             if type(u) is Gen:
                 g = u.gen
                 v = memo.get(id(g))
                 if v is None:
                     v = memo[id(g)] = leaf(g)
                 values.append(v)
+                if wiring and g.kind not in _WIRING:
+                    wiring = False
             elif type(u) is Seq:
                 chain = iter(layers(u))
-                frames.append([chain, iter(next(chain)), None, []])
+                blocks = next(chain)
+                frames.append([chain, blocks, iter(blocks), None, [], []])
                 break
             else:
                 raise ArityError(f"not a term: {u!r}")
         else:  # every block of the layer has its value
-            acc = layer(acc, values)
+            if wiring:
+                pending.append((blocks, values))
+            else:
+                if pending:
+                    acc, pending = _run(acc, pending, run, layer), []
+                acc = layer(acc, values)
             following = next(chain, None)
             if following is not None:
-                frame[1:] = iter(following), acc, []
+                frame[1:] = following, iter(following), acc, [], pending
                 continue
+            if pending:
+                acc = _run(acc, pending, run, layer)
             frames.pop()
             if not frames:
                 return acc
-            frames[-1][3].append(acc)
+            frames[-1][4].append(acc)
+
+
+def _run(acc, pending: list, run, layer):
+    """The run of wiring layers ``pending``, as ``(blocks, values)`` pairs,
+    joined onto ``acc`` for :func:`fold`.
+
+    A run may hold tens of thousands of crossings, and every container
+    that lives until the run ends adds to the collector's full passes
+    over the term, so each crossing is one of two tuples per leaf value."""
+    if len(pending) > 1:
+        blocks = pending[0][0]
+        perm = list(range(sum(u.n_in for u in blocks)))
+        crossings, tags = {}, {}  # tags: id(leaf value) -> its crossing either way round
+        for blocks, values in pending:
+            pos = 0
+            for u, v in zip(blocks, values):
+                if u.n_in == 2:
+                    tag = tags.get(id(v))
+                    if tag is None:
+                        tag = tags[id(v)] = (v, False), (v, True)
+                    i, j = perm[pos], perm[pos + 1]
+                    crossings.setdefault((i, j) if i < j else (j, i), []).append(tag[i < j])
+                    perm[pos], perm[pos + 1] = j, i
+                pos += u.n_in
+        joined = run(acc, perm, crossings)
+        if joined is not None:
+            return joined
+    for _, values in pending:
+        acc = layer(acc, values)
+    return acc
 
 
 def _preorder(t: Term) -> list:

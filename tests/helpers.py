@@ -3,8 +3,10 @@
 The dense oracle re-derives every generator matrix from scratch with
 numpy object arrays over plain Python ints, and composes with matmul and
 kron.  It shares no code with the package's sparse interpreter, so
-agreement between the two is meaningful.  Capped at 4 total wires
-(2^4 x 2^4 = 256 entries, comfortably below the 4096-entry budget).
+agreement between the two is meaningful.  Random terms are capped at 4
+total wires (2^4 x 2^4 = 256 entries, comfortably below the 4096-entry
+budget); the wiring runs of ``test_normalform`` reach 6 wires, whose
+layers take 2^6 x 2^6 = 4096 entries, the whole budget.
 
 For qudits it keeps the closed-form crossing, split and merge matrices
 (basis index = big-endian digit word), built from q-integers without the

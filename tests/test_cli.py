@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwcalc import normalform, rules, semantics
+from zwcalc import normalform, qudit, rules, semantics
 from zwcalc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,6 +93,55 @@ def test_roundtrip_reports_interpreter_witness(capsys, monkeypatch):
     data = json.loads(out)
     assert data["agree"] is False
     assert data["witness"] == ["01", "", "1", "-1"]
+
+
+def _flip_x_ones(pillar, monkeypatch):
+    """Plant +1 for the sign of x on |11> in one pillar's own table."""
+    if pillar == "normalize":
+        real = normalform.generator_nf
+
+        def planted(g, r):
+            m = real(g, r)
+            if g.kind != "x":
+                return m
+            rows = tuple((-c if w == "1111" else c, w) for c, w in m.nf.rows)
+            return normalform.MapNormalForm(m.n_in, m.n_out, normalform.NormalForm(2, 4, rows))
+
+        monkeypatch.setattr(normalform, "generator_nf", planted)
+    else:
+        real = qudit.generator_entries
+
+        def planted(g, r, d):
+            entries = real(g, r, d)
+            if g.kind == "x":
+                entries[("11", "11")] = -entries[("11", "11")]
+            return entries
+
+        monkeypatch.setattr(qudit, "generator_entries", planted)
+
+
+@pytest.mark.parametrize("pillar", ["normalize", "interpret"])
+def test_planted_crossing_sign_fails_through_the_run(capsys, monkeypatch, pillar):
+    # the last two layers are a run, which each pillar joins as one signed
+    # permutation with the sign read from its own table
+    joined = []
+    for module, name in ((semantics, "_apply_run"), (normalform, "_plug_run")):
+        real_run = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real_run=real_run:
+                            joined.append(real_run(*args)) or joined[-1])
+    caches = semantics._generator_map, normalform.generator_nf
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        _flip_x_ones(pillar, monkeypatch)
+        code, out, _ = run(capsys, "roundtrip", "--ring", "Z", "id * x ; x * id ; id * x")
+    finally:  # no planted table outlives the test
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1
+    data = json.loads(out)
+    assert data["agree"] is False and len(data["witness"]) == 4
+    assert len(joined) == 2 and None not in joined
 
 
 def test_check_axioms_small_bounds(capsys):

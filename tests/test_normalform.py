@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwcalc import normalform, ring, term
+from zwcalc import normalform, qudit, ring, semantics, term
 from zwcalc.ring import UnsupportedOperationError
 from zwcalc.term import ArityError
 from zwcalc.semantics import interpret, map_equal, make_map
@@ -278,6 +278,146 @@ def test_normalize_agrees_with_interpreter_on_wide_terms(seed):
         # the same nonzero values, word by word: no zero row and no zero entry
         rows = {w: c for c, w in normalize(t, r).nf.rows}
         assert rows == {u + w: v for (w, u), v in interpret(t, r).entries.items()}
+
+
+def _spider_layer(rng, n_in: int, n_out: int, labels) -> term.Term:
+    """A row of random Z and W spiders from n_in to n_out wires."""
+    groups = rng.randint(1, max(n_in, n_out, 1))
+    ins, outs = [0] * groups, [0] * groups
+    for counts, n in ((ins, n_in), (outs, n_out)):
+        for _ in range(n):
+            counts[rng.randrange(groups)] += 1
+    return term.par_all(
+        term.zspider(a, b, rng.choice(labels)) if rng.random() < 0.5 else term.wspider(a, b)
+        for a, b in zip(ins, outs) if a + b)
+
+
+def _wiring_run(rng, n: int) -> list[term.Term]:
+    """1 to 8 layers of id, x, xinv and swap on n wires, with runs that are
+    not reduced: a layer twice over (x ; x), or a layer between two copies
+    of one swap layer."""
+    def layer(kinds):
+        blocks, i = [], 0
+        while i < n:
+            if i + 1 < n and rng.random() < 0.6:
+                blocks.append(rng.choice(kinds))
+                i += 2
+            else:
+                blocks.append(term.ID)
+                i += 1
+        return term.par_all(blocks)
+
+    kinds = (term.X, term.XINV, term.SWAP)
+    out, target = [], rng.randint(1, 8)
+    while len(out) < target:
+        pick = rng.random()
+        if pick < 0.25 and out:
+            out.append(out[-1])
+        elif pick < 0.4:
+            swaps = layer((term.SWAP,))
+            out += [swaps, layer(kinds), swaps]
+        else:
+            out.append(layer(kinds))
+    return out[:8]
+
+
+def _run_term(rng, n: int, labels, shape: str) -> term.Term:
+    """A wiring run on n wires with spiders after it: after a random map
+    or state, nested with a ket beside it, or opening the chain."""
+    run = _wiring_run(rng, n)
+    before = _spider_layer(rng, rng.randint(0, 2), n, labels)
+    if shape == "after a map":
+        return term.seq_all([before, *run, _spider_layer(rng, n, rng.randint(0, 2), labels)])
+    if shape == "nested":
+        inner = term.seq_all([before, *run]) @ term.ket(rng.randint(0, 1))
+        return inner >> _spider_layer(rng, n + 1, rng.randint(0, 2), labels)
+    return term.seq_all([*run, _spider_layer(rng, n, rng.randint(0, 2), labels)])
+
+
+RUN_RINGS = [(r, [ring.parse_literal(r, s) for s in texts]) for r, texts in WIDE_LABELS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["after a map", "nested", "opening"]))
+def test_wiring_runs_match_the_dense_oracle(seed, shape):
+    # up to 6 wires: 2^6 x 2^6 = 4096 entries per run layer; a run that
+    # opens the chain keeps its inputs, so it stays at 4 wires
+    rng = random.Random(seed)
+    n = rng.randint(2, {"after a map": 6, "nested": 5, "opening": 4}[shape])
+    for r, labels in RUN_RINGS:
+        t = _run_term(rng, n, labels, shape)
+        want = helpers.dense_evaluate(t, r)
+        assert helpers.dense_equal(helpers.sparse_to_dense(interpret(t, r), r), want)
+        assert helpers.dense_equal(
+            helpers.sparse_to_dense(normalize(t, r).to_sparse(r), r), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["after a map", "nested", "opening"]))
+def test_wiring_runs_agree_across_pillars_on_wide_terms(seed, shape):
+    rng = random.Random(seed)
+    n = rng.randint(10, 12)
+    for r, labels in RUN_RINGS:
+        t = _run_term(rng, n, labels, shape)
+        # the same nonzero values, row by row
+        rows = {w: c for c, w in normalize(t, r).nf.rows}
+        assert rows == {u + w: v for (w, u), v in interpret(t, r).entries.items()}
+
+
+@pytest.mark.parametrize("plant", ["sign by side", "not a swap"])
+def test_runs_read_each_table_the_way_round_it_is(monkeypatch, plant):
+    # plant the same x table in both pillars: a sign on |01> alone, which
+    # depends on the wire on the left, or an extra |11> -> |00> entry, which
+    # no signed swap has and which sends every run with an x to the layer joins
+    real_entries, real_nf = qudit.generator_entries, normalform.generator_nf
+
+    def entries(g, r, d):
+        out = real_entries(g, r, d)
+        if g.kind == "x" and plant == "sign by side":
+            out[("10", "01")] = -out[("10", "01")]
+        elif g.kind == "x":
+            out[("00", "11")] = r.one
+        return out
+
+    def nf(g, r):
+        if g.kind != "x":
+            return real_nf(g, r)
+        rows = [(-c if plant == "sign by side" and w == "0110" else c, w)
+                for c, w in real_nf(g, r).nf.rows]
+        if plant == "not a swap":
+            rows.append((r.one, "1100"))
+        return MapNormalForm(2, 2, canonicalize(PreNormalForm(2, 4, tuple(rows))))
+
+    joined = []
+    for module, name in ((semantics, "_apply_run"), (normalform, "_plug_run")):
+        real_run = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real_run=real_run:
+                            joined.append(real_run(*args)) or joined[-1])
+    caches = semantics._generator_map, real_nf
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(qudit, "generator_entries", entries)
+    monkeypatch.setattr(normalform, "generator_nf", nf)
+    try:
+        rng, labels = random.Random(3), [iz(v) for v in (-2, -1, 2)]
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            t = term.seq_all([_spider_layer(rng, 0, n, labels), *_wiring_run(rng, n)])
+            m = interpret(t, Z)
+            by_layer = term.fold(t, lambda g: semantics.generator_map(g, Z, 2)._raw,
+                                 lambda acc, blocks: semantics._apply_blocks(acc, blocks, Z))
+            assert {k: v.value for k, v in m.entries.items()} == by_layer.entries
+            rows = {w: c for c, w in normalize(t, Z).nf.rows}
+            assert rows == {w: v for (w, _), v in m.entries.items()}
+    finally:  # no planted table outlives the test
+        for cache in caches:
+            cache.cache_clear()
+    if plant == "sign by side":
+        assert len(joined) > 10 and None not in joined
+    else:  # a run with no x in it is still a signed permutation
+        assert None in joined
 
 
 def test_nf_to_term_round_trip_ten_wires():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwcalc import ring, term
+from zwcalc import ring, semantics, term
 from zwcalc.ring import UnsupportedOperationError
 from zwcalc.semantics import (
     dagger,
@@ -235,6 +235,20 @@ def test_complex_labels_keep_the_sign_of_zero():
         for v in (complex(-0.0, 1), complex(0.0, 1)):
             m = interpret(term.zspider(0, 1, ring.complex_value(C, v)), C, d)
             assert repr(m.entries[("1", "")].value) == repr(v)
+
+
+def test_only_exact_rings_join_wiring_runs_in_one_step(monkeypatch):
+    # over C a product by one can flip the sign of a zero part, so every
+    # wiring layer is joined on its own, as the tables give it
+    runs = []
+    real = semantics._apply_run
+    monkeypatch.setattr(semantics, "_apply_run", lambda *args: runs.append(args) or real(*args))
+    C = ring.C()
+    for d in (2, 3):
+        interpret(parse("w(0,3) ; x * id ; id * xinv ; swap * id ; x * id", C), C, d)
+    assert runs == []
+    interpret(parse("w(0,3) ; x * id ; id * xinv ; swap * id ; x * id", QI), QI)
+    assert len(runs) == 1
 
 
 def test_generator_errors_are_raised_on_every_call():

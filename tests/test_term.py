@@ -156,6 +156,39 @@ def test_fold_joins_each_chain_layer_by_layer():
         term.fold("id", None, None)
 
 
+def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
+    t = parse("w(0,3) ; x * id ; id * swap ; xinv * id ; x * id ; w(3,0)", Z)
+    calls = []
+
+    def run(acc, perm, crossings):
+        calls.append((acc, list(perm), crossings))
+        return "run"
+
+    got = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values), run)
+    assert got == ("run", ["w"])
+    # wires keep their numbers from below the run; the last x meets
+    # wires 1 and 2 with wire 2 on the left
+    assert calls == [((None, ["w"]), [1, 2, 0], {
+        (0, 1): [("x", True)], (0, 2): [("swap", True)],
+        (1, 2): [("xinv", True), ("x", False)]})]
+    # a run that declines is joined layer by layer, as without a run
+    by_layer = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
+    assert term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values),
+                     lambda *_: None) == by_layer
+    # one wiring layer, and wiring that opens a chain, go to the layer join
+    calls.clear()
+    for text in ("w(0,2) ; x ; w(2,0)", "x ; w(2,0)", "(w(0,2) ; swap) * ket(0) ; w(3,0)"):
+        term.fold(parse(text, Z), lambda g: g.kind, lambda acc, values: (acc, values), run)
+    assert calls == []
+    # a run inside a nested chain is found there, and its opening layer is not in it
+    got = term.fold(parse("(w(0,2) ; x ; x) * ket(0) ; id * swap ; swap * id", Z),
+                    lambda g: g.kind, lambda acc, values: (acc, values), run)
+    assert got == "run"
+    assert [c[1:] for c in calls] == [
+        ([0, 1], {(0, 1): [("x", True), ("x", False)]}),
+        ([2, 0, 1], {(1, 2): [("swap", True)], (0, 2): [("swap", True)]})]
+
+
 def _spy(monkeypatch, module, name) -> list:
     """The generators ``module.name`` is called with, in order."""
     calls, real = [], getattr(module, name)
