@@ -281,7 +281,7 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     wire = generator_nf(_term.ID.gen, ring)._raw
     m = _term.fold(t, lambda g: generator_nf(g, ring)._raw,
                    lambda acc, blocks: _plug(acc, blocks, ring, wire),
-                   lambda acc, perm, crossings: _plug_run(acc, perm, crossings, ring))
+                   lambda acc, layers: _plug_run(acc, layers, ring))
     return MapNormalForm(m.n_in, m.n_out, _wrapped(2, m.n_in + m.n_out, m.rows, ring))
 
 
@@ -354,8 +354,7 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm))
 
 
-def _plug_run(a: _RawNF, perm: list[int], crossings: dict,
-              ring: RingDescriptor) -> _RawNF | None:
+def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
     """Plug the outputs of ``a`` into a run of wiring layers as one signed
     permutation of the output letters (see :func:`zwcalc.term.fold`), or
     None when a crossing's table is not a signed swap.
@@ -365,6 +364,7 @@ def _plug_run(a: _RawNF, perm: list[int], crossings: dict,
     "1111" of ``x`` and ``xinv``, none of ``swap``, and an ``x ; x`` pair
     drops out.  A row takes the factors of the pairs among its output
     letters that take part, then its output letters are permuted once."""
+    perm, crossings = _term.crossing_pairs(layers, a.n_out)
     mul, eq, one = ring.ops["mul"], ring.eq, ring.one.value
     factors = {}  # (i, j) -> {letters of wires i and j: their product}
     for pair, seq in crossings.items():

@@ -235,13 +235,16 @@ def generator_entries(g: Generator, ring: RingDescriptor, d: int) -> dict:
     lam = complex(g.label.value)
     c = binomial_table(p).sqrt_factorials
     ent = {}
-    try:
-        for l in range(d):
+    for l in range(d):
+        try:
             v = c[l] ** (k + m - 2) * lam ** l
-            if abs(v) > p.tolerance:
-                ent[(str(l) * m, str(l) * k)] = _ring.complex_value(ring, v)
-    except OverflowError:
-        raise QuditError(f"z({k},{m})[{g.label}] overflows at level {l}") from None
+        except OverflowError:
+            v = math.inf
+        # a power that overflows may also come out as nan, which no tolerance test catches
+        if not cmath.isfinite(v):
+            raise QuditError(f"z({k},{m})[{g.label}] overflows at level {l}")
+        if abs(v) > p.tolerance:
+            ent[(str(l) * m, str(l) * k)] = _ring.complex_value(ring, v)
     return ent
 
 

@@ -19,17 +19,21 @@ every leaf shares it read-only, with its raw values (ints, Gaussian
 rationals, complex numbers) indexed for the join.  The join multiplies
 raw values with the ring's own operations; a result holds ring elements.
 
-Over the exact rings, a run of wiring layers (``id``, ``x``, ``xinv`` and
-``swap`` leaves only) on a map is joined in one step, as the fold hands
-it over: each output word takes the signs that its crossing pairs of
-letters read from the crossings' tables (the "11" entry of ``x``), and is
-permuted once.  Over C every layer is joined on its own.
+A run of wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves
+only) on a map is joined in one step, as the fold hands it over.  Over
+the exact rings each output word takes the signs that its crossing pairs
+of letters read from the crossings' tables (the "11" entry of ``x``),
+and is permuted once.  Over C each word walks the run's crossings in
+order, taking the factor its two letters read from each crossing's
+table and swapping them, which gives the layer joins' values bit for
+bit (see :func:`_apply_run_in_order`).
 
 Maps are immutable once built; evaluation is pure.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -69,7 +73,8 @@ class SparseMap:
         (not a field)."""
         entries = {k: v.value for k, v in self.entries.items()}
         index = _by_input(entries)
-        return _RawMap(self.n_in, self.n_out, entries, index, _swap_signs(index, self.ring))
+        return _RawMap(self.n_in, self.n_out, entries, index,
+                       _swap_signs(index, self.ring, self.d))
 
     def scalar(self) -> RingElement:
         """The value of a (0, 0) map."""
@@ -91,21 +96,19 @@ def _by_input(entries: dict) -> dict[Word, list]:
     return index
 
 
-# the input words of a crossing's table at d = 2
-_LETTER_PAIRS = frozenset(("00", "01", "10", "11"))
-
-
-def _swap_signs(index: dict, ring: RingDescriptor) -> tuple[dict, dict] | None:
+def _swap_signs(index: dict, ring: RingDescriptor, d: int) -> tuple[dict, dict] | None:
     """A crossing table's values other than one by the letters of the
     wires on its right and left, then on its left and right, if it sends
-    each input word to that word swapped and to nothing else; else None."""
-    if index.keys() != _LETTER_PAIRS:
+    each word of two levels to that word swapped and to nothing else;
+    else None.  Only a value that equals one exactly is left out."""
+    levels = "0123456789"[:d]
+    if len(index) != d * d or index.keys() != {a + b for a in levels for b in levels}:
         return None
-    signs = {}
+    one, signs = ring.one.value, {}
     for u, outs in index.items():
         if len(outs) != 1 or outs[0][0] != u[::-1]:
             return None
-        if not ring.eq(outs[0][1], ring.one.value):
+        if outs[0][1] != one:
             signs[u] = outs[0][1]
     return {u[::-1]: f for u, f in signs.items()}, signs
 
@@ -195,17 +198,17 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
     return _RawMap(n_in, n_out, {k: v for k, v in acc.items() if not eq(v, zero)})
 
 
-def _apply_run(a: _RawMap, perm: list[int], crossings: dict,
-               ring: RingDescriptor) -> _RawMap | None:
-    """Join a run of wiring layers onto ``a`` as one signed permutation of
-    its output words (see :func:`zwcalc.term.fold`), or None when a
-    crossing's table is not a signed swap.
+def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
+    """Join a run of wiring layers onto ``a`` over an exact ring as one
+    signed permutation of its output words (see :func:`zwcalc.term.fold`),
+    or None when a crossing's table is not a signed swap.
 
     Each pair of wires that cross keeps, by the pair's letters, the
     products over its crossings that are not one: "11" for ``x`` and
     ``xinv``, nothing for ``swap``, and an ``x ; x`` pair drops out.  A
     word takes the factors of the pairs among its letters that take part,
     then is permuted once."""
+    perm, crossings = _term.crossing_pairs(layers, a.n_out)
     mul, eq, one = ring.ops["mul"], ring.eq, ring.one.value
     factors = {}  # (i, j) -> {letters of wires i and j: their product}
     for pair, seq in crossings.items():
@@ -239,22 +242,72 @@ def _apply_run(a: _RawMap, perm: list[int], crossings: dict,
     return _RawMap(a.n_in, a.n_out, entries)
 
 
+def _plain(v: complex) -> bool:
+    """Whether both parts of ``v`` are nonzero and finite, so that a product
+    by one gives ``v`` back bit for bit."""
+    return 0 < abs(v.real) < math.inf and 0 < abs(v.imag) < math.inf
+
+
+def _apply_run_in_order(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
+    """Join a run of wiring layers onto ``a`` over C (see
+    :func:`zwcalc.term.fold`) with the values of the layer joins bit for
+    bit, or None when a crossing's table is not a phased swap.
+
+    Each word walks the run's crossings in order: it takes the factor its
+    two letters read from the crossing's table and swaps them.  The layer
+    joins also multiply by the factors equal to one (``id``, ``swap``, and
+    ``x`` on a 0 letter), which give a value back unchanged only while
+    both of its parts are nonzero and finite; a value that is not is
+    replayed, every block's factor multiplied in block order.  A word
+    whose value is zero is dropped at the end of a layer, as the layer
+    joins drop it."""
+    mul, eq, zero, one = ring.ops["mul"], ring.eq, ring.zero.value, ring.one.value
+    n = a.n_out
+    rows = [(list(w), u, v, not _plain(v)) for (w, u), v in a.entries.items()]
+    for layer in layers:
+        if any(table.signs is None for _, table in layer):
+            return None
+        kept = []
+        for letters, u, v, replay in rows:
+            pos = 0  # replayed: the blocks left of pos are multiplied in
+            for p, table in layer:
+                x, y = letters[p], letters[p + 1]
+                letters[p], letters[p + 1] = y, x
+                if replay:
+                    for _ in range(p - pos):  # the id blocks on its left
+                        v = mul(v, one)
+                    v, pos = mul(v, table.by_input[x + y][0][1]), p + 2
+                else:
+                    f = table.signs[1].get(x + y)
+                    if f is not None:
+                        v, pos = mul(v, f), p + 2
+                        replay = not _plain(v)
+            if replay:
+                for _ in range(n - pos):
+                    v = mul(v, one)
+            if not eq(v, zero):
+                kept.append((letters, u, v, replay))
+        rows = kept
+    return _RawMap(a.n_in, a.n_out, {("".join(letters), u): v for letters, u, v, _ in rows})
+
+
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     """Evaluate a term to its sparse map over ``ring`` at dimension ``d``.
 
     Exact rings require d = 2; the qudit tables (d in 2..10) require the
     approximate complex ring.  A bare generator's map is its shared table
     from :func:`generator_map`, with read-only entries; other maps are
-    joined on raw values and wrapped as ring elements at the end.
+    joined on raw values and wrapped as ring elements at the end.  Every
+    run of wiring layers is joined in one step, over C with the values
+    of the layer joins bit for bit.
     """
     _check_dimension(ring, d)
     if isinstance(t, _term.Gen):
         return generator_map(t.gen, ring, d)
-    run = None
-    if ring.exact:  # over C a product by one can flip the sign of a zero part
-        run = lambda acc, perm, crossings: _apply_run(acc, perm, crossings, ring)
+    join_run = _apply_run if ring.exact else _apply_run_in_order
     m = _term.fold(t, lambda g: generator_map(g, ring, d)._raw,
-                   lambda acc, blocks: _apply_blocks(acc, blocks, ring), run)
+                   lambda acc, blocks: _apply_blocks(acc, blocks, ring),
+                   lambda acc, layers: join_run(acc, layers, ring))
     return SparseMap(ring, d, m.n_in, m.n_out,
                      {k: RingElement(ring, v) for k, v in m.entries.items()})
 

@@ -127,32 +127,39 @@ class Gen(Term):
         object.__setattr__(self, "n_out", self.gen.n_out)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+# Seq and Par are built by the thousand per crossing network, so they write
+# their slots through the slot descriptors, as ring.RingElement does
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Seq(Term):
     first: Term
     then: Term
 
-    def __post_init__(self):
-        if self.first.n_out != self.then.n_in:
-            raise ArityError(
-                f"cannot plug {self.first.n_out} outputs into "
-                f"{self.then.n_in} inputs")
+    def __init__(self, first: Term, then: Term):
+        if first.n_out != then.n_in:
+            raise ArityError(f"cannot plug {first.n_out} outputs into {then.n_in} inputs")
+        _set_first(self, first)
+        _set_then(self, then)
         # arities are stored, not derived, so that deeply nested terms
         # never recurse on attribute access
-        object.__setattr__(self, "n_in", self.first.n_in)
-        object.__setattr__(self, "n_out", self.then.n_out)
+        _set_n_in(self, first.n_in)
+        _set_n_out(self, then.n_out)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Par(Term):
     left: Term
     right: Term
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_in", self.left.n_in + self.right.n_in)
-        object.__setattr__(self, "n_out", self.left.n_out + self.right.n_out)
+    def __init__(self, left: Term, right: Term):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_n_in(self, left.n_in + right.n_in)
+        _set_n_out(self, left.n_out + right.n_out)
 
 
+_set_first, _set_then, _set_left, _set_right = (
+    Seq.first.__set__, Seq.then.__set__, Par.left.__set__, Par.right.__set__)
+_set_n_in, _set_n_out = Term.n_in.__set__, Term.n_out.__set__
 seq, par = Seq, Par  # >> and @ as functions
 
 
@@ -162,16 +169,17 @@ _WIRES = {kind: Gen(Generator(kind, *arity)) for kind, arity in _FIXED_ARITY.ite
 
 @lru_cache(maxsize=4096)
 def _shared_leaf(g: Generator) -> Term:
-    """One leaf per spider: the rule catalogue repeats a few hundred
-    spiders thousands of times."""
+    """One leaf per Z spider over an exact ring: the rule catalogue repeats
+    a few hundred spiders thousands of times."""
     return Gen(g)
 
 
 ID, SWAP, CUP, CAP, X, XINV = (_WIRES[k] for k in ("id", "swap", "cup", "cap", "x", "xinv"))
 
 
+@lru_cache(maxsize=4096)  # one leaf per arity, found without building a Generator
 def wspider(k: int, m: int) -> Term:
-    return _shared_leaf(Generator("w", k, m))
+    return Gen(Generator("w", k, m))
 
 
 def zspider(k: int, m: int, label: RingElement) -> Term:
@@ -242,15 +250,15 @@ def fold(t: Term, leaf, layer, run=None):
 
     With ``run``, wiring layers (every block an ``id``, ``swap``, ``x`` or
     ``xinv`` leaf) that follow each other on a value ``acc`` form a run,
-    which only moves wires and is joined in one call, ``run(acc, perm,
-    crossings)``.  Number the wires by their positions below the run:
-    after it, position p holds wire ``perm[p]``, and ``crossings`` maps
-    each pair ``(i, j)``, i < j, of wires that cross to their crossings
-    in order, each ``(leaf value, whether wire i is on the left)``; an
-    ``id`` leaf holds its wire in place.  ``run`` returns the joined
-    value, or None to have the run joined layer by layer.  ``layer``
-    joins a run of one layer, which has nothing to collapse, and a
-    chain's opening layer, which has no value below it.
+    which only moves wires and is joined in one call, ``run(acc,
+    layers)``.  ``layers`` yields the run's layers in order, one at a
+    time, each as the list of its crossings left to right: ``(p, leaf
+    value)`` crosses the wires at positions p and p + 1, and an ``id``
+    leaf holds its wire in place.  :func:`crossing_pairs` composes them
+    into one permutation.  ``run`` returns the joined value, or None,
+    after reading any part of ``layers``, to have the run joined layer by
+    layer.  ``layer`` joins a run of one layer, which has nothing to
+    collapse, and a chain's opening layer, which has no value below it.
 
     ``leaf`` runs once per distinct generator object in ``t``: shared
     leaves reuse its value, keyed by ``id``, which stays valid because
@@ -305,32 +313,50 @@ def fold(t: Term, leaf, layer, run=None):
 
 def _run(acc, pending: list, run, layer):
     """The run of wiring layers ``pending``, as ``(blocks, values)`` pairs,
-    joined onto ``acc`` for :func:`fold`.
-
-    A run may hold tens of thousands of crossings, and every container
-    that lives until the run ends adds to the collector's full passes
-    over the term, so each crossing is one of two tuples per leaf value."""
+    joined onto ``acc`` for :func:`fold`."""
     if len(pending) > 1:
-        blocks = pending[0][0]
-        perm = list(range(sum(u.n_in for u in blocks)))
-        crossings, tags = {}, {}  # tags: id(leaf value) -> its crossing either way round
-        for blocks, values in pending:
-            pos = 0
-            for u, v in zip(blocks, values):
-                if u.n_in == 2:
-                    tag = tags.get(id(v))
-                    if tag is None:
-                        tag = tags[id(v)] = (v, False), (v, True)
-                    i, j = perm[pos], perm[pos + 1]
-                    crossings.setdefault((i, j) if i < j else (j, i), []).append(tag[i < j])
-                    perm[pos], perm[pos + 1] = j, i
-                pos += u.n_in
-        joined = run(acc, perm, crossings)
+        joined = run(acc, _crossings(pending))
         if joined is not None:
             return joined
     for _, values in pending:
         acc = layer(acc, values)
     return acc
+
+
+def _crossings(pending: list):
+    """Each layer of a run as its crossings ``(position, leaf value)``, left
+    to right, built only when the layer is read."""
+    for blocks, values in pending:
+        out, pos = [], 0
+        for u, v in zip(blocks, values):
+            if u.n_in == 2:
+                out.append((pos, v))
+            pos += u.n_in
+        yield out
+
+
+def crossing_pairs(layers, n: int) -> tuple[list[int], dict]:
+    """A run's layers of crossings on ``n`` wires (see :func:`fold`) as one
+    permutation and the crossings of each pair of wires.
+
+    Number the wires by their positions below the run: after it,
+    position p holds wire ``perm[p]``, and ``crossings`` maps each pair
+    ``(i, j)``, i < j, of wires that cross to their crossings in order,
+    each ``(leaf value, whether wire i is on the left)``.  A run may hold
+    tens of thousands of crossings, and every container that lives until
+    the run ends adds to the collector's full passes over the term, so
+    each crossing is one of two tuples per leaf value."""
+    perm = list(range(n))
+    crossings, tags = {}, {}  # tags: id(leaf value) -> its crossing either way round
+    for layer in layers:
+        for pos, v in layer:
+            tag = tags.get(id(v))
+            if tag is None:
+                tag = tags[id(v)] = (v, False), (v, True)
+            i, j = perm[pos], perm[pos + 1]
+            crossings.setdefault((i, j) if i < j else (j, i), []).append(tag[i < j])
+            perm[pos], perm[pos + 1] = j, i
+    return perm, crossings
 
 
 def _preorder(t: Term) -> list:

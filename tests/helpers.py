@@ -237,3 +237,32 @@ def random_term(rng: random.Random, labels, pool=FULL_POOL,
         t = t >> zterm.par_all([_pick_gadget(n, rng, labels) for n in row])
         count += len(row)
     return t
+
+
+def wiring_run(rng: random.Random, n: int) -> list[Term]:
+    """1 to 8 layers of id, x, xinv and swap on n wires, with runs that are
+    not reduced: a layer twice over (x ; x), or a layer between two copies
+    of one swap layer."""
+    def layer(kinds):
+        blocks, i = [], 0
+        while i < n:
+            if i + 1 < n and rng.random() < 0.6:
+                blocks.append(rng.choice(kinds))
+                i += 2
+            else:
+                blocks.append(zterm.ID)
+                i += 1
+        return zterm.par_all(blocks)
+
+    kinds = (zterm.X, zterm.XINV, zterm.SWAP)
+    out, target = [], rng.randint(1, 8)
+    while len(out) < target:
+        pick = rng.random()
+        if pick < 0.25 and out:
+            out.append(out[-1])
+        elif pick < 0.4:
+            swaps = layer((zterm.SWAP,))
+            out += [swaps, layer(kinds), swaps]
+        else:
+            out.append(layer(kinds))
+    return out[:8]

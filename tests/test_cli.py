@@ -268,9 +268,11 @@ def test_chains_nested_in_rows_are_evaluated(capsys, verb):
     # the anyonic z table overflows on a large finite label
     ["eval", "--ring", "C", "--d", "3", "z(0,1)[1e200]"],
     ["universal", "--d", "3", OVERFLOW_STATE],
+    # and on one whose square comes out as nan
+    ["eval", "--ring", "C", "--d", "3", "z(0,2)[1e155+1e155i]"],
     # an infinite entry has no literal to write
     ["eval", "--ring", "C", "z(0,1)[1e308] ; z(1,1)[1e308]"],
-], ids=["eval-z-table", "universal-z-table", "eval-infinite-entry"])
+], ids=["eval-z-table", "universal-z-table", "eval-z-table-nan", "eval-infinite-entry"])
 def test_overflowing_values_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")

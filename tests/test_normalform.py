@@ -292,39 +292,10 @@ def _spider_layer(rng, n_in: int, n_out: int, labels) -> term.Term:
         for a, b in zip(ins, outs) if a + b)
 
 
-def _wiring_run(rng, n: int) -> list[term.Term]:
-    """1 to 8 layers of id, x, xinv and swap on n wires, with runs that are
-    not reduced: a layer twice over (x ; x), or a layer between two copies
-    of one swap layer."""
-    def layer(kinds):
-        blocks, i = [], 0
-        while i < n:
-            if i + 1 < n and rng.random() < 0.6:
-                blocks.append(rng.choice(kinds))
-                i += 2
-            else:
-                blocks.append(term.ID)
-                i += 1
-        return term.par_all(blocks)
-
-    kinds = (term.X, term.XINV, term.SWAP)
-    out, target = [], rng.randint(1, 8)
-    while len(out) < target:
-        pick = rng.random()
-        if pick < 0.25 and out:
-            out.append(out[-1])
-        elif pick < 0.4:
-            swaps = layer((term.SWAP,))
-            out += [swaps, layer(kinds), swaps]
-        else:
-            out.append(layer(kinds))
-    return out[:8]
-
-
 def _run_term(rng, n: int, labels, shape: str) -> term.Term:
     """A wiring run on n wires with spiders after it: after a random map
     or state, nested with a ket beside it, or opening the chain."""
-    run = _wiring_run(rng, n)
+    run = helpers.wiring_run(rng, n)
     before = _spider_layer(rng, rng.randint(0, 2), n, labels)
     if shape == "after a map":
         return term.seq_all([before, *run, _spider_layer(rng, n, rng.randint(0, 2), labels)])
@@ -404,7 +375,7 @@ def test_runs_read_each_table_the_way_round_it_is(monkeypatch, plant):
         rng, labels = random.Random(3), [iz(v) for v in (-2, -1, 2)]
         for _ in range(20):
             n = rng.randint(2, 6)
-            t = term.seq_all([_spider_layer(rng, 0, n, labels), *_wiring_run(rng, n)])
+            t = term.seq_all([_spider_layer(rng, 0, n, labels), *helpers.wiring_run(rng, n)])
             m = interpret(t, Z)
             by_layer = term.fold(t, lambda g: semantics.generator_map(g, Z, 2)._raw,
                                  lambda acc, blocks: semantics._apply_blocks(acc, blocks, Z))

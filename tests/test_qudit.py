@@ -292,6 +292,11 @@ def test_z_table_overflow_is_an_error():
     with pytest.raises(QuditError, match="overflows"):
         interpret(big, R, 3)
     assert interpret(big, R, 2).entries[("1", "")].value == 1e200
+    # squares that come out as nan, not as an OverflowError
+    for label in (1e155 + 1e155j, 1e308 + 1e308j):
+        for d in (3, 7):
+            with pytest.raises(QuditError, match="overflows at level 2"):
+                interpret(term.zspider(0, 2, ring.complex_value(R, label)), R, d)
 
 
 def test_universal_example_from_two_rows():

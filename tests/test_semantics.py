@@ -1,8 +1,9 @@
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zwcalc import ring, semantics, term
 from zwcalc.ring import UnsupportedOperationError
@@ -237,18 +238,56 @@ def test_complex_labels_keep_the_sign_of_zero():
             assert repr(m.entries[("1", "")].value) == repr(v)
 
 
-def test_only_exact_rings_join_wiring_runs_in_one_step(monkeypatch):
-    # over C a product by one can flip the sign of a zero part, so every
-    # wiring layer is joined on its own, as the tables give it
+def test_every_ring_joins_wiring_runs_in_one_step(monkeypatch):
     runs = []
-    real = semantics._apply_run
-    monkeypatch.setattr(semantics, "_apply_run", lambda *args: runs.append(args) or real(*args))
+    for name in ("_apply_run", "_apply_run_in_order"):
+        real = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda *args, name=name, real=real:
+                            runs.append((name, real(*args))) or runs[-1][1])
     C = ring.C()
+    text = "w(0,3) ; x * id ; id * xinv ; swap * id ; x * id"
     for d in (2, 3):
-        interpret(parse("w(0,3) ; x * id ; id * xinv ; swap * id ; x * id", C), C, d)
-    assert runs == []
-    interpret(parse("w(0,3) ; x * id ; id * xinv ; swap * id ; x * id", QI), QI)
-    assert len(runs) == 1
+        interpret(parse(text, C), C, d)
+    interpret(parse(text, QI), QI)
+    assert [name for name, _ in runs] == ["_apply_run_in_order"] * 2 + ["_apply_run"]
+    assert None not in [joined for _, joined in runs]
+
+
+# parts of the labels a C run's values are built from: signed zeros,
+# units, values near the tolerance (1e-9; a value a step above it may fall
+# under it in a run), and a big part whose top power is about 1e300, so
+# that products of two of them overflow
+def _parts(d: int) -> tuple:
+    return 0.0, -0.0, 1.0, -1.0, 1e-10, -math.nextafter(1e-9, 1), 1e300 ** (1 / (d - 1))
+
+
+def _c_state(rng: random.Random, d: int) -> term.Term:
+    """A state over C on two or more wires, with label parts from
+    :func:`_parts`: one-row states ``ket(1) ; z(1,1)[u]`` of value u, Z
+    spider states, and ``ket(0)``, whose letter meets only factors one."""
+    C, blocks = ring.C(), []
+    while sum(b.n_out for b in blocks) < 2:
+        u = ring.complex_value(C, complex(rng.choice(_parts(d)), rng.choice(_parts(d))))
+        one_row = term.ket(1) >> term.zspider(1, 1, u)
+        blocks.append(rng.choice([one_row, one_row, term.zspider(0, rng.randint(1, 2), u),
+                                  term.ket(0)]))
+    return term.par_all(blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+@example(18)  # a value a step above the tolerance falls under it inside the run
+@example(528)  # an overflowed value, which a product by one turns to nan
+def test_c_runs_give_the_layer_joins_values_bit_for_bit(seed):
+    rng = random.Random(seed)
+    C, d = ring.C(), rng.randint(2, 7)
+    state = _c_state(rng, d)
+    t = term.seq_all([state, *helpers.wiring_run(rng, state.n_out)])
+    by_layer = term.fold(t, lambda g: semantics.generator_map(g, C, d)._raw,
+                         lambda acc, blocks: semantics._apply_blocks(acc, blocks, C))
+    got = interpret(t, C, d)
+    assert [(k, repr(v.value)) for k, v in got.entries.items()] == [
+        (k, repr(v)) for k, v in by_layer.entries.items()]
 
 
 def test_generator_errors_are_raised_on_every_call():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -47,6 +48,27 @@ def test_composition_arities():
     assert (ID @ ID).n_in == 2
     with pytest.raises(ArityError):
         term.seq(term.wspider(0, 3), ID)
+
+
+def test_seq_and_par_are_frozen_slotted_dataclasses():
+    split = term.wspider(1, 2)
+    t, p = term.Seq(split, term.X), term.Par(ID, split)
+    assert [f.name for f in dataclasses.fields(t)] == ["first", "then"]
+    assert [f.name for f in dataclasses.fields(p)] == ["left", "right"]
+    assert (t.n_in, t.n_out, p.n_in, p.n_out) == (1, 2, 2, 3)
+    for node, name in ((t, "first"), (t, "then"), (p, "left"), (p, "right")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, ID)
+    assert not hasattr(t, "__dict__") and not hasattr(p, "__dict__")
+    with pytest.raises(ArityError, match="^cannot plug 2 outputs into 1 inputs$"):
+        term.Seq(split, ID)
+    # structural == and hash, the repr of the rendered text, and keyword fields
+    assert t == term.Seq(first=term.wspider(1, 2), then=parse("x", Z)) == parse("w(1,2) ; x", Z)
+    assert hash(p) == hash(parse("id * w(1,2)", Z)) and p != t
+    assert (repr(t), repr(p)) == ("Seq('w(1,2) ; x')", "Par('id * w(1,2)')")
+    assert dataclasses.replace(p, left=term.CAP) == parse("cap * w(1,2)", Z)
+    # one W leaf per arity
+    assert term.wspider(1, 2) is split
 
 
 def test_parse_examples():
@@ -160,17 +182,19 @@ def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
     t = parse("w(0,3) ; x * id ; id * swap ; xinv * id ; x * id ; w(3,0)", Z)
     calls = []
 
-    def run(acc, perm, crossings):
-        calls.append((acc, list(perm), crossings))
+    def run(acc, layers):
+        calls.append((acc, list(layers)))
         return "run"
 
     got = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values), run)
     assert got == ("run", ["w"])
+    # each layer as its crossings, by the position of their left wire
+    assert calls == [((None, ["w"]), [[(0, "x")], [(1, "swap")], [(0, "xinv")], [(0, "x")]])]
     # wires keep their numbers from below the run; the last x meets
     # wires 1 and 2 with wire 2 on the left
-    assert calls == [((None, ["w"]), [1, 2, 0], {
+    assert term.crossing_pairs(calls[0][1], 3) == ([1, 2, 0], {
         (0, 1): [("x", True)], (0, 2): [("swap", True)],
-        (1, 2): [("xinv", True), ("x", False)]})]
+        (1, 2): [("xinv", True), ("x", False)]})
     # a run that declines is joined layer by layer, as without a run
     by_layer = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
     assert term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values),
@@ -184,7 +208,7 @@ def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
     got = term.fold(parse("(w(0,2) ; x ; x) * ket(0) ; id * swap ; swap * id", Z),
                     lambda g: g.kind, lambda acc, values: (acc, values), run)
     assert got == "run"
-    assert [c[1:] for c in calls] == [
+    assert [term.crossing_pairs(c[1], n) for c, n in zip(calls, (2, 3))] == [
         ([0, 1], {(0, 1): [("x", True), ("x", False)]}),
         ([2, 0, 1], {(1, 2): [("swap", True)], (0, 2): [("swap", True)]})]
 

@@ -21,7 +21,10 @@ all count.
   d = 2..10;
 * ``qudit-laws``: the law reports, ``max_error`` included, at d = 2..10;
 * ``qudit-universal``: seeded states at d = 3..7 rebuilt by
-  ``qudit_universal_nf`` and interpreted.
+  ``qudit_universal_nf`` and interpreted;
+* ``qudit-crossings``: seeded states shaped like the benchmark's d = 5..7
+  groups (``perfbench/workloads.py``, 13 to 22 crossings), with amplitude
+  parts that are 0.0 or -0.0 among them, rebuilt and interpreted.
 
 A run takes a few seconds.
 """
@@ -34,9 +37,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from zwcalc import normalform, qudit, ring, rules, semantics, term  # noqa: E402
+from perfbench import workloads  # noqa: E402
 
 
 def _map(m) -> list:
@@ -125,6 +130,23 @@ def qudit_universal():
                    _map(semantics.interpret(t, c, d))]
 
 
+def qudit_crossings():
+    rng = random.Random(18)
+    parts = (0.0, -0.0, 0.5, -0.75, 1.25, -2.0)
+    for d, fans, fan_ins, crossings, _ in workloads.QUDIT_STATES:
+        if d < 5:
+            continue
+        p = qudit.QParams(d)
+        c = p.ring()
+        for _ in range(4):
+            words = workloads.draw_words(rng, d, fans, fan_ins, crossings)
+            amps = [complex(rng.choice(parts), rng.choice(parts)) for _ in words]
+            state = semantics.make_map(c, d, 0, len(fan_ins), {
+                (w, ""): ring.complex_value(c, a if a else 1j) for w, a in zip(words, amps)})
+            t, _ = qudit.qudit_universal_nf(state, p)
+            yield _map(semantics.interpret(t, c, d))
+
+
 SECTIONS = {
     "catalogue-Qi": lambda: catalogue(ring.Qi()),
     "catalogue-Z": lambda: catalogue(ring.Z()),
@@ -134,6 +156,7 @@ SECTIONS = {
     "qudit-tables": qudit_tables,
     "qudit-laws": qudit_laws,
     "qudit-universal": qudit_universal,
+    "qudit-crossings": qudit_crossings,
 }
 
 
