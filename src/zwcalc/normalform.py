@@ -14,23 +14,22 @@ wires whose word is the input word followed by the output word.
 
 ``normalize`` never consults the interpreter.  It folds the term on an
 explicit stack (:func:`zwcalc.term.fold`), with hardcoded normal forms
-for the generators.  Every term is a ``;`` chain of ``*`` layers,
-joined layer by layer: the running rows meet each layer block by block,
-matching letters on every block's inputs, so identity padding costs
-nothing and a layer's own normal form is never built.  The first layer
-has nothing below it; its rows concatenate the blocks' bent words, and
-one permutation moves the input letters to the front.  The join runs on
-raw ring values, canonicalized per layer by :func:`canonicalize`'s own
-helper, and reads a generator table's rows through the index by input
-letters that is cached with the table; a result holds ring elements.
-A run of wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only)
-that the fold hands over is plugged in one step (:func:`_plug_run`):
-each row takes the signs that its crossing pairs of output letters read
-from the crossings' hardcoded rows (the row "1111" of ``x``), and its
-output letters are permuted once.
-The test suite checks the result against
-:func:`zwcalc.semantics.interpret`, which shares the fold but not the
-tables or the join.
+for the generators.  Every term is a ``;`` chain of ``*`` layers: the
+running rows meet each block that is not an identity wire in one pass,
+matching the letters on its inputs, so padding costs nothing and a
+layer's own normal form is never built.  The first layer has nothing
+below it; its rows concatenate the blocks' bent words, and one
+permutation moves the input letters to the front.  The joins run on raw
+ring values, read a generator table's rows through the index by input
+letters cached with the table, and merge equal words but leave the rows
+unsorted: over an exact ring the order of a sum cannot change it, and
+the result is sorted once, as it is wrapped in ring elements.  A run of
+wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only) is
+plugged in one step (:func:`_plug_run`): each row takes the signs that
+its crossing pairs of output letters read from the crossings' rows (the
+row "1111" of ``x``), and its output letters are permuted once.  The
+test suite checks the result against :func:`zwcalc.semantics.interpret`,
+which shares the fold but not the tables or the join.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, UnsupportedOperationError
@@ -101,8 +101,8 @@ def canonicalize(p: PreNormalForm | NormalForm, perm: list[int] | None = None) -
 
 def _merged(rows, ring: RingDescriptor, d: int | None = None,
             perm: list[int] | None = None) -> list:
-    """:func:`canonicalize` on raw values of ``ring``; without ``d`` no
-    letter is checked, as the joins of dimension-2 tables spell none above 1."""
+    """:func:`canonicalize` on raw values of ``ring``, left unsorted; without
+    ``d`` no letter is checked, as the joins of dimension-2 tables spell none above 1."""
     if perm is not None:
         source = [0] * len(perm)  # source[j]: the coordinate that lands at j
         for i, j in enumerate(perm):
@@ -114,13 +114,14 @@ def _merged(rows, ring: RingDescriptor, d: int | None = None,
     acc: dict[str, object] = {}
     for c, w in rows:
         acc[w] = add(acc[w], c) if w in acc else c
-    return [(c, w) for w, c in sorted(acc.items()) if not eq(c, zero)]
+    return [(c, w) for w, c in acc.items() if not eq(c, zero)]
 
 
 def _wrapped(d: int, n: int, rows, ring: RingDescriptor) -> NormalForm:
-    """The normal form of raw rows that :func:`_merged` made canonical."""
-    nf = object.__new__(NormalForm)  # sorted, distinct and nonzero by construction
-    nf.__dict__.update(d=d, n=n, rows=tuple((RingElement(ring, c), w) for c, w in rows))
+    """The normal form of raw rows that :func:`_merged` made canonical but for their order."""
+    nf = object.__new__(NormalForm)  # distinct and nonzero by construction: sorted here
+    nf.__dict__.update(d=d, n=n, rows=tuple(
+        (RingElement(ring, c), w) for c, w in sorted(rows, key=itemgetter(1))))
     return nf
 
 
@@ -202,9 +203,9 @@ class MapNormalForm:
         return _RawNF(self.n_in, self.n_out, rows, index, _swap_signs(index, ring))
 
 
-# a map's normal form inside a layer join: canonical bent rows on raw ring
-# values, and a table's index by input letters and crossing signs (see
-# _swap_signs) or None
+# a map's normal form inside a layer join: bent rows on raw ring values,
+# merged and nonzero but unsorted, and a table's index by input letters and
+# crossing signs (see _swap_signs) or None
 _RawNF = namedtuple("_RawNF", "n_in n_out rows by_input signs", defaults=(None, None))
 
 
@@ -292,66 +293,49 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
 
     Tensoring and then tracing each middle pair keeps exactly the row
     pairs whose middle words agree letterwise, so join on the middle word
-    directly: cut it into one segment per block, look each segment up
-    among the block's rows by their input letters, and for every match
-    append the block's output letters and multiply the coefficients.
-    A generator table keeps that index with its cached rows
-    (``MapNormalForm._raw``); only the result of a nested chain is
-    indexed here, once per layer it is plugged into.
-    Blocks that are ``wire`` (the cached rows of ``id``) copy their
-    segment unchanged, so the rows stay proportional to ``a``.
-
-    With ``a = None`` the layer opens a chain: rows start from the first
-    block's own rows and append every further block's whole bent word,
-    and one permutation, in the layer's one canonicalization, moves the
-    input letters to the front.  The coefficients are raw values, all from
+    directly, one block at a time (:func:`_plug_one`).  Blocks that are
+    ``wire`` (the cached rows of ``id``) keep their letter, so the rows
+    stay proportional to ``a``.  With ``a = None`` the layer opens a
+    chain: rows start from the first block's own rows and append every
+    further block's whole bent word, and one permutation moves the input
+    letters to the front.  The coefficients are raw values, all from
     tables of ``ring``, so no product checks the ring again.
     """
-    opening = a is None
-    n_in = n_out = 0
-    for b in blocks:  # a loop costs less than two generator sums per layer
-        n_in, n_out = n_in + b.n_in, n_out + b.n_out
-    # the opening layer starts from its first block's rows, whole words
-    # kept; a plugged layer keeps the input letters of a's rows
-    if opening:
-        if len(blocks) < 2:  # the empty layer is the unit row
-            return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")])
-        start, kept, rest = blocks[0].rows, blocks[0].n_in + blocks[0].n_out, blocks[1:]
-    else:
-        if a.n_out != n_in:
-            raise ArityError("middle arity mismatch")
-        start, kept, rest = a.rows, a.n_in, blocks
-    # (segment width, block rows by the letters they match); None copies the segment
-    segments: list[tuple[int, dict | None]] = []
-    for b in rest:
-        if opening:  # the whole bent word joins on the empty segment
-            segments.append((0, _by_input(b.rows, 0)))
-        elif b is wire:  # a run of wires copies one segment
-            run = segments.pop()[0] if segments and segments[-1][1] is None else 0
-            segments.append((run + 1, None))
-        else:
-            segments.append((b.n_in, _by_input(b.rows, b.n_in) if b.by_input is None
-                             else b.by_input))
-    mul = ring.ops["mul"]
-    # segment by segment over all rows: (word so far, whole word, coefficient)
-    rows = [(w[:kept], w, c) for c, w in start]
-    pos = kept
-    for width, by_in in segments:
-        end = pos + width
-        if by_in is None:
-            rows = [(v + w[pos:end], w, x) for v, w, x in rows]
-        else:
-            rows = [(v + bv, w, mul(x, bc)) for v, w, x in rows
-                    for bv, bc in by_in.get(w[pos:end], ())]
-        pos = end
-    rows = [(x, v) for v, _, x in rows]
-    if not opening:
-        return _RawNF(kept, n_out, _merged(rows, ring))
+    if a is not None:
+        pos = a.n_in  # where the next block's letters start
+        for b in blocks:
+            if b is not wire:
+                a = _plug_one(a, b, pos, ring)
+            pos += b.n_out
+        return a
+    if len(blocks) < 2:  # the empty layer is the unit row
+        return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")])
+    mul, rows = ring.ops["mul"], blocks[0].rows
+    for b in blocks[1:]:
+        rows = [(mul(c, bc), w + bw) for c, w in rows for bc, bw in b.rows]
+    n_in, n_out = sum(b.n_in for b in blocks), sum(b.n_out for b in blocks)
     # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
     ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
     perm = [next(ins) if j < b.n_in else next(outs)
             for b in blocks for j in range(b.n_in + b.n_out)]
     return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm))
+
+
+def _plug_one(a: _RawNF, b: _RawNF, lo: int, ring: RingDescriptor) -> _RawNF:
+    """Plug ``b`` into the letters of a's bent words from position ``lo``
+    on, in one pass, straight into the merged rows: look them up among b's
+    rows by input letters (a table keeps that index, ``MapNormalForm._raw``),
+    put each match's output letters in their place and multiply."""
+    hi = lo + b.n_in
+    by_in = _by_input(b.rows, b.n_in) if b.by_input is None else b.by_input
+    mul, add, eq, zero = ring.ops["mul"], ring.ops["add"], ring.eq, ring.zero.value
+    acc = {}
+    for c, w in a.rows:
+        for bv, bc in by_in.get(w[lo:hi], ()):
+            key, x = w[:lo] + bv + w[hi:], mul(c, bc)
+            acc[key] = add(acc[key], x) if key in acc else x
+    return _RawNF(a.n_in, a.n_out - b.n_in + b.n_out,
+                  [(c, w) for w, c in acc.items() if not eq(c, zero)])
 
 
 def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:

@@ -125,8 +125,8 @@ def _qi_mul(x: GaussianRational, y: GaussianRational) -> GaussianRational:
 class RingDescriptor:
     """A ring by kind.  ``__post_init__`` also sets its ``name``, its binary
     ``ops`` by name, its ``neg``, ``conj`` (None mod n), ``eq`` and
-    ``of_int`` on raw values, and its ``zero`` and ``one``; none of them
-    enter ``==`` or ``hash``."""
+    ``of_int`` on raw values, its ``zero``, ``one`` and hash; none of them
+    enter ``==`` or ``hash``, and a copy or pickle is the interned one."""
 
     kind: str
     modulus: int | None = None
@@ -160,6 +160,13 @@ class RingDescriptor:
             object.__setattr__(self, attr, v)
         object.__setattr__(self, "zero", RingElement(self, self.of_int(0)))
         object.__setattr__(self, "one", RingElement(self, self.of_int(1)))
+        object.__setattr__(self, "_hash", hash((self.kind, self.modulus, self.tolerance)))
+
+    def __hash__(self):  # computed once: every table lookup hashes its ring
+        return self._hash
+
+    def __reduce__(self):  # the interned descriptor, its hash that of the reading process
+        return _interned, (self.kind, self.modulus, self.tolerance)
 
     @property
     def exact(self) -> bool:

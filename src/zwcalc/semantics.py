@@ -7,9 +7,12 @@ with words written over the digits ``0 .. d-1``.  A term is folded as a
 ``;`` chain of ``*`` layers (:func:`zwcalc.term.fold`), and one join
 composes it: the running map meets each layer block by block,
 contracting over the middle word, and a block's output word is
-concatenated on and its coefficient multiplied in.  The first layer has
-nothing below it, so its input words are concatenated too.  Nothing is
-densified, so states with few amplitudes stay small on any number of wires.
+concatenated on and its coefficient multiplied in.  A layer of one
+block (not counting ``id`` blocks over an exact ring, where a product
+by one keeps every value) is met in one pass, with the same products
+and sums in the same order, so C keeps its values bit for bit.  The
+first layer has nothing below it, so its input words are concatenated
+too.  Nothing is densified, so states stay small on any number of wires.
 
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,
@@ -159,7 +162,8 @@ def _check_dimension(ring: RingDescriptor, d: int) -> None:
         qudit.QParams(d, ring.tolerance)  # QuditError for d the words cannot spell
 
 
-def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor) -> _RawMap:
+def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor,
+                  wire: _RawMap | None = None) -> _RawMap:
     """Compose ``a`` with a parallel layer of blocks without ever building
     the layer's own map; wide identity padding stays free this way.
 
@@ -167,8 +171,10 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
     starting from the first block's entries, each further block entry
     adds its input letters to the input word and its output letters to
     the output word.  A lone opening block is returned.  The values are
-    raw, all from tables of ``ring``, so no product checks the ring again."""
+    raw, all from tables of ``ring``, so no product checks the ring again.
+    ``wire``, ``id``'s table over an exact ring, keeps each letter and value."""
     mul, add = ring.ops["mul"], ring.ops["add"]
+    others = [b for b in blocks if b is not wire]
     if a is None:
         if len(blocks) == 1:
             return blocks[0]
@@ -179,6 +185,17 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
                        for (w, u), v in partial for (bw, bu), bv in b.entries.items()]
         acc = dict(partial)  # the blocks' keys are distinct, so these are too
         n_in, n_out = sum(b.n_in for b in blocks), sum(b.n_out for b in blocks)
+    elif not others:  # wires only: every word and value stays
+        return a
+    elif len(others) == 1:  # straight into the sums
+        b, lo, acc = others[0], blocks.index(others[0]), {}
+        hi = lo + b.n_in
+        index = _by_input(b.entries) if b.by_input is None else b.by_input
+        for (mid, u), v in a.entries.items():
+            for bw, bv in index.get(mid[lo:hi], ()):
+                key, x = (mid[:lo] + bw + mid[hi:], u), mul(v, bv)
+                acc[key] = add(acc[key], x) if key in acc else x
+        n_in, n_out = a.n_in, a.n_out - b.n_in + b.n_out
     else:
         # block by block over a's entries: (output word so far, middle, input, value)
         rows = [("", mid, u, v) for (mid, u), v in a.entries.items()]
@@ -305,8 +322,9 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     if isinstance(t, _term.Gen):
         return generator_map(t.gen, ring, d)
     join_run = _apply_run if ring.exact else _apply_run_in_order
+    wire = generator_map(_term.ID.gen, ring, d)._raw if ring.exact else None
     m = _term.fold(t, lambda g: generator_map(g, ring, d)._raw,
-                   lambda acc, blocks: _apply_blocks(acc, blocks, ring),
+                   lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
                    lambda acc, layers: join_run(acc, layers, ring))
     return SparseMap(ring, d, m.n_in, m.n_out,
                      {k: RingElement(ring, v) for k, v in m.entries.items()})
@@ -348,16 +366,10 @@ def parity_class(a: SparseMap) -> str:
     over its entries: 'even', 'odd', 'mixed', or 'zero'."""
     if a.d != 2:
         raise UnsupportedOperationError("parity grading is defined at d = 2")
-    seen = set()
-    for (w, u) in a.entries:
-        seen.add((w.count("1") - u.count("1")) % 2)
-    if not seen:
-        return "zero"
-    if seen == {0}:
-        return "even"
-    if seen == {1}:
-        return "odd"
-    return "mixed"
+    seen = {(w.count("1") - u.count("1")) % 2 for w, u in a.entries}
+    if len(seen) != 1:
+        return "mixed" if seen else "zero"
+    return "odd" if 1 in seen else "even"
 
 
 def to_json_dict(a: SparseMap) -> dict:

@@ -17,8 +17,8 @@ The concrete syntax (see :func:`parse` / :func:`render`) uses ``;`` for
 ``>>`` and ``*`` for ``@``: the snake above is ``(id * cup) ; (cap * id)``.
 ``*`` binds tighter than ``;``, both associate to the left, and brackets
 nest to any depth.  No function here recurses, so ``parse``, ``render``,
-``adjoint``, ``==``, ``hash``, ``repr``, :func:`layers` and :func:`fold`
-take terms of any depth and width.
+``adjoint``, ``==``, ``hash``, ``repr``, copies, pickles, :func:`layers`
+and :func:`fold` take terms of any depth and width.
 
 Generators
 ----------
@@ -33,7 +33,7 @@ the coefficient ring, and ``ket(l)`` the level-``l`` basis state.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, reduce
 
 from . import ring as _ring
@@ -71,8 +71,10 @@ class Generator:
     n_out: int
     label: RingElement | None = None
     level: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False)  # the tables' caches read it
 
     def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))  # of the fields
         if self.kind not in GENERATOR_KINDS:
             raise ArityError(f"unknown generator kind {self.kind!r}")
         if self.kind in _FIXED_ARITY and (self.n_in, self.n_out) != _FIXED_ARITY[self.kind]:
@@ -87,6 +89,12 @@ class Generator:
                 raise ArityError("ket has arity (0, 1)")
             if self.level is None or self.level < 0:
                 raise ArityError("ket needs a level >= 0")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so its hash is the reading process's
+        return Generator, (self.kind, self.n_in, self.n_out, self.label, self.level)
 
 
 class Term:
@@ -116,6 +124,14 @@ class Term:
             return f"{type(self).__name__}({render(self)!r})"
         except (ValueError, _ring.RingError):  # EMPTY inside, or a non-finite label
             return f"<{type(self).__name__} {self.n_in} -> {self.n_out}>"
+
+    def __reduce__(self):  # copies rebuild the pre-order list: no recursion, no stored arities
+        return _assembled, (_preorder(self),)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,6 +177,8 @@ _set_first, _set_then, _set_left, _set_right = (
     Seq.first.__set__, Seq.then.__set__, Par.left.__set__, Par.right.__set__)
 _set_n_in, _set_n_out = Term.n_in.__set__, Term.n_out.__set__
 seq, par = Seq, Par  # >> and @ as functions
+for _node in (Gen, Seq, Par):  # their generated setters name the class slots=True replaced
+    del _node.__setattr__, _node.__delattr__
 
 
 # the wire generators are shared leaves, as terms are immutable
@@ -229,16 +247,22 @@ def layers(t: Term) -> list[list[Term]]:
         u = chain.pop()
         if type(u) is Seq:
             chain += [u.then, u.first]
-            continue
-        blocks, row = [], [u]
-        while row:
-            b = row.pop()
-            if type(b) is Par:
-                row += [b.right, b.left]
-            elif type(b) is not _Empty:
-                blocks.append(b)
-        out.append(blocks)
+        else:
+            out.append(_blocks(u))
     return out
+
+
+def _blocks(u: Term) -> list[Term]:
+    """The blocks of the ``*`` layer ``u`` left to right, without ``EMPTY``."""
+    blocks, row = [], [u]
+    while row:
+        b = row.pop()
+        while type(b) is Par:  # down the left operands; the right ones wait
+            row.append(b.right)
+            b = b.left
+        if type(b) is not _Empty:
+            blocks.append(b)
+    return blocks
 
 
 def fold(t: Term, leaf, layer, run=None):
@@ -260,38 +284,40 @@ def fold(t: Term, leaf, layer, run=None):
     layer.  ``layer`` joins a run of one layer, which has nothing to
     collapse, and a chain's opening layer, which has no value below it.
 
-    ``leaf`` runs once per distinct generator object in ``t``: shared
-    leaves reuse its value, keyed by ``id``, which stays valid because
-    ``t`` keeps every generator alive until the call returns.  The memo
-    belongs to the call, so no value outlives it, and a ``leaf`` that
-    raises raises again on the next call."""
-    memo = {}  # id(generator) -> leaf(generator)
-    # chains being folded: [its layers left, the layer, its blocks left, acc,
-    # their values so far, the run's (blocks, values) so far]
-    chain = iter(layers(t))
-    blocks = next(chain)
-    frames = [[chain, blocks, iter(blocks), None, [], []]]
+    ``leaf`` runs once per distinct leaf object in ``t``, and each
+    distinct nested chain object is joined once: blocks that share one
+    reuse its value, keyed by ``id``, which stays valid because ``t``
+    keeps every node alive until the call returns.  The memo belongs to
+    the call, so no value outlives it, and a ``leaf`` that raises raises
+    again on the next call."""
+    memo = {}  # id(leaf or nested chain) -> its value
+    frames = []  # the chains below, each waiting at a nested chain of its layer
+    # the chain being folded: its node, its ; operands left (the next on top), acc,
+    # the run's (blocks, values), and its layer's blocks, blocks left and values
+    node, spine, acc, pending, todo = t, [t], None, [], None
     while True:
-        frame = frames[-1]
-        chain, blocks, todo, acc, values, pending = frame
-        # a layer that resumes after a nested chain holds its value: no wiring
-        wiring = run is not None and acc is not None and not values
+        if todo is None:  # open the chain's next layer
+            u = spine.pop()
+            while type(u) is Seq:
+                spine.append(u.then)
+                u = u.first
+            blocks = [u] if type(u) is Gen else _blocks(u)
+            todo, values = iter(blocks), []
+            wiring = run is not None and acc is not None
         for u in todo:
-            if type(u) is Gen:
-                g = u.gen
-                v = memo.get(id(g))
-                if v is None:
-                    v = memo[id(g)] = leaf(g)
-                values.append(v)
-                if wiring and g.kind not in _WIRING:
-                    wiring = False
-            elif type(u) is Seq:
-                chain = iter(layers(u))
-                blocks = next(chain)
-                frames.append([chain, blocks, iter(blocks), None, [], []])
-                break
-            else:
-                raise ArityError(f"not a term: {u!r}")
+            v = memo.get(id(u))
+            if v is None:
+                if type(u) is Seq:  # the nested chain u opens; this layer waits for its value
+                    frames.append((node, spine, acc, pending, blocks, todo, values))
+                    node, spine, acc, pending, todo = u, [u], None, [], None
+                    break
+                if type(u) is not Gen:
+                    raise ArityError(f"not a term: {u!r}")
+                v = memo[id(u)] = leaf(u.gen)
+            values.append(v)
+            # a layer that holds a chain's value does not only move wires
+            if wiring and (type(u) is Seq or u.gen.kind not in _WIRING):
+                wiring = False
         else:  # every block of the layer has its value
             if wiring:
                 pending.append((blocks, values))
@@ -299,16 +325,17 @@ def fold(t: Term, leaf, layer, run=None):
                 if pending:
                     acc, pending = _run(acc, pending, run, layer), []
                 acc = layer(acc, values)
-            following = next(chain, None)
-            if following is not None:
-                frame[1:] = following, iter(following), acc, [], pending
+            todo = None
+            if spine:
                 continue
             if pending:
                 acc = _run(acc, pending, run, layer)
-            frames.pop()
             if not frames:
                 return acc
-            frames[-1][4].append(acc)
+            memo[id(node)] = v = acc
+            node, spine, acc, pending, blocks, todo, values = frames.pop()
+            values.append(v)
+            wiring = False
 
 
 def _run(acc, pending: list, run, layer):
@@ -360,7 +387,8 @@ def crossing_pairs(layers, n: int) -> tuple[list[int], dict]:
 
 
 def _preorder(t: Term) -> list:
-    """Nodes in pre-order, ``Seq``/``Par`` nodes as their class: the list is the tree."""
+    """Nodes in pre-order, ``Seq``/``Par`` nodes as their class, generator
+    leaves as their generators and ``EMPTY`` as None: the list is the tree."""
     out, stack = [], [t]
     while stack:
         u = stack.pop()
@@ -371,7 +399,7 @@ def _preorder(t: Term) -> list:
             out.append(Par)
             stack += [u.right, u.left]
         else:
-            out.append(u)
+            out.append(u.gen if type(u) is Gen else None)
     return out
 
 
@@ -452,13 +480,19 @@ def adjoint(t: Term) -> Term:
 
     The tree is mirrored, ``Seq(f, g)`` to ``Seq(g†, f†)``, bottom-up
     along the reversed pre-order."""
+    return _assembled(_preorder(t), _reflect, True)
+
+
+def _assembled(nodes: list, leaf=Gen, mirror: bool = False) -> Term:
+    """The term of a :func:`_preorder` list, each generator as ``leaf(generator)``
+    and, with ``mirror``, each ``Seq`` reversed: built bottom-up along its reverse."""
     done: list[Term] = []
-    for u in reversed(_preorder(t)):
+    for u in reversed(nodes):
         if u is Seq or u is Par:
-            a, b = done.pop(), done.pop()  # reflections of the first and second child
-            done.append(Seq(b, a) if u is Seq else Par(a, b))
+            a, b = done.pop(), done.pop()  # the first and second child
+            done.append(Par(a, b) if u is Par else Seq(b, a) if mirror else Seq(a, b))
         else:
-            done.append(u if isinstance(u, _Empty) else _reflect(u.gen))
+            done.append(EMPTY if u is None else leaf(u))
     return done[0]
 
 

@@ -245,6 +245,24 @@ def test_normalize_over_gaussians(seed):
     assert map_equal(normalize(t, QI).to_sparse(QI), interpret(t, QI))
 
 
+def test_normalize_rows_pass_the_normal_form_checks():
+    # the joins leave rows unsorted and the result is wrapped without
+    # NormalForm's checks: sorted, distinct words of the right length
+    from zwcalc import rules
+
+    for r in (QI, Z, ring.Zn(6)):
+        for inst in rules.axiom_instances(rules.DEFAULT_BOUNDS, r) + rules.derived_instances(
+                rules.DEFAULT_BOUNDS, r):
+            for side in (inst.lhs, inst.rhs, rules.mutate(inst, r).lhs):
+                nf = normalize(side, r).nf
+                assert NormalForm(nf.d, nf.n, nf.rows) == nf
+    rng = random.Random(19)
+    labels = [ring.from_int(Z, v) for v in (-2, -1, 0, 1, 2)]
+    for _ in range(200):
+        nf = normalize(helpers.random_term(rng, labels, max_wires=6), Z).nf
+        assert NormalForm(nf.d, nf.n, nf.rows) == nf
+
+
 def test_nf_to_term_round_trip():
     rng = random.Random(9)
     for _ in range(60):

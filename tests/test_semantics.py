@@ -208,13 +208,13 @@ def test_generator_tables_are_built_once_per_key(monkeypatch):
     for t in (lhs, rhs, lhs):
         interpret(t, C, 3)
     interpret(rhs, C, 4)
-    for _ in range(2):  # the exact rings read the same table
+    for _ in range(2):  # the exact rings read the same table, and id's as their wire
         interpret(rhs, Z)
     keys = [(g.kind, g.n_in, g.n_out, str(r), d) for g, r, d in calls]
     assert sorted(keys) == sorted(set(keys)) == sorted(
         [("w", 1, 2, str(C), 3), ("id", 1, 1, str(C), 3), ("x", 2, 2, str(C), 3),
          ("w", 2, 1, str(C), 3), ("w", 2, 1, str(C), 4), ("w", 1, 2, str(C), 4),
-         ("w", 2, 1, "Z", 2), ("w", 1, 2, "Z", 2)])
+         ("w", 2, 1, "Z", 2), ("w", 1, 2, "Z", 2), ("id", 1, 1, "Z", 2)])
 
 
 def test_cached_tables_are_read_only():
@@ -288,6 +288,66 @@ def test_c_runs_give_the_layer_joins_values_bit_for_bit(seed):
     got = interpret(t, C, d)
     assert [(k, repr(v.value)) for k, v in got.entries.items()] == [
         (k, repr(v)) for k, v in by_layer.entries.items()]
+
+
+def _joined_block_by_block(a, blocks, r) -> dict:
+    """A plugged layer's join as written out: block by block over every
+    entry of ``a``, each product taken, ``id``'s too, and summed in order."""
+    mul, add = r.ops["mul"], r.ops["add"]
+    rows, pos = [("", mid, u, v) for (mid, u), v in a.entries.items()], 0
+    for b in blocks:
+        index = semantics._by_input(b.entries)
+        rows = [(w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
+                for bw, bv in index.get(mid[pos:pos + b.n_in], ())]
+        pos += b.n_in
+    acc = {}
+    for w, _, u, v in rows:
+        acc[w, u] = add(acc[w, u], v) if (w, u) in acc else v
+    return {k: v for k, v in acc.items() if not r.eq(v, r.zero.value)}
+
+
+ONE_BLOCK_CASES = [(ring.C(), d) for d in range(2, 8)] + [(QI, 2), (Z, 2), (ring.Zn(6), 2)]
+
+
+def _sample(rng: random.Random, r: ring.RingDescriptor):
+    """A nonzero raw value of ``r``; over C with parts 0.0 and -0.0 among them."""
+    if not r.exact:
+        parts = (0.0, -0.0, 1.0, -1.5, 2.5, 1e-3)
+        return complex(rng.choice(parts[2:]), rng.choice(parts))
+    v = ring.from_int(r, rng.choice([-3, -2, -1, 1, 2, 5]))
+    if r is QI:
+        v = v * rng.choice([QI.one, ring.gaussian(QI, 0, 1), ring.gaussian(QI, "1/2", -2)])
+    return v.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(ONE_BLOCK_CASES))), st.integers(min_value=0, max_value=10 ** 9))
+def test_a_one_block_layer_joins_as_block_by_block(case, seed):
+    # the one-pass join of a layer with one block that is not a wire gives
+    # the written-out join's values by repr, in its order
+    r, d = ONE_BLOCK_CASES[case]
+    rng = random.Random(seed)
+    label = semantics.RingElement(r, _sample(rng, r)) if rng.random() < 0.8 else r.zero
+    g = rng.choice([term.wspider(rng.randint(0, 2), rng.randint(0, 2) + 1).gen,
+                    term.zspider(rng.randint(0, 2), rng.randint(1, 2), label).gen,
+                    X.gen, term.XINV.gen, SWAP.gen, term.CAP.gen, CUP.gen, ID.gen,
+                    term.ket(rng.randrange(d)).gen])
+    left, right, k = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)
+    if not r.exact and rng.random() < 0.5:
+        left = right = 0  # over C, id blocks take the written-out join
+    table = semantics.generator_map(g, r, d)._raw
+    wire = semantics.generator_map(ID.gen, r, d)._raw
+    letters = "0123456789"[:d]
+    n = left + table.n_in + right
+    entries = {("".join(rng.choice(letters) for _ in range(n)),
+                "".join(rng.choice(letters) for _ in range(k))): _sample(rng, r)
+               for _ in range(rng.randint(1, 8))}
+    a = semantics._RawMap(k, n, entries)
+    blocks = [wire] * left + [table] + [wire] * right
+    got = semantics._apply_blocks(a, blocks, r, wire if r.exact else None)
+    assert (got.n_in, got.n_out) == (k, n - table.n_in + table.n_out)
+    assert [(key, repr(v)) for key, v in got.entries.items()] == [
+        (key, repr(v)) for key, v in _joined_block_by_block(a, blocks, r).items()]
 
 
 def test_generator_errors_are_raised_on_every_call():

@@ -1,7 +1,13 @@
+import copy
 import dataclasses
 import functools
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +75,68 @@ def test_seq_and_par_are_frozen_slotted_dataclasses():
     assert dataclasses.replace(p, left=term.CAP) == parse("cap * w(1,2)", Z)
     # one W leaf per arity
     assert term.wspider(1, 2) is split
+
+
+def _round_trips():
+    return {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+
+
+@pytest.mark.parametrize("how", _round_trips())
+def test_copies_and_pickles_rebuild_terms(how):
+    labelled = parse("z(1,3)[1/2-i] ; (x * id) ; w(3,0)", QI)
+    for t in (parse("w(1,2) ; x", Z), term.wspider(1, 2), labelled,
+              term.Par(term.EMPTY, ID), term.crossing_perm([2, 0, 1])):
+        got = _round_trips()[how](t)
+        assert got == t and hash(got) == hash(t) and repr(got) == repr(t)
+        assert (got.n_in, got.n_out) == (t.n_in, t.n_out)
+        assert semantics.map_equal(semantics.interpret(got, QI), semantics.interpret(t, QI))
+    assert _round_trips()[how](term.EMPTY) is term.EMPTY
+    assert _round_trips()[how](QI) is QI  # the interned descriptor
+    # 10,000 levels deep on either side: the copy rebuilds the pre-order list
+    for deep in (functools.reduce(lambda t, _: term.Seq(ID, t), range(10_000), ID),
+                 functools.reduce(lambda t, _: term.Par(t, term.wspider(0, 1)),
+                                  range(10_000), term.EMPTY)):
+        got = _round_trips()[how](deep)
+        assert got is not deep and got == deep and (got.n_in, got.n_out) == (deep.n_in, deep.n_out)
+
+
+def test_terms_are_frozen():
+    t = parse("w(1,2) ; x", Z)
+    for node, name in ((t, "n_in"), (t, "first"), (ID, "n_out"), (ID, "gen"),
+                       (term.Par(ID, ID), "left"), (term.EMPTY, "n_in")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert (t.n_in, t.n_out, ID.n_out) == (1, 2, 1)
+
+
+_PICKLE = """
+import pickle, sys
+from zwcalc import ring, term
+t = term.parse("z(1,3)[1/2-i] ; (x * id) ; w(3,0)", ring.Qi())
+sys.stdout.buffer.write(pickle.dumps(t))
+"""
+_UNPICKLE = """
+import pickle, sys
+from zwcalc import ring, term
+t = pickle.loads(sys.stdin.buffer.read())
+gens = [u for u in term._preorder(t) if isinstance(u, term.Generator)]
+fresh = [term.Generator(g.kind, g.n_in, g.n_out, g.label, g.level) for g in gens]
+assert [hash(g) for g in gens] == [hash(g) for g in fresh], "stale generator hash"
+assert t.first.first.gen.label.ring is ring.Qi()
+assert hash(t) == hash(term.parse("z(1,3)[1/2-i] ; (x * id) ; w(3,0)", ring.Qi()))
+"""
+
+
+def test_an_unpickled_term_hashes_as_the_reading_process_does():
+    # the hashes of str differ between hash seeds, so a stored hash would not
+    env = {**os.environ, "PYTHONPATH": str(Path(term.__file__).parent.parent)}
+    data = subprocess.run([sys.executable, "-c", _PICKLE], capture_output=True, check=True,
+                          env={**env, "PYTHONHASHSEED": "1"}).stdout
+    subprocess.run([sys.executable, "-c", _UNPICKLE], input=data, check=True,
+                   env={**env, "PYTHONHASHSEED": "2"})
 
 
 def test_parse_examples():
@@ -233,12 +301,34 @@ def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, pillar, mod
     calls = _spy(monkeypatch, module, lookup)
     spider = term.zspider(10, 10, QI.one)
     t = term.identity(10) >> spider >> term.identity(10)  # 20 id leaves
-    # normalize also fetches id's table once, as its join's wire
-    want = {ID.gen: 1 + (pillar is normalform.normalize), spider.gen: 1}
+    # over an exact ring both pillars also fetch id's table once, as their joins' wire
+    want = {ID.gen: 2, spider.gen: 1}
     for _ in range(2):  # the memo lives for one call, so a second call looks up again
         calls.clear()
         pillar(t, QI)
         assert {g: calls.count(g) for g in calls} == want
+
+
+@pytest.mark.parametrize("pillar, module, join", [
+    (semantics.interpret, semantics, "_apply_blocks"),
+    (normalform.normalize, normalform, "_plug"),
+], ids=["interpret", "normalize"])
+def test_fold_joins_each_distinct_nested_chain_once_per_call(monkeypatch, pillar, module, join):
+    bundle = parse("w(1,1) ; w(1,3)", QI)  # as in ba_w[n=3,m=3]
+    copy_ = parse("w(1,1) ; w(1,3)", QI)  # equal, but another object
+    calls, real = [], getattr(module, join)
+    monkeypatch.setattr(module, join, lambda *args: calls.append(args) or real(*args))
+    top = term.wspider(0, 3)
+    shared, mixed = (top >> term.par_all(row) for row in ([bundle] * 3, [bundle, copy_, bundle]))
+    assert pillar(shared, QI) == pillar(mixed, QI)
+    for t, joins in ((shared, 2 + 2), (mixed, 2 + 2 + 2), (shared, 2 + 2)):
+        calls.clear()
+        pillar(t, QI)
+        assert len(calls) == joins  # each distinct bundle's two layers, then the top's two
+    # and through the fold itself, with values that show each chain's layers
+    got = term.fold(mixed, lambda g: g.kind, lambda acc, values: (acc, values))
+    inner = ((None, ["w"]), ["w"])
+    assert got == ((None, ["w"]), [inner, inner, inner])
 
 
 def test_a_leaf_that_raises_raises_on_every_call(monkeypatch):

@@ -26,7 +26,10 @@ all count.
   groups (``perfbench/workloads.py``, 13 to 22 crossings), with amplitude
   parts that are 0.0 or -0.0 among them, rebuilt and interpreted.
 
-A run takes a few seconds.
+A run takes a few seconds.  ``tools/outputs_digest.exact`` holds the
+lines of the exact-ring sections (the catalogues and ``reconstruct``),
+which CI requires unchanged; the C sections are left out there, as their
+last bits follow the platform's libm.
 """
 
 from __future__ import annotations
