@@ -302,6 +302,8 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     tables of ``ring``, so no product checks the ring again.
     """
     if a is not None:
+        if a.n_out != sum(b.n_in for b in blocks):
+            raise ArityError("middle arity mismatch")
         pos = a.n_in  # where the next block's letters start
         for b in blocks:
             if b is not wire:
