@@ -25,11 +25,11 @@ letters cached with the table, and merge equal words but leave the rows
 unsorted: over an exact ring the order of a sum cannot change it, and
 the result is sorted once, as it is wrapped in ring elements.  A run of
 wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only) is
-plugged in one step (:func:`_plug_run`): each row takes the signs that
-its crossing pairs of output letters read from the crossings' rows (the
-row "1111" of ``x``), and its output letters are permuted once.  The
-test suite checks the result against :func:`zwcalc.semantics.interpret`,
-which shares the fold but not the tables or the join.
+plugged in one step (:func:`_plug_run`): one walk over its crossings
+multiplies each coefficient other than one (the row "1111" of ``x``)
+into its pair of wires' product, which a row takes before its output
+letters are permuted once.  The test suite checks the result against
+:func:`zwcalc.semantics.interpret`, which shares only the fold.
 """
 
 from __future__ import annotations
@@ -345,33 +345,33 @@ def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
     permutation of the output letters (see :func:`zwcalc.term.fold`), or
     None when a crossing's table is not a signed swap.
 
-    Each crossing pair keeps, by the pair's letters, the products over
-    its crossings of the table's coefficients that are not one: the row
-    "1111" of ``x`` and ``xinv``, none of ``swap``, and an ``x ; x`` pair
-    drops out.  A row takes the factors of the pairs among its output
-    letters that take part, then its output letters are permuted once."""
-    perm, crossings = _term.crossing_pairs(layers, a.n_out)
-    mul, eq, one = ring.ops["mul"], ring.eq, ring.one.value
-    factors = {}  # (i, j) -> {letters of wires i and j: their product}
-    for pair, seq in crossings.items():
-        prod = {}
-        for table, i_left in seq:
+    The walk keeps where each wire from below the run is, and each pair
+    that crosses keeps, by its letters, the product of its crossings'
+    coefficients other than one (the row "1111" of ``x`` and ``xinv``,
+    none of ``swap``) until it is one again (``x ; x``).  A row takes the
+    products of its pairs of output letters, which are permuted once, so
+    no two rows merge and only a row that a factor made zero is dropped."""
+    mul, eq, one, zero = ring.ops["mul"], ring.eq, ring.one.value, ring.zero.value
+    # perm[p]: the wire now at position p; factors: (i, j), i < j -> {their letters: product}
+    perm, factors = list(range(a.n_out)), {}
+    for layer in layers:
+        for p, table in layer:
             if table.signs is None:
                 return None
-            signs = table.signs[i_left]
-            if not prod:
-                prod = signs
-            elif signs:  # multiply the letters both hold, drop products that are one
+            i, j = perm[p], perm[p + 1]
+            perm[p], perm[p + 1] = j, i
+            signs, pair = table.signs[i < j], ((i, j) if i < j else (j, i))
+            if signs and pair in factors:  # multiply the letters both hold, drop the ones
+                prod = factors.pop(pair)
                 both = {w: mul(prod[w], c) for w, c in signs.items() if w in prod}
-                prod = {w: c for w, c in {**prod, **signs, **both}.items() if not eq(c, one)}
-        if prod:
-            factors[pair] = prod
+                signs = {w: c for w, c in {**prod, **signs, **both}.items() if not eq(c, one)}
+            if signs:
+                factors[pair] = signs
     if not factors and perm == sorted(perm):
         return a
     wires = sorted({i for pair in factors for i in pair})
     part = {c for prod in factors.values() for word in prod for c in word}
-    n = a.n_in
-    rows = []
+    n, rows = a.n_in, []
     for c, w in a.rows:
         v = w[n:]
         lit = [i for i in wires if v[i] in part]
@@ -380,8 +380,9 @@ def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
                 prod = factors.get((i, j))
                 if prod is not None and v[i] + v[j] in prod:
                     c = mul(c, prod[v[i] + v[j]])
-        rows.append((c, w[:n] + "".join([v[p] for p in perm])))
-    return _RawNF(n, a.n_out, _merged(rows, ring))
+        if not eq(c, zero):
+            rows.append((c, w[:n] + "".join([v[p] for p in perm])))
+    return _RawNF(n, a.n_out, rows)
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:
@@ -442,6 +443,8 @@ def to_json_dict(a: NormalForm) -> dict:
 def from_json_dict(data: dict, ring: RingDescriptor) -> NormalForm:
     d, n, rows = json_fields(data, ("d", int), ("n", int), ("rows", list))
     json_dimension(d)
+    if n < 0:
+        raise _ring.RingError(f"negative arity {n}")
     pre = []
     for r in rows:
         v, w = json_fields(r, ("v", str), ("w", str))

@@ -24,12 +24,12 @@ raw values with the ring's own operations; a result holds ring elements.
 
 A run of wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves
 only) on a map is joined in one step, as the fold hands it over.  Over
-the exact rings each output word takes the signs that its crossing pairs
-of letters read from the crossings' tables (the "11" entry of ``x``),
-and is permuted once.  Over C each word walks the run's crossings in
-order, taking the factor its two letters read from each crossing's
-table and swapping them, which gives the layer joins' values bit for
-bit (see :func:`_apply_run_in_order`).
+the exact rings one walk over its crossings multiplies each table value
+other than one (the "11" entry of ``x``) into its pair of wires' product,
+and each output word takes the products of its pairs and is permuted
+once.  Over C each word walks the crossings in order, taking the factor
+its two letters read from each crossing's table and swapping them, which
+gives the layer joins' values bit for bit (:func:`_apply_run_in_order`).
 
 Maps are immutable once built; evaluation is pure.
 """
@@ -220,32 +220,31 @@ def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
     signed permutation of its output words (see :func:`zwcalc.term.fold`),
     or None when a crossing's table is not a signed swap.
 
-    Each pair of wires that cross keeps, by the pair's letters, the
-    products over its crossings that are not one: "11" for ``x`` and
-    ``xinv``, nothing for ``swap``, and an ``x ; x`` pair drops out.  A
-    word takes the factors of the pairs among its letters that take part,
-    then is permuted once."""
-    perm, crossings = _term.crossing_pairs(layers, a.n_out)
-    mul, eq, one = ring.ops["mul"], ring.eq, ring.one.value
-    factors = {}  # (i, j) -> {letters of wires i and j: their product}
-    for pair, seq in crossings.items():
-        prod = {}
-        for table, i_left in seq:
+    The walk keeps where each wire from below the run is, and each pair
+    that crosses keeps, by its letters, the product of its crossings'
+    values other than one ("11" for ``x`` and ``xinv``, none for ``swap``)
+    until it is one again (``x ; x``).  A word takes the products of its
+    pairs of letters, then is permuted once."""
+    mul, eq, one, zero = ring.ops["mul"], ring.eq, ring.one.value, ring.zero.value
+    # perm[p]: the wire now at position p; factors: (i, j), i < j -> {their letters: product}
+    perm, factors = list(range(a.n_out)), {}
+    for layer in layers:
+        for p, table in layer:
             if table.signs is None:
                 return None
-            signs = table.signs[i_left]
-            if not prod:
-                prod = signs
-            elif signs:  # multiply the letters both hold, drop products that are one
+            i, j = perm[p], perm[p + 1]
+            perm[p], perm[p + 1] = j, i
+            signs, pair = table.signs[i < j], ((i, j) if i < j else (j, i))
+            if signs and pair in factors:  # multiply the letters both hold, drop the ones
+                prod = factors.pop(pair)
                 both = {w: mul(prod[w], f) for w, f in signs.items() if w in prod}
-                prod = {w: f for w, f in {**prod, **signs, **both}.items() if not eq(f, one)}
-        if prod:
-            factors[pair] = prod
+                signs = {w: f for w, f in {**prod, **signs, **both}.items() if not eq(f, one)}
+            if signs:
+                factors[pair] = signs
     if not factors and perm == sorted(perm):
         return a
     wires = sorted({i for pair in factors for i in pair})
     part = {c for prod in factors.values() for word in prod for c in word}
-    zero = ring.zero.value
     entries = {}
     for (w, u), v in a.entries.items():
         lit = [i for i in wires if w[i] in part]
@@ -412,5 +411,8 @@ def from_json_dict(data: dict, ring: RingDescriptor) -> SparseMap:
     entries = {}
     for e in rows:
         out_w, in_w, v = json_fields(e, ("out", str), ("in", str), ("v", str))
-        entries[(json_word(out_w, d), json_word(in_w, d))] = _ring.parse_literal(ring, v)
+        key = json_word(out_w, d), json_word(in_w, d)
+        if key in entries:
+            raise _ring.RingError(f"two entries for ({out_w!r}, {in_w!r})")
+        entries[key] = _ring.parse_literal(ring, v)
     return make_map(ring, d, n_in, n_out, entries)

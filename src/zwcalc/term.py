@@ -278,11 +278,10 @@ def fold(t: Term, leaf, layer, run=None):
     layers)``.  ``layers`` yields the run's layers in order, one at a
     time, each as the list of its crossings left to right: ``(p, leaf
     value)`` crosses the wires at positions p and p + 1, and an ``id``
-    leaf holds its wire in place.  :func:`crossing_pairs` composes them
-    into one permutation.  ``run`` returns the joined value, or None,
-    after reading any part of ``layers``, to have the run joined layer by
-    layer.  ``layer`` joins a run of one layer, which has nothing to
-    collapse, and a chain's opening layer, which has no value below it.
+    leaf holds its wire in place.  ``run`` returns the joined value, or
+    None, after reading any part of ``layers``, to have the run joined
+    layer by layer.  ``layer`` joins a run of one layer, which has nothing
+    to collapse, and a chain's opening layer, which has no value below it.
 
     ``leaf`` runs once per distinct leaf object in ``t``, and each
     distinct nested chain object is joined once: blocks that share one
@@ -360,30 +359,6 @@ def _crossings(pending: list):
                 out.append((pos, v))
             pos += u.n_in
         yield out
-
-
-def crossing_pairs(layers, n: int) -> tuple[list[int], dict]:
-    """A run's layers of crossings on ``n`` wires (see :func:`fold`) as one
-    permutation and the crossings of each pair of wires.
-
-    Number the wires by their positions below the run: after it,
-    position p holds wire ``perm[p]``, and ``crossings`` maps each pair
-    ``(i, j)``, i < j, of wires that cross to their crossings in order,
-    each ``(leaf value, whether wire i is on the left)``.  A run may hold
-    tens of thousands of crossings, and every container that lives until
-    the run ends adds to the collector's full passes over the term, so
-    each crossing is one of two tuples per leaf value."""
-    perm = list(range(n))
-    crossings, tags = {}, {}  # tags: id(leaf value) -> its crossing either way round
-    for layer in layers:
-        for pos, v in layer:
-            tag = tags.get(id(v))
-            if tag is None:
-                tag = tags[id(v)] = (v, False), (v, True)
-            i, j = perm[pos], perm[pos + 1]
-            crossings.setdefault((i, j) if i < j else (j, i), []).append(tag[i < j])
-            perm[pos], perm[pos + 1] = j, i
-    return perm, crossings
 
 
 def _preorder(t: Term) -> list:

@@ -203,6 +203,9 @@ def test_check_qudit_rejects_dimension(capsys, d):
     '{"d": 3, "in": 0, "out": 1, "entries": [{"out": "7", "in": "", "v": "1"}]}',
     '{"d": "3", "in": 0, "out": 1, "entries": []}',
     '{"d": 3, "in": 0, "out": 1, "entries": [{"out": "1", "in": "", "v": "1e400"}]}',
+    # two values for one entry: neither is dropped in silence
+    '{"d": 3, "in": 0, "out": 1, "entries": [{"out": "1", "in": "", "v": "1"},'
+    ' {"out": "1", "in": "", "v": "2"}]}',
 ])
 def test_universal_rejects_malformed_json(capsys, state):
     code, out, err = run(capsys, "universal", "--d", "3", state)

@@ -355,58 +355,115 @@ def test_wiring_runs_agree_across_pillars_on_wide_terms(seed, shape):
         assert rows == {u + w: v for (w, u), v in interpret(t, r).entries.items()}
 
 
-@pytest.mark.parametrize("plant", ["sign by side", "not a swap"])
-def test_runs_read_each_table_the_way_round_it_is(monkeypatch, plant):
-    # plant the same x table in both pillars: a sign on |01> alone, which
-    # depends on the wire on the left, or an extra |11> -> |00> entry, which
-    # no signed swap has and which sends every run with an x to the layer joins
-    real_entries, real_nf = qudit.generator_entries, normalform.generator_nf
-
-    def entries(g, r, d):
-        out = real_entries(g, r, d)
-        if g.kind == "x" and plant == "sign by side":
-            out[("10", "01")] = -out[("10", "01")]
-        elif g.kind == "x":
-            out[("00", "11")] = r.one
-        return out
-
-    def nf(g, r):
-        if g.kind != "x":
-            return real_nf(g, r)
-        rows = [(-c if plant == "sign by side" and w == "0110" else c, w)
-                for c, w in real_nf(g, r).nf.rows]
-        if plant == "not a swap":
-            rows.append((r.one, "1100"))
-        return MapNormalForm(2, 2, canonicalize(PreNormalForm(2, 4, tuple(rows))))
-
+@pytest.fixture
+def plant_x(monkeypatch):
+    """``plant_x(u, v, value)`` sets the entry of x and xinv from the input
+    word u to the output word v to ``value(ring)``, in both pillars' tables
+    and in the dense oracle, and returns the values the run joins give back."""
+    caches = semantics._generator_map, normalform.generator_nf
+    real_entries, real_nf, real_dense = (
+        qudit.generator_entries, normalform.generator_nf, helpers._gen_matrix)
     joined = []
     for module, name in ((semantics, "_apply_run"), (normalform, "_plug_run")):
         real_run = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real_run=real_run:
                             joined.append(real_run(*args)) or joined[-1])
-    caches = semantics._generator_map, real_nf
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(qudit, "generator_entries", entries)
-    monkeypatch.setattr(normalform, "generator_nf", nf)
-    try:
-        rng, labels = random.Random(3), [iz(v) for v in (-2, -1, 2)]
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            t = term.seq_all([_spider_layer(rng, 0, n, labels), *helpers.wiring_run(rng, n)])
-            m = interpret(t, Z)
-            by_layer = term.fold(t, lambda g: semantics.generator_map(g, Z, 2)._raw,
-                                 lambda acc, blocks: semantics._apply_blocks(acc, blocks, Z))
-            assert {k: v.value for k, v in m.entries.items()} == by_layer.entries
-            rows = {w: c for c, w in normalize(t, Z).nf.rows}
-            assert rows == {w: v for (w, _), v in m.entries.items()}
-    finally:  # no planted table outlives the test
+
+    def plant(u: str, v: str, value) -> list:
+        def entries(g, r, d):
+            out = real_entries(g, r, d)
+            if g.kind in ("x", "xinv"):
+                out[(v, u)] = value(r)
+            return out
+
+        def nf(g, r):
+            if g.kind not in ("x", "xinv"):
+                return real_nf(g, r)
+            rows = {w: c for c, w in real_nf(g, r).nf.rows}
+            rows[u + v] = value(r)
+            pre = PreNormalForm(2, 4, tuple((c, w) for w, c in rows.items()))
+            return MapNormalForm(2, 2, canonicalize(pre))
+
+        def dense(g, r):
+            m = real_dense(g, r)
+            if g.kind in ("x", "xinv"):
+                m[int(v, 2), int(u, 2)] = value(r)
+            return m
+
         for cache in caches:
             cache.cache_clear()
+        monkeypatch.setattr(qudit, "generator_entries", entries)
+        monkeypatch.setattr(normalform, "generator_nf", nf)
+        monkeypatch.setattr(helpers, "_gen_matrix", dense)
+        return joined
+
+    yield plant
+    for cache in caches:  # no planted table outlives the test
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("plant", ["sign by side", "not a swap"])
+def test_runs_read_each_table_the_way_round_it_is(plant_x, plant):
+    # plant the same x and xinv table in both pillars: a sign on |01> alone,
+    # which depends on the wire on the left, or an extra |11> -> |00> entry,
+    # which no signed swap has and which sends every run with one to the layer joins
+    joined = (plant_x("01", "10", lambda r: -r.one) if plant == "sign by side"
+              else plant_x("11", "00", lambda r: r.one))
+    rng, labels = random.Random(3), [iz(v) for v in (-2, -1, 2)]
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        t = term.seq_all([_spider_layer(rng, 0, n, labels), *helpers.wiring_run(rng, n)])
+        m = interpret(t, Z)
+        by_layer = term.fold(t, lambda g: semantics.generator_map(g, Z, 2)._raw,
+                             lambda acc, blocks: semantics._apply_blocks(acc, blocks, Z))
+        assert {k: v.value for k, v in m.entries.items()} == by_layer.entries
+        rows = {w: c for c, w in normalize(t, Z).nf.rows}
+        assert rows == {w: v for (w, _), v in m.entries.items()}
     if plant == "sign by side":
         assert len(joined) > 10 and None not in joined
-    else:  # a run with no x in it is still a signed permutation
+    else:  # a run of swap and id only is still a signed permutation
         assert None in joined
+
+
+# x's own "11" entry, and the "sign by side" plant: a sign on |01> alone,
+# which shows which wire is on the left
+X_ENTRIES = {"real x": ("11", "11", -1), "sign by side": ("01", "10", -1)}
+
+
+@pytest.mark.parametrize("plant", X_ENTRIES)
+@pytest.mark.parametrize("times", [1, 2, 3])
+def test_one_pair_crossed_again_and_again_matches_the_dense_oracle(plant_x, plant, times):
+    # the two wires of a state whose four words all differ cross `times`
+    # times, each time with the other wire on the left, in a run padded to
+    # three layers
+    u, v, value = X_ENTRIES[plant]
+    joined = plant_x(u, v, lambda r: ring.from_int(r, value))
+    for r, (a, b) in ((Z, ("2", "3")), (QI, ("i", "1/2")), (ring.Zn(6), ("2", "5"))):
+        crossings = ["x", "xinv", "x"][:times] + ["id * id"] * (3 - times)
+        t = term.parse(" ; ".join([f"z(0,1)[{a}] * z(0,1)[{b}]", *crossings]), r)
+        want = helpers.dense_evaluate(t, r)
+        assert helpers.dense_equal(helpers.sparse_to_dense(interpret(t, r), r), want)
+        assert helpers.dense_equal(
+            helpers.sparse_to_dense(normalize(t, r).to_sparse(r), r), want)
+    assert len(joined) == 6 and None not in joined
+
+
+@pytest.mark.parametrize("text, kept", [
+    ("z(0,1)[1] * z(0,1)[1] ; x ; x", 3),  # |11> takes 2 * 2 = 0
+    ("z(0,2)[2] * ket(1) ; x * id ; id * x", 1),  # 2|111> takes 2 once
+])
+def test_a_crossing_that_is_not_a_unit_drops_the_rows_it_zeroes(plant_x, text, kept):
+    # over Zn(4), a planted x with 2 on |11>
+    Z4 = ring.Zn(4)
+    joined = plant_x("11", "11", lambda r: ring.from_int(r, 2))
+    t = term.parse(text, Z4)
+    m, nf = interpret(t, Z4), normalize(t, Z4).nf
+    assert helpers.dense_equal(helpers.sparse_to_dense(m, Z4), helpers.dense_evaluate(t, Z4))
+    assert len(m.entries) == kept
+    assert {w: c for c, w in nf.rows} == {w: v for (w, _), v in m.entries.items()}
+    assert NormalForm(nf.d, nf.n, nf.rows) == nf
+    assert all(not Z4.eq(c.value, Z4.zero.value) for c, _ in nf.rows)
+    assert len(joined) == 2 and None not in joined
 
 
 def test_nf_to_term_round_trip_ten_wires():
@@ -470,6 +527,12 @@ def test_json_reader_rejects_dimensions_outside_2_to_10(d):
     data = {"n": 1, "d": d, "rows": [{"v": "1", "w": "1"}]}
     with pytest.raises(ring.RingError, match=f"d={d} is outside 2..10"):
         from_json_dict(data, Z)
+
+
+def test_json_reader_rejects_a_negative_arity():
+    with pytest.raises(ring.RingError, match="negative arity -1"):
+        from_json_dict({"d": 2, "n": -1, "rows": []}, Z)
+    assert from_json_dict({"d": 2, "n": 0, "rows": []}, Z) == NormalForm(2, 0, ())
 
 
 def test_opening_layer_starts_from_its_first_block(monkeypatch):

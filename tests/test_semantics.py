@@ -186,6 +186,16 @@ def test_json_reader_rejects_dimensions_outside_2_to_10(d):
         from_json_dict(data, Z)
 
 
+def test_json_reader_rejects_two_values_for_one_entry():
+    entries = [{"out": "1", "in": "0", "v": "1"}, {"out": "1", "in": "0", "v": "2"}]
+    with pytest.raises(ring.RingError, match="two entries for \\('1', '0'\\)"):
+        from_json_dict({"d": 2, "in": 1, "out": 1, "entries": entries}, Z)
+    # distinct keys are all kept
+    entries[1]["in"] = "1"
+    m = from_json_dict({"d": 2, "in": 1, "out": 1, "entries": entries}, Z)
+    assert {k: v.value for k, v in m.entries.items()} == {("1", "0"): 1, ("1", "1"): 2}
+
+
 def test_ket_matches_w1():
     assert map_equal(interpret(term.ket(1), Z), interpret(term.wspider(0, 1), Z))
 

@@ -258,11 +258,6 @@ def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
     assert got == ("run", ["w"])
     # each layer as its crossings, by the position of their left wire
     assert calls == [((None, ["w"]), [[(0, "x")], [(1, "swap")], [(0, "xinv")], [(0, "x")]])]
-    # wires keep their numbers from below the run; the last x meets
-    # wires 1 and 2 with wire 2 on the left
-    assert term.crossing_pairs(calls[0][1], 3) == ([1, 2, 0], {
-        (0, 1): [("x", True)], (0, 2): [("swap", True)],
-        (1, 2): [("xinv", True), ("x", False)]})
     # a run that declines is joined layer by layer, as without a run
     by_layer = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
     assert term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values),
@@ -276,9 +271,8 @@ def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
     got = term.fold(parse("(w(0,2) ; x ; x) * ket(0) ; id * swap ; swap * id", Z),
                     lambda g: g.kind, lambda acc, values: (acc, values), run)
     assert got == "run"
-    assert [term.crossing_pairs(c[1], n) for c, n in zip(calls, (2, 3))] == [
-        ([0, 1], {(0, 1): [("x", True), ("x", False)]}),
-        ([2, 0, 1], {(1, 2): [("swap", True)], (0, 2): [("swap", True)]})]
+    assert [layers for _, layers in calls] == [[[(0, "x")], [(0, "x")]],
+                                               [[(1, "swap")], [(0, "swap")]]]
 
 
 def _spy(monkeypatch, module, name) -> list:

@@ -50,15 +50,24 @@ def best_time(fn) -> tuple[float, object]:
     return min(times), out
 
 
-def main(argv: list[str]) -> int:
+def parse_sizes(texts: list[str], tool: str) -> list[tuple[int, int]] | None:
+    """Each ``outputs/rows`` text as a pair of ints, or None once ``tool``
+    has reported one that it cannot read."""
     sizes = []
-    for text in argv or SIZES:
+    for text in texts:
         outputs, _, rows = text.partition("/")
         if not (outputs.isdigit() and rows.isdigit()) or int(rows) > 2 ** int(outputs):
-            print(f"wide_roundtrip: expected outputs/rows with rows <= 2^outputs, got {text!r}",
+            print(f"{tool}: expected outputs/rows with rows <= 2^outputs, got {text!r}",
                   file=sys.stderr)
-            return 2
+            return None
         sizes.append((int(outputs), int(rows)))
+    return sizes
+
+
+def main(argv: list[str]) -> int:
+    sizes = parse_sizes(argv or SIZES, "wide_roundtrip")
+    if sizes is None:
+        return 2
     z, status = ring.Z(), 0
     for outputs, rows in sizes:
         nf = state(outputs, rows)
