@@ -59,7 +59,6 @@ from .normalform import (
     generator_nf,
     nf_negate,
     nf_of_state,
-    nf_tensor,
     nf_to_term,
     nf_trace,
     normalize,

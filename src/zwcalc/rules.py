@@ -8,10 +8,8 @@ spiders, which is the canonical diagram of the normal-form theorem with
 no bottom layer and n all-ones words
 (:func:`zwcalc.normalform.canonical_diagram`).  A rule's two
 sides are kept only as the terms its builder makes; their text is
-rendered when read, so the whole catalogue can be written to a plain
-text file and audited line by line (:func:`write_catalog`; the file
-reads back with :func:`load_catalog`).  The catalogue's ring is ``QI``, the
-Gaussian rationals, unless a caller passes another.  :func:`mutate`
+rendered when read.  The catalogue's ring is ``QI``, the Gaussian
+rationals, unless a caller passes another.  :func:`mutate`
 builds a negative control, and the scalar -1 it puts beside a closed
 rule lives in the ring the control is checked in.
 
@@ -37,13 +35,12 @@ sliding, ``unx`` crossing removal over copied wires, and the derived
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from . import normalform as _nf
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement, format_literal
 from . import term as _term
-from .term import Term, identity, parse, render, w_comonoid, w_monoid, zspider
+from .term import Term, identity, render, w_comonoid, w_monoid, zspider
 from .semantics import SparseMap, first_difference, interpret, map_equal
 
 
@@ -374,27 +371,3 @@ def mutate(r: RuleInstance, ring: RingDescriptor = QI) -> RuleInstance:
     else:
         lhs = r.lhs @ _scalar(-ring.one)
     return RuleInstance("mut_" + r.name, r.params, lhs, r.rhs)
-
-
-# --- catalogue file --------------------------------------------------------
-
-def write_catalog(path: str | Path, bounds: RuleBounds = DEFAULT_BOUNDS,
-                  ring: RingDescriptor = QI) -> None:
-    lines = []
-    for inst in axiom_instances(bounds, ring) + derived_instances(bounds, ring):
-        lines.append(f"{inst.name} | {inst.params} | {inst.lhs_text} | {inst.rhs_text}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_catalog(path: str | Path, ring: RingDescriptor = QI) -> list[RuleInstance]:
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields")
-        name, params, lhs_text, rhs_text = parts
-        out.append(RuleInstance(name, params, parse(lhs_text, ring), parse(rhs_text, ring)))
-    return out

@@ -17,8 +17,8 @@ The concrete syntax (see :func:`parse` / :func:`render`) uses ``;`` for
 ``>>`` and ``*`` for ``@``: the snake above is ``(id * cup) ; (cap * id)``.
 ``*`` binds tighter than ``;``, both associate to the left, and brackets
 nest to any depth.  No function here recurses, so ``parse``, ``render``,
-``adjoint``, ``==``, ``hash``, ``repr``, copies, pickles, :func:`layers`
-and :func:`fold` take terms of any depth and width.
+``adjoint``, ``==``, ``hash``, ``repr``, copies, pickles and
+:func:`fold` take terms of any depth and width.
 
 Generators
 ----------
@@ -237,19 +237,6 @@ def par_all(terms) -> Term:
 
 def seq_all(terms) -> Term:
     return reduce(seq, terms)
-
-
-def layers(t: Term) -> list[list[Term]]:
-    """The ``;`` chain of ``t`` as its ``*`` layers, each the list of its
-    blocks left to right (without ``EMPTY``), walked without recursion."""
-    out, chain = [], [t]
-    while chain:  # exact type tests, as in render
-        u = chain.pop()
-        if type(u) is Seq:
-            chain += [u.then, u.first]
-        else:
-            out.append(_blocks(u))
-    return out
 
 
 def _blocks(u: Term) -> list[Term]:

@@ -212,6 +212,15 @@ def test_universal_rejects_malformed_json(capsys, state):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_universal_rejects_a_repeated_entry_at_d2(capsys):
+    # the map reader names the repeated key; summing or dropping would hide it
+    state = json.dumps({"d": 2, "in": 0, "out": 2, "entries": [
+        {"out": "01", "in": "", "v": "1"}, {"out": "01", "in": "", "v": "-1"}]})
+    code, out, err = run(capsys, "universal", "--d", "2", state)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0].startswith("error: ") and "two entries for ('01', '')" in err
+
+
 ZERO_STATE = '{"d": 2, "in": 0, "out": 3, "entries": [{"out": "000", "in": "", "v": "1"}]}'
 WIDE = " * ".join(["w(0,1)"] * 3000)
 DEEP = "(" * 2000 + "id" + ")" * 2000

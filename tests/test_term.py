@@ -220,7 +220,7 @@ def test_random_bracketings(seed):
     rng = random.Random(seed)
     labels = [ring.gaussian(QI, 1, 1), ring.gaussian(QI, 0, 1), ring.from_int(QI, -2)]
     t = helpers.random_term(rng, labels, pool=helpers.FULL_POOL, max_generators=12)
-    u = _bracket([_bracket(blocks, rng, term.Par) for blocks in term.layers(t)], rng, term.Seq)
+    u = _bracket([_bracket(blocks, rng, term.Par) for blocks in helpers.layers(t)], rng, term.Seq)
     assert parse(render(u), QI) == u
     assert hash(parse(render(u), QI)) == hash(u)
     assert semantics.map_equal(semantics.interpret(u, QI), semantics.interpret(t, QI))
@@ -234,9 +234,6 @@ def test_random_bracketings(seed):
 
 def test_fold_joins_each_chain_layer_by_layer():
     t = parse("(cup ; (id * w(1,2))) * ket(0) ; id * x * id", Z)
-    inner = parse("cup ; (id * w(1,2))", Z)
-    assert term.layers(t) == [[inner, term.ket(0)], [ID, term.X, ID]]
-    assert term.layers(term.EMPTY) == [[]]
     # the leaves' values, and each layer's values on top of its chain's acc
     got = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
     assert got == ((None, [((None, ["cup"]), ["id", "w"]), "ket"]), ["id", "x", "id"])
@@ -413,7 +410,7 @@ def _check_crossing_network(perm):
     n = len(perm)
     t = term.crossing_perm(perm)
     assert (t.n_in, t.n_out) == (n, n)
-    layers = term.layers(t)
+    layers = helpers.layers(t)
     crossing_layers = [blocks for blocks in layers if term.X in blocks]
     assert len(crossing_layers) <= n
     for blocks in layers:
@@ -435,6 +432,12 @@ def test_crossing_perm_seeded_twelve_wires():
     perm = list(range(12))
     random.Random(12).shuffle(perm)
     _check_crossing_network(perm)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 3], [0, 1, 2, 4]])
+def test_crossing_perm_rejects_non_permutation(perm):
+    with pytest.raises(ArityError, match="is not a permutation"):
+        term.crossing_perm(perm)
 
 
 def _bubble_network(perm):
