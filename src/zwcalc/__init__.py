@@ -59,6 +59,7 @@ from .normalform import (
     generator_nf,
     nf_negate,
     nf_of_state,
+    nf_tensor,
     nf_to_term,
     nf_trace,
     normalize,

@@ -87,21 +87,22 @@ class NormalForm:
         return not self.rows
 
 
-def canonicalize(p: PreNormalForm | NormalForm) -> NormalForm:
+def canonicalize(p: PreNormalForm | NormalForm, perm: list[int] | None = None) -> NormalForm:
     """Merge duplicate words, drop zero rows, drop rows whose letters the
-    dimension cannot support, and sort."""
+    dimension cannot support, and sort; with ``perm``, first send
+    coordinate i to position perm[i] in every word."""
+    if perm is not None and sorted(perm) != list(range(p.n)):
+        raise ArityError(f"{perm!r} is not a permutation of {p.n} coordinates")
     ring = p.rows[0][0].ring if p.rows else _ring.Z()  # with no rows, any ring
     if any(c.ring is not ring and c.ring != ring for c, _ in p.rows):
         raise _ring.RingMismatchError(f"rows over more than one ring, {ring} first")
-    return _wrapped(p.d, p.n, _merged([(c.value, w) for c, w in p.rows], ring, p.d), ring)
+    return _wrapped(p.d, p.n, _merged([(c.value, w) for c, w in p.rows], ring, p.d, perm), ring)
 
 
 def _merged(rows, ring: RingDescriptor, d: int | None = None,
             perm: list[int] | None = None) -> list:
-    """:func:`canonicalize` on raw values of ``ring``, left unsorted; with
-    ``perm``, first send coordinate i to position perm[i] in every word.
-    Without ``d`` no letter is checked, as the joins of dimension-2 tables
-    spell none above 1."""
+    """:func:`canonicalize` on raw values of ``ring``, left unsorted; without
+    ``d`` no letter is checked, as the joins of dimension-2 tables spell none above 1."""
     if perm is not None:
         source = [0] * len(perm)  # source[j]: the coordinate that lands at j
         for i, j in enumerate(perm):
@@ -131,6 +132,16 @@ def nf_of_state(m: SparseMap) -> NormalForm:
         m.d, m.n_out, tuple((v, w) for (w, _), v in m.entries.items())))
 
 
+def nf_tensor(a: NormalForm, b: NormalForm) -> NormalForm:
+    """All pairwise products; an empty operand absorbs everything."""
+    if a.d != b.d:
+        raise ArityError("tensor of normal forms at different dimensions")
+    rows = tuple(
+        (ca * cb, wa + wb) for ca, wa in a.rows for cb, wb in b.rows
+    )
+    return canonicalize(PreNormalForm(a.d, a.n + b.n, rows))
+
+
 def nf_trace(a: NormalForm, j: int, k: int) -> NormalForm:
     """Plug outputs j and k into each other: keep rows with equal letters
     there, then delete both coordinates."""
@@ -153,6 +164,11 @@ def nf_negate(a: NormalForm, j: int) -> NormalForm:
     flip = {"0": "1", "1": "0"}
     rows = tuple((c, w[:j] + flip[w[j]] + w[j + 1:]) for c, w in a.rows)
     return canonicalize(PreNormalForm(a.d, a.n, rows))
+
+
+def nf_permute(a: NormalForm | PreNormalForm, perm: list[int]) -> NormalForm:
+    """Send coordinate i to position perm[i] in every word."""
+    return canonicalize(a, perm)
 
 
 @dataclass(frozen=True)

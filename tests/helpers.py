@@ -270,19 +270,12 @@ def wiring_run(rng: random.Random, n: int) -> list[Term]:
 
 def layers(t: Term) -> list[list[Term]]:
     """The ``;`` chain of ``t`` as its ``*`` layers, each the list of its
-    blocks left to right (without the empty diagram), walked without recursion."""
+    blocks left to right, walked without recursion."""
     out, chain = [], [t]
     while chain:
         u = chain.pop()
         if type(u) is Seq:
             chain += [u.then, u.first]
-            continue
-        blocks, row = [], [u]
-        while row:
-            b = row.pop()
-            if type(b) is Par:
-                row += [b.right, b.left]
-            elif type(b) is not _Empty:
-                blocks.append(b)
-        out.append(blocks)
+        else:
+            out.append(zterm._blocks(u))
     return out

@@ -17,6 +17,8 @@ from zwcalc.normalform import (
     generator_nf,
     nf_negate,
     nf_of_state,
+    nf_permute,
+    nf_tensor,
     nf_to_term,
     nf_trace,
     normalize,
@@ -77,25 +79,20 @@ def test_nf_of_state_examples():
         nf_of_state(interpret(term.CAP, Z))
 
 
-def _tensor(a, b):
-    """The normal form of two states side by side, through normalize."""
-    return normalize(term.par(nf_to_term(a), nf_to_term(b)), Z).nf
-
-
 def test_nf_tensor():
     a = canonicalize(pre(1, [(1, "0")]))
     b = canonicalize(pre(1, [(1, "1")]))
-    assert rows_of(_tensor(a, b)) == [("1", "01")]
+    assert rows_of(nf_tensor(a, b)) == [("1", "01")]
     empty = NormalForm(2, 2, ())
-    assert _tensor(empty, a).is_zero()
-    assert _tensor(a, empty).n == 3
+    assert nf_tensor(empty, a).is_zero()
+    assert nf_tensor(a, empty).n == 3
 
 
 def test_tensor_then_trace_reproduces_snake():
     # pairing two self-duality states and plugging the inner legs is the
     # bent identity; the row calculus and the interpreter must agree
     z2 = nf_of_state(interpret(term.zspider(0, 2, ONE), Z))
-    snaked = nf_trace(_tensor(z2, z2), 1, 2)
+    snaked = nf_trace(nf_tensor(z2, z2), 1, 2)
     snake_term = term.parse("(z(0,2)[1] * z(0,2)[1]) ; (id * cap * id)", Z)
     assert snaked == nf_of_state(interpret(snake_term, Z))
     assert snaked == generator_nf(term.ID.gen, Z).nf
@@ -141,7 +138,7 @@ def test_ops_commute_with_semantics():
             assert nf_of_state(traced) == nf_trace(nf, n - 2, n - 1)
         other = canonicalize(pre(1, [(2, "0"), (1, "1")]))
         both = interpret(term.par(nf_to_term(nf), nf_to_term(other)), Z)
-        assert nf_of_state(both) == _tensor(nf, other)
+        assert nf_of_state(both) == nf_tensor(nf, other)
 
 
 def _swap_network(perm):
@@ -159,11 +156,19 @@ def _swap_network(perm):
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
 def test_nf_permute_matches_swap_network(perm):
     # every coordinate carries a different pattern, so a misplaced
-    # coordinate shows in the rows; the network is a run of plain swap layers
+    # coordinate shows in the rows; normalize joins the network as a run
+    # of plain swap layers
     nf = canonicalize(pre(4, [(1, "1000"), (2, "1100"), (3, "1110"),
                               (4, "0101"), (5, "0011"), (-6, "1111")]))
     t = nf_to_term(nf) >> _swap_network(list(perm))
-    assert normalize(t, Z).nf == nf_of_state(interpret(t, Z))
+    assert nf_permute(nf, list(perm)) == nf_of_state(interpret(t, Z)) == normalize(t, Z).nf
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 4]])
+def test_nf_permute_rejects_non_permutation(perm):
+    nf = canonicalize(pre(4, [(1, "1000")]))
+    with pytest.raises(ArityError):
+        nf_permute(nf, perm)
 
 
 def test_generator_nf_crossing_has_minus_on_all_ones():
