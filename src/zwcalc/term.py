@@ -16,9 +16,9 @@ composites read the way they are drawn:
 The concrete syntax (see :func:`parse` / :func:`render`) uses ``;`` for
 ``>>`` and ``*`` for ``@``: the snake above is ``(id * cup) ; (cap * id)``.
 ``*`` binds tighter than ``;``, both associate to the left, and brackets
-nest to any depth.  No function here recurses, so ``parse``, ``render``,
-``adjoint``, ``==``, ``hash``, ``repr``, copies, pickles and
-:func:`fold` take terms of any depth and width.
+nest to any depth.  No function here recurses, so ``parse`` (one pass),
+``render``, ``adjoint``, ``==`` (one walk over both terms), ``hash``,
+``repr``, copies, pickles and :func:`fold` take terms of any depth and width.
 
 Generators
 ----------
@@ -110,13 +110,25 @@ class Term:
     def __matmul__(self, other: "Term") -> "Term":
         return par(self, other)
 
-    # structural == and hash read the pre-order node list, which takes no recursion
+    # structural ==: one walk over both trees, which stops at the first difference
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
-        return self is other or _preorder(self) == _preorder(other)
+        todo = [self, other]  # the pairs of nodes still to compare, flat
+        while todo:
+            b, a = todo.pop(), todo.pop()
+            if a is b:  # a subtree the two share
+                continue
+            kind = type(a)
+            if kind is not type(b) or kind is Gen and a.gen != b.gen:
+                return False
+            if kind is Seq:
+                todo += (a.then, b.then, a.first, b.first)
+            elif kind is Par:
+                todo += (a.right, b.right, a.left, b.left)
+        return True
 
-    def __hash__(self):
+    def __hash__(self):  # of the pre-order node list, which takes no recursion
         return hash(tuple(_preorder(self)))
 
     def __repr__(self):  # Seq and Par: the text of the iterative render
@@ -185,13 +197,6 @@ for _node in (Gen, Seq, Par):  # their generated setters name the class slots=Tr
 _WIRES = {kind: Gen(Generator(kind, *arity)) for kind, arity in _FIXED_ARITY.items()}
 
 
-@lru_cache(maxsize=4096)
-def _shared_leaf(g: Generator) -> Term:
-    """One leaf per Z spider over an exact ring: the rule catalogue repeats
-    a few hundred spiders thousands of times."""
-    return Gen(g)
-
-
 ID, SWAP, CUP, CAP, X, XINV = (_WIRES[k] for k in ("id", "swap", "cup", "cap", "x", "xinv"))
 
 
@@ -201,10 +206,14 @@ def wspider(k: int, m: int) -> Term:
 
 
 def zspider(k: int, m: int, label: RingElement) -> Term:
-    g = Generator("z", k, m, label=label)
     # complex labels that compare equal may differ in the sign of a zero
     # part, which the anyonic tables keep, so they get leaves of their own
-    return _shared_leaf(g) if label.ring.exact else Gen(g)
+    return _shared_z(k, m, label) if label.ring.exact else Gen(Generator("z", k, m, label=label))
+
+
+@lru_cache(maxsize=4096)  # one leaf per exact Z spider, found without building a Generator
+def _shared_z(k: int, m: int, label: RingElement) -> Term:
+    return Gen(Generator("z", k, m, label=label))
 
 
 def ket(level: int) -> Term:
@@ -230,9 +239,7 @@ EMPTY = _Empty()
 
 def par_all(terms) -> Term:
     terms = [t for t in terms if not isinstance(t, _Empty)]
-    if not terms:
-        return EMPTY
-    return reduce(par, terms)
+    return reduce(par, terms) if terms else EMPTY
 
 
 def seq_all(terms) -> Term:
@@ -426,9 +433,7 @@ def crossing_perm(perm) -> Term:
                 i += 1
         if len(row) < n:  # a crossing spans two wires
             layers.append(par_all(row))
-    if not layers:
-        return identity(n)
-    return seq_all(layers)
+    return seq_all(layers) if layers else identity(n)
 
 
 _MIRROR = {"id": "id", "swap": "swap", "cup": "cap", "cap": "cup", "x": "xinv", "xinv": "x"}
@@ -518,7 +523,6 @@ _TOKEN = re.compile(r"""\s*(?P<token>
   | (?P<word>[^\W\d_]*)
 )""", re.VERBOSE)
 
-_PRECEDENCE = {"(": 0, ";": 1, "*": 2}
 _SHAPES = {"w": "w(k,m)", "z": "z(k,m)[label]", "ket": "ket(level)"}
 
 
@@ -541,48 +545,44 @@ def _generator(m: re.Match, ring: RingDescriptor, start: int) -> Term:
         return _WIRES[word]
     if word in _SHAPES:
         raise ParseError(f"expected {_SHAPES[word]}", start)
-    raise ParseError(f"expected a generator, got {word!r}" if word else "expected a term",
-                     start)
-
-
-def _reduce(terms: list[Term], ops: list[str], floor: int, pos: int) -> None:
-    """Apply the pending operators that bind at least as tightly as
-    ``floor``, innermost first, so that both associate to the left."""
-    while ops and _PRECEDENCE[ops[-1]] >= floor:
-        right = terms.pop()
-        try:
-            terms[-1] = Seq(terms[-1], right) if ops.pop() == ";" else Par(terms[-1], right)
-        except ArityError as exc:
-            raise ParseError(str(exc), pos) from None
+    raise ParseError(f"expected a generator, got {word!r}" if word else "expected a term", start)
 
 
 def parse(text: str, ring: RingDescriptor = _ring.Qi()) -> Term:
     """Parse the term grammar; labels are read as literals of ``ring``
     (Gaussian rationals by default).
 
-    Operator precedence on two explicit stacks (Dijkstra's shunting-yard):
-    ``*`` binds tighter than ``;``, both associate to the left, and
-    brackets may nest to any depth."""
-    terms: list[Term] = []
-    ops: list[str] = []  # pending ';', '*' and '('
-    pos, operand = 0, True  # operand: a term must start at pos
-    while True:
-        m = _TOKEN.match(text, pos)
-        start, pos, op = m.start("token"), m.end(), m["op"]
-        if operand and op == "(":
-            ops.append(op)
+    One pass over the tokens keeps, per open bracket, the ``;`` chain so
+    far and the ``*`` chain after it.  A ``;``, a ``)`` or the end joins
+    the two, and reports an arity error at that token."""
+    leaves: dict[str, Term] = {}  # token text -> its leaf, within this call
+    frames = []  # per enclosing bracket: its ; chain and * chain
+    chain = layer = None  # the innermost bracket's ; chain and * chain
+    operand = True  # a term must start at the next token
+    for m in _TOKEN.finditer(text):  # the last token, an empty word, returns or raises
+        tok = m["token"]
+        if operand and tok == "(":
+            frames.append((chain, layer))
+            chain = layer = None
         elif operand:
-            terms.append(_generator(m, ring, start))
+            u = leaves.get(tok) or leaves.setdefault(tok, _generator(m, ring, m.start("token")))
+            layer = u if layer is None else Par(layer, u)
             operand = False
-        elif op in (";", "*"):
-            _reduce(terms, ops, _PRECEDENCE[op], start)
-            ops.append(op)
+        elif tok == "*":
             operand = True
         else:
-            _reduce(terms, ops, 1, start)
-            if op == ")" and ops:
-                ops.pop()
-            elif ops or start < len(text):
-                raise ParseError("expected ')'" if ops else "trailing input", start)
+            start = m.start("token")
+            if chain is not None:
+                try:
+                    layer = Seq(chain, layer)
+                except ArityError as exc:
+                    raise ParseError(str(exc), start) from None
+            if tok == ";":
+                chain, layer, operand = layer, None, True
+            elif tok == ")" and frames:
+                chain, outer = frames.pop()
+                layer = layer if outer is None else Par(outer, layer)
+            elif frames or start < len(text):
+                raise ParseError("expected ')'" if frames else "trailing input", start)
             else:
-                return terms[0]
+                return layer

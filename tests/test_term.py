@@ -149,16 +149,87 @@ def test_parse_examples():
     assert parse("ket(1)", Z).gen.level == 1
 
 
-def test_parse_errors_carry_positions():
+@pytest.mark.parametrize("text, message, position", [
+    ("id id", "trailing input", 3),
+    ("(id", "expected ')'", 3),
+    ("id)", "trailing input", 2),
+    ("id ; #", "expected a term", 5),
+    ("", "expected a term", 0),
+    ("   ", "expected a term", 3),
+    ("id ;", "expected a term", 4),
+    ("id ; ; x", "expected a term", 5),
+    ("w(0,3) ; id", "cannot plug 3 outputs into 1 inputs", 11),
+    ("z(1,1)[1/2]", "'1/2' is not an integer literal", 7),
+    ("w(0,2) ; garbage", "expected a generator, got 'garbage'", 9),
+    ("w(0,2", "expected w(k,m)", 0),
+    ("(id id)", "expected ')'", 4),
+    ("id * (x", "expected ')'", 7),
+])
+def test_parse_errors_carry_positions(text, message, position):
     with pytest.raises(ParseError) as err:
-        parse("w(0,2) ; garbage", Z)
-    assert err.value.position > 0
-    with pytest.raises(ParseError):
-        parse("w(0,3) ; id", Z)  # arity mismatch reported by the parser
-    with pytest.raises(ParseError):
-        parse("z(1,1)[1/2]", Z)  # label not in the ring
-    with pytest.raises(ParseError):
-        parse("w(0,2", Z)
+        parse(text, Z)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+_C = ring.C()
+# few leaves, so that drawn terms are often equal; two C labels that compare
+# equal but differ in the sign of a zero part; EMPTY, which Seq and Par take
+_EQ_LEAVES = (ID, term.X, term.SWAP, CUP, CAP, term.wspider(1, 1), term.wspider(0, 2),
+              term.zspider(1, 1, ring.from_int(Z, 2)), term.zspider(1, 1, ring.from_int(Z, -2)),
+              term.zspider(0, 1, ring.complex_value(_C, 0.0)),
+              term.zspider(0, 1, ring.complex_value(_C, -0.0)), term.EMPTY)
+
+
+def _joined(a, b, sequential):
+    """a ; b where the arities allow it, else a * b."""
+    return term.Seq(a, b) if sequential and a.n_out == b.n_in else term.Par(a, b)
+
+
+def _eq_terms(leaves):
+    return st.recursive(leaves, lambda kids: st.builds(_joined, kids, kids, st.booleans()),
+                        max_leaves=12)
+
+
+@st.composite
+def _eq_pairs(draw):
+    """Two terms built over the same leaves and one shared subtree, or a
+    term and itself, or a term and its copy, which shares no node, or a
+    copy with one generator replaced by another of the same arity."""
+    shared = draw(_eq_terms(st.sampled_from(_EQ_LEAVES)))
+    terms = _eq_terms(st.sampled_from(_EQ_LEAVES + (shared,)))
+    a = draw(terms)
+    nodes = term._preorder(a)
+    gens = [i for i, u in enumerate(nodes) if isinstance(u, term.Generator)]
+    how = draw(st.sampled_from(["drawn", "itself", "copy"] + ["one leaf"] * bool(gens)))
+    if how != "one leaf":
+        return a, draw(terms) if how == "drawn" else a if how == "itself" else copy.copy(a)
+    i = draw(st.sampled_from(gens))
+    g = nodes[i]
+    nodes[i] = draw(st.sampled_from([u.gen for u in _EQ_LEAVES[:-1] if u.gen is not g
+                                     and (u.n_in, u.n_out) == (g.n_in, g.n_out)] or [g]))
+    return a, term._assembled(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eq_pairs())
+def test_eq_agrees_with_the_preorder_lists(pair):
+    a, b = pair
+    same = term._preorder(a) == term._preorder(b)
+    assert (a == b) == (b == a) == same and (a != b) == (not same)
+    if same:
+        assert hash(a) == hash(b)
+
+
+def test_eq_tells_bracketings_and_signed_zeros_apart_as_the_preorder_lists_do():
+    a, b, c = term.wspider(1, 1), ID, term.X
+    assert term.Par(term.Par(a, b), c) != term.Par(a, term.Par(b, c))
+    assert term.Seq(term.Seq(ID, a), b) != term.Seq(ID, term.Seq(a, b))
+    assert term.Par(term.EMPTY, ID) != ID and term.Par(term.EMPTY, ID) == term.Par(term.EMPTY, ID)
+    assert term.Seq(CAP, term.EMPTY) == term.Seq(CAP, term.EMPTY) != CAP
+    pos, neg = _EQ_LEAVES[-3:-1]
+    assert pos == neg and hash(pos) == hash(neg)
+    assert term.Par(pos, term.Par(neg, pos)) == term.Par(neg, term.Par(pos, neg))
 
 
 W11 = term.wspider(1, 1)

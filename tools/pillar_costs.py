@@ -19,6 +19,10 @@ With sizes it rebuilds the states of ``tools/wide_roundtrip.py`` and
 prints the CPU seconds (best of 3) of each pillar on each, first with
 the cyclic garbage collector on, then with it off, so the share the
 collector takes shows.  Most of such a term is its crossing network.
+A third line gives the front end of a round trip on the same diagram,
+each step's CPU seconds (best of 3, collector on): ``nf_to_term``
+building it, ``render`` printing it, ``parse`` reading the text back
+and ``==`` comparing the two terms.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from time import process_time
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zwcalc import normalform, ring, rules, semantics  # noqa: E402
+from zwcalc import normalform, ring, rules, semantics, term  # noqa: E402
 
 import wide_roundtrip  # noqa: E402  (next to this file)
 
@@ -62,8 +66,9 @@ def best_time(pillar, terms) -> float:
 
 def wide_costs(outputs: int, rows: int) -> None:
     """Each pillar's least CPU time of ``wide_roundtrip.REPEATS`` calls on
-    the wide round trip, with gc on and off."""
-    t, z = normalform.nf_to_term(wide_roundtrip.state(outputs, rows)), ring.Z()
+    the wide round trip, with gc on and off, then each front-end step's."""
+    nf, z = wide_roundtrip.state(outputs, rows), ring.Z()
+    t = normalform.nf_to_term(nf)
     for collect in (True, False):
         times = []
         for pillar in (semantics.interpret, normalform.normalize):
@@ -79,6 +84,12 @@ def wide_costs(outputs: int, rows: int) -> None:
             times.append(best)
         print(f"{outputs}/{rows} gc {'on' if collect else 'off'}: "
               f"interpret {times[0]:.3f} s  normalize {times[1]:.3f} s", flush=True)
+    build, _ = wide_roundtrip.best_time(lambda: normalform.nf_to_term(nf))
+    write, text = wide_roundtrip.best_time(lambda: term.render(t))
+    read, back = wide_roundtrip.best_time(lambda: term.parse(text, z))
+    compare, _ = wide_roundtrip.best_time(lambda: back == t)
+    print(f"{outputs}/{rows} front end: nf_to_term {build:.4f} s  render {write:.4f} s  "
+          f"parse {read:.4f} s  == {compare:.4f} s", flush=True)
 
 
 def main(argv: list[str]) -> int:
