@@ -96,7 +96,8 @@ def canonicalize(p: PreNormalForm | NormalForm, perm: list[int] | None = None) -
     ring = p.rows[0][0].ring if p.rows else _ring.Z()  # with no rows, any ring
     if any(c.ring is not ring and c.ring != ring for c, _ in p.rows):
         raise _ring.RingMismatchError(f"rows over more than one ring, {ring} first")
-    return _wrapped(p.d, p.n, _merged([(c.value, w) for c, w in p.rows], ring, p.d, perm), ring)
+    rows = _merged([(c.value, w) for c, w in p.rows], ring, p.d, perm)
+    return trusted_nf(p.d, p.n, sorted(rows, key=itemgetter(1)), ring)
 
 
 def _merged(rows, ring: RingDescriptor, d: int | None = None,
@@ -117,11 +118,12 @@ def _merged(rows, ring: RingDescriptor, d: int | None = None,
     return [(c, w) for w, c in acc.items() if not eq(c, zero)]
 
 
-def _wrapped(d: int, n: int, rows, ring: RingDescriptor) -> NormalForm:
-    """The normal form of raw rows that :func:`_merged` made canonical but for their order."""
-    nf = object.__new__(NormalForm)  # distinct and nonzero by construction: sorted here
-    nf.__dict__.update(d=d, n=n, rows=tuple(
-        (RingElement(ring, c), w) for c, w in sorted(rows, key=itemgetter(1))))
+def trusted_nf(d: int, n: int, rows, ring: RingDescriptor) -> NormalForm:
+    """The normal form of raw rows of ``ring`` that are canonical, unchecked:
+    sorted, with distinct nonzero words below ``d``, as :func:`_merged`
+    leaves them once sorted."""
+    nf = object.__new__(NormalForm)
+    nf.__dict__.update(d=d, n=n, rows=tuple((RingElement(ring, c), w) for c, w in rows))
     return nf
 
 
@@ -283,7 +285,8 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     m = _term.fold(t, lambda g: generator_nf(g, ring)._raw,
                    lambda acc, blocks: _plug(acc, blocks, ring, wire),
                    lambda acc, layers: _plug_run(acc, layers, ring))
-    return MapNormalForm(m.n_in, m.n_out, _wrapped(2, m.n_in + m.n_out, m.rows, ring))
+    n = m.n_in + m.n_out
+    return MapNormalForm(m.n_in, m.n_out, trusted_nf(2, n, sorted(m.rows, key=itemgetter(1)), ring))
 
 
 def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
@@ -391,7 +394,7 @@ def nf_to_term(a: NormalForm | PreNormalForm) -> Term:
     A bottom W spider fans one wire to each labelled white node; each
     white node sends one wire per connection (letters above 1 become
     parallel wires) through a crossing network to the merge node of the
-    corresponding output.
+    corresponding output; one pass sums each row's fan and each fan-in.
     """
     if a.d != 2:
         raise UnsupportedOperationError("nf_to_term builds d = 2 diagrams")
@@ -400,10 +403,16 @@ def nf_to_term(a: NormalForm | PreNormalForm) -> Term:
     if not rows:
         zero_scalar = _term.wspider(0, 2) >> _term.CAP
         return _term.par_all([zero_scalar] + [_term.w_monoid(0)] * n)
-    whites = [_term.zspider(1, sum(int(c) for c in word), coeff) for coeff, word in rows]
-    merges = [_term.w_monoid(sum(int(word[j]) for _, word in rows)) for j in range(n)]
-    return canonical_diagram(_term.wspider(0, len(rows)), whites,
-                             [word for _, word in rows], merges)
+    whites, fan_in = [], [0] * n
+    for coeff, word in rows:
+        fan = 0
+        for j, c in enumerate(word):
+            if c != "0":
+                fan += int(c)
+                fan_in[j] += int(c)
+        whites.append(_term.zspider(1, fan, coeff))
+    return canonical_diagram(_term.wspider(0, len(rows)), whites, [word for _, word in rows],
+                             [_term.w_monoid(k) for k in fan_in])
 
 
 def canonical_diagram(bottom: Term, whites: list[Term], words: list[str],
@@ -414,18 +423,23 @@ def canonical_diagram(bottom: Term, whites: list[Term], words: list[str],
     ``merges[j]``.  Layers without wires are left out, so at least one
     layer must have some.
 
+    ``merges[j]`` takes output j's wires, so its inputs count them: each
+    wire is placed by counting on from the earlier merges' inputs.
+
     Besides :func:`nf_to_term` and the qudit universal construction, the
     bialgebra squares of :mod:`zwcalc.rules` are built here: ``bottom``
     is ``EMPTY`` and every word is all ones, so each white node meets
     each merge once."""
-    origin = []  # (row index, output index) per wire, origin-major order
-    for i, word in enumerate(words):
+    perm, nxt, at = [], [], 0  # nxt[j]: the position of output j's next wire
+    for m in merges:
+        nxt.append(at)
+        at += m.n_in
+    for word in words:  # the wires in origin-major order
         for j, c in enumerate(word):
-            origin.extend([(i, j)] * int(c))
-    target = sorted(range(len(origin)), key=lambda p: (origin[p][1], origin[p][0]))
-    perm = [0] * len(origin)
-    for pos, p in enumerate(target):
-        perm[p] = pos
+            if c != "0":
+                k = nxt[j]
+                nxt[j] = k + int(c)
+                perm += range(k, k + int(c))
     layers = [bottom, _term.par_all(whites), _term.crossing_perm(perm),
               _term.par_all(merges)]
     # a layer without wires is EMPTY, which has no concrete syntax

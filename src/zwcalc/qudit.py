@@ -52,7 +52,7 @@ from .ring import RingDescriptor
 from . import term as _term
 from .term import ArityError, Generator, Term
 from .semantics import SparseMap, interpret, make_map
-from .normalform import NormalForm, PreNormalForm, canonical_diagram, canonicalize
+from .normalform import NormalForm, _below, canonical_diagram, trusted_nf
 from .rules import RuleReport, check_maps
 
 
@@ -349,7 +349,9 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
     of the square root, so the label of row i is its amplitude divided
     by the merge tree's actual coefficient for each leg bundle (the
     product of binomial roots, which may differ from the principal
-    sqrt([k_ij]!) by a sign once its argument wraps past pi).
+    sqrt([k_ij]!) by a sign once its argument wraps past pi), computed
+    once per bundle size.  The rows come sorted, distinct and above the
+    tolerance, so the normal form takes them as they are.
     """
     if state.n_in != 0:
         raise ArityError("universal construction takes a state")
@@ -357,29 +359,26 @@ def qudit_universal_nf(state: SparseMap, p: QParams) -> tuple[Term, NormalForm]:
         raise QuditError("state must live over the complex ring at dimension d")
     ring = p.ring()
     n = state.n_out
-    rows = [
-        (complex(v.value), w)
-        for (w, _), v in sorted(state.entries.items())
-        if abs(complex(v.value)) > p.tolerance
-    ]
+    rows = [(a, w) for (w, _), v in sorted(state.entries.items())
+            if abs(a := complex(v.value)) > p.tolerance]
     if not rows:
         absorbing = _term.ket(1) >> _term.wspider(1, 0)
         t = _term.par_all([absorbing] + [_term.ket(0)] * n)
         return t, NormalForm(p.d, n, ())
     bottom = _term.ket(1) >> _term.wspider(1, len(rows))
-    whites = []
+    roots = {}  # k -> the merge tree's coefficient for k parallel particles
+    whites, fan_in = [], [0] * n
     for amp, word in rows:
-        adjusted = amp
-        for ch in word:
-            if int(ch):
-                adjusted /= _tree_coeff("1" * int(ch), p)
-        fan = sum(int(ch) for ch in word)
-        whites.append(_term.zspider(1, fan, _ring.complex_value(ring, adjusted)))
-    merges = []
-    for j in range(n):
-        k_j = sum(int(word[j]) for _, word in rows)
-        merges.append(_term.wspider(k_j, 1) if k_j else _term.ket(0))
+        fan = 0
+        for j, ch in enumerate(word):
+            if ch != "0":
+                k = int(ch)
+                if k not in roots:
+                    roots[k] = _tree_coeff("1" * k, p)
+                amp /= roots[k]
+                fan += k
+                fan_in[j] += k
+        whites.append(_term.zspider(1, fan, _ring.complex_value(ring, amp)))
+    merges = [_term.wspider(k, 1) if k else _term.ket(0) for k in fan_in]
     t = canonical_diagram(bottom, whites, [w for _, w in rows], merges)
-    nf = canonicalize(PreNormalForm(
-        p.d, n, tuple((_ring.complex_value(ring, a), w) for a, w in rows)))
-    return t, nf
+    return t, trusted_nf(p.d, n, [(a, w) for a, w in rows if _below(w, p.d)], ring)

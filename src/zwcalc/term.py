@@ -4,8 +4,8 @@ A term is a tree whose leaves are generators and whose internal nodes are
 ``Seq`` (plug outputs into inputs) and ``Par`` (side by side).  Arities
 are checked at construction; ``Seq(f, g)`` requires ``f.n_out == g.n_in``.
 
-Terms are immutable, so leaves are shared: the wire generators, the W
-spiders and the Z spiders over exact rings are built once and reused.
+Terms are immutable, so leaves are shared: the wire generators, the kets,
+the W spiders and the Z spiders over exact rings are built once and reused.
 ``>>`` is sequential and ``@`` parallel composition, so snake-like
 composites read the way they are drawn:
 
@@ -216,6 +216,7 @@ def _shared_z(k: int, m: int, label: RingElement) -> Term:
     return Gen(Generator("z", k, m, label=label))
 
 
+@lru_cache(maxsize=256)  # one leaf per level, as W spiders share theirs
 def ket(level: int) -> Term:
     """The basis state |level>; ``interpret`` and ``normalize`` check the
     level against their dimension."""
@@ -412,6 +413,11 @@ def crossing_perm(perm) -> Term:
     word is reduced: one crossing per inversion, and by Matsumoto's
     theorem and the Reidemeister III move it denotes the same map as any
     other reduced word for ``perm``, at every dimension.
+
+    Each round's ``*`` chain of the shared leaves ``X`` and ``ID`` grows
+    from its first crossing on.  The rounds are chained by ``;`` at the end:
+    a chain grown round by round is reachable only through its top, which
+    doubles the cyclic collector's time on wide networks.
     """
     n = len(perm)
     done = list(range(n))
@@ -422,17 +428,17 @@ def crossing_perm(perm) -> Term:
     for r in range(n):
         if cur == done:  # the remaining rounds cross nothing
             break
-        row, i = [], 0
-        while i < n:
-            if i % 2 == r % 2 and i + 1 < n and cur[i] > cur[i + 1]:
+        layer, at = None, 0  # the round's chain so far, and the wires it holds
+        for i in range(r % 2, n - 1, 2):
+            if cur[i] > cur[i + 1]:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                row.append(X)
-                i += 2
-            else:
-                row.append(ID)
-                i += 1
-        if len(row) < n:  # a crossing spans two wires
-            layers.append(par_all(row))
+                for _ in range(at, i):
+                    layer = ID if layer is None else Par(layer, ID)
+                layer, at = X if layer is None else Par(layer, X), i + 2
+        if layer is not None:
+            for _ in range(at, n):
+                layer = Par(layer, ID)
+            layers.append(layer)
     return seq_all(layers) if layers else identity(n)
 
 

@@ -279,3 +279,93 @@ def layers(t: Term) -> list[list[Term]]:
         else:
             out.append(zterm._blocks(u))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference builders: the canonical diagram as the package built it before
+# crossing_perm grew its chains as it scanned and the wires were placed by
+# counting; the pinned-builder tests require the same terms and normal forms
+
+
+def ref_crossing_perm(perm) -> Term:
+    """Odd-even transposition rounds, each round's blocks collected in a
+    row and joined by ``par_all``, the rounds by ``seq_all``."""
+    n = len(perm)
+    done = list(range(n))
+    if sorted(perm) != done:
+        raise zterm.ArityError(f"{perm!r} is not a permutation")
+    cur = list(perm)
+    layers = []
+    for r in range(n):
+        if cur == done:
+            break
+        row, i = [], 0
+        while i < n:
+            if i % 2 == r % 2 and i + 1 < n and cur[i] > cur[i + 1]:
+                cur[i], cur[i + 1] = cur[i + 1], cur[i]
+                row.append(zterm.X)
+                i += 2
+            else:
+                row.append(zterm.ID)
+                i += 1
+        if len(row) < n:
+            layers.append(zterm.par_all(row))
+    return zterm.seq_all(layers) if layers else zterm.identity(n)
+
+
+def ref_canonical_diagram(bottom, whites, words, merges) -> Term:
+    """The wires sorted by (output, row) keys into their merges."""
+    origin = []
+    for i, word in enumerate(words):
+        for j, c in enumerate(word):
+            origin.extend([(i, j)] * int(c))
+    target = sorted(range(len(origin)), key=lambda p: (origin[p][1], origin[p][0]))
+    perm = [0] * len(origin)
+    for pos, p in enumerate(target):
+        perm[p] = pos
+    layers = [bottom, zterm.par_all(whites), ref_crossing_perm(perm), zterm.par_all(merges)]
+    return zterm.seq_all([f for f in layers if f is not zterm.EMPTY])
+
+
+def ref_nf_to_term(a) -> Term:
+    """The dimension-2 canonical diagram, each fan and fan-in summed on its own."""
+    rows, n = a.rows, a.n
+    if not rows:
+        zero_scalar = zterm.wspider(0, 2) >> zterm.CAP
+        return zterm.par_all([zero_scalar] + [zterm.w_monoid(0)] * n)
+    whites = [zterm.zspider(1, sum(int(c) for c in word), coeff) for coeff, word in rows]
+    merges = [zterm.w_monoid(sum(int(word[j]) for _, word in rows)) for j in range(n)]
+    return ref_canonical_diagram(zterm.wspider(0, len(rows)), whites,
+                                 [word for _, word in rows], merges)
+
+
+def ref_qudit_universal_nf(state, p):
+    """The qudit canonical diagram, a tree coefficient per letter, and its
+    normal form through ``canonicalize``."""
+    from zwcalc import normalform, qudit
+
+    ring = p.ring()
+    n = state.n_out
+    rows = [(complex(v.value), w) for (w, _), v in sorted(state.entries.items())
+            if abs(complex(v.value)) > p.tolerance]
+    if not rows:
+        absorbing = zterm.ket(1) >> zterm.wspider(1, 0)
+        return (zterm.par_all([absorbing] + [zterm.ket(0)] * n),
+                normalform.NormalForm(p.d, n, ()))
+    bottom = zterm.ket(1) >> zterm.wspider(1, len(rows))
+    whites = []
+    for amp, word in rows:
+        adjusted = amp
+        for ch in word:
+            if int(ch):
+                adjusted /= qudit._tree_coeff("1" * int(ch), p)
+        fan = sum(int(ch) for ch in word)
+        whites.append(zterm.zspider(1, fan, zring.complex_value(ring, adjusted)))
+    merges = []
+    for j in range(n):
+        k_j = sum(int(word[j]) for _, word in rows)
+        merges.append(zterm.wspider(k_j, 1) if k_j else zterm.ket(0))
+    t = ref_canonical_diagram(bottom, whites, [w for _, w in rows], merges)
+    nf = normalform.canonicalize(normalform.PreNormalForm(
+        p.d, n, tuple((zring.complex_value(ring, a), w) for a, w in rows)))
+    return t, nf

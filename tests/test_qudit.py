@@ -365,6 +365,22 @@ def test_universal_survives_branch_cuts():
     assert map_equal(interpret(t, R, 6), state)
 
 
+@pytest.mark.parametrize("d", [8, 9, 10])
+def test_universal_survives_branch_cuts_at_high_d(d):
+    # each letter from 5 up on its own output, so each merge tree's root
+    # of [l]! is met alone; at d = 10 it is minus the principal root for
+    # every l = 5..8, which a label divided by the principal root gets wrong
+    p = QParams(d)
+    R = p.ring()
+    levels = range(5, min(8, d - 1) + 1)
+    n = len(levels)
+    words = ["0" * i + str(l) + "0" * (n - 1 - i) for i, l in enumerate(levels)]
+    amps = (1 + 0j, -2 + 1j, 0.5j, 3 - 0.25j)
+    state = make_map(R, d, 0, n, {(w, ""): ring.complex_value(R, a) for w, a in zip(words, amps)})
+    t, _ = qudit_universal_nf(state, p)
+    assert map_equal(interpret(t, R, d), state)
+
+
 def test_universal_handles_wide_states():
     # many rows at d = 5 on 3 wires: thousands of crossing layers, which
     # must not hit the interpreter's or the term tree's recursion limits

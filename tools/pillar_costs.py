@@ -2,6 +2,7 @@
 
     python3 tools/pillar_costs.py                  # the catalogue's sides
     python3 tools/pillar_costs.py 10/64 12/128     # wide round trips, outputs/rows
+    python3 tools/pillar_costs.py qudit            # the qudit universal rebuilds
 
 imports zwcalc from the ``src`` next to this file, so running it in two
 checkouts compares them; alternate the two, run by run, and compare the
@@ -23,18 +24,28 @@ A third line gives the front end of a round trip on the same diagram,
 each step's CPU seconds (best of 3, collector on): ``nf_to_term``
 building it, ``render`` printing it, ``parse`` reading the text back
 and ``==`` comparing the two terms.
+
+With ``qudit`` it draws seeded states shaped like the benchmark's
+(``perfbench.workloads.QUDIT_STATES``, words from
+``workloads.draw_words``, seed 1) and prints the CPU seconds (best of 5,
+after a warm-up pass) of one pass of ``qudit_universal_nf`` building
+their canonical diagrams, of ``crossing_perm`` building just their
+crossing networks, and of ``interpret`` reading the diagrams back.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import sys
 from pathlib import Path
 from time import process_time
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from zwcalc import normalform, ring, rules, semantics, term  # noqa: E402
+from zwcalc import normalform, qudit, ring, rules, semantics, term  # noqa: E402
+from perfbench import workloads  # noqa: E402  (read only: its state shapes)
 
 import wide_roundtrip  # noqa: E402  (next to this file)
 
@@ -50,18 +61,64 @@ def sides() -> list:
     return out
 
 
-def best_time(pillar, terms) -> float:
-    """The least CPU time of ``REPEATS`` passes of ``pillar`` over ``terms``."""
+def best_of(work) -> float:
+    """The least CPU time of ``REPEATS`` calls of ``work``, after a warm-up call."""
     times = []
     for _ in range(REPEATS + 1):  # the first pass warms the caches
         start = process_time()
+        work()
+        times.append(process_time() - start)
+    return min(times[1:])
+
+
+def each(step, calls):
+    """A pass of ``step`` over the argument tuples ``calls``, each result
+    dropped before the next call."""
+    def one_pass():
+        for args in calls:
+            step(*args)
+    return one_pass
+
+
+def best_time(pillar, terms) -> float:
+    """The least CPU time of ``REPEATS`` passes of ``pillar`` over ``terms``."""
+    def one_pass():
         for t in terms:
             try:
                 pillar(t, rules.QI)
             except Exception:  # an error is a verdict too
                 pass
-        times.append(process_time() - start)
-    return min(times[1:])
+    return best_of(one_pass)
+
+
+def qudit_states(seed: int = 1) -> list:
+    """(params, state) pairs shaped like the benchmark's universal rebuilds."""
+    rng, out = random.Random(seed), []
+    for d, fans, fan_ins, crossings, copies in workloads.QUDIT_STATES:
+        p = qudit.QParams(d, workloads.QUDIT_TOLERANCE)
+        c = p.ring()
+        for _ in range(copies):
+            words = workloads.draw_words(rng, d, fans, fan_ins, crossings)
+            amps = [complex(rng.randint(1, 16), rng.randint(-16, 16)) / 8 for _ in words]
+            out.append((p, semantics.make_map(c, d, 0, len(fan_ins), {
+                (w, ""): ring.complex_value(c, a) for w, a in zip(words, amps)})))
+    return out
+
+
+def qudit_costs() -> None:
+    """One pass's least CPU time of each step of the qudit rebuilds."""
+    states, perms = qudit_states(), []
+    real = term.crossing_perm
+    term.crossing_perm = lambda perm: perms.append(perm) or real(perm)  # collect the networks
+    try:
+        built = [(p, qudit.qudit_universal_nf(state, p)[0]) for p, state in states]
+    finally:
+        term.crossing_perm = real
+    build = best_of(each(qudit.qudit_universal_nf, [(state, p) for p, state in states]))
+    network = best_of(each(term.crossing_perm, [(perm,) for perm in perms]))
+    read = best_of(each(semantics.interpret, [(t, p.ring(), p.d) for p, t in built]))
+    print(f"{len(states)} qudit states: qudit_universal_nf {build:.4f} s  "
+          f"crossing_perm {network:.4f} s  interpret {read:.4f} s")
 
 
 def wide_costs(outputs: int, rows: int) -> None:
@@ -97,6 +154,9 @@ def main(argv: list[str]) -> int:
         terms = sides()
         print(f"{len(terms)} sides: interpret {best_time(semantics.interpret, terms):.4f} s  "
               f"normalize {best_time(normalform.normalize, terms):.4f} s")
+        return 0
+    if argv == ["qudit"]:
+        qudit_costs()
         return 0
     sizes = wide_roundtrip.parse_sizes(argv, "pillar_costs")
     if sizes is None:
