@@ -28,8 +28,12 @@ wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only) is
 plugged in one step (:func:`_plug_run`): one walk over its crossings
 multiplies each coefficient other than one (the row "1111" of ``x``)
 into its pair of wires' product, which a row takes before its output
-letters are permuted once.  The test suite checks the result against
-:func:`zwcalc.semantics.interpret`, which shares only the fold.
+letters are permuted once.  The values of small nested chains, such as
+the merge gadget ``w(k,1) ; w(1,1)`` of every canonical diagram, outlive
+the call in :data:`chain_nfs`, keyed by the ring and the chain (see
+:func:`zwcalc.term.fold`), at most 1024 of them.  The test suite checks
+the result against :func:`zwcalc.semantics.interpret`, which shares only
+the fold.
 """
 
 from __future__ import annotations
@@ -271,6 +275,10 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     return MapNormalForm(g.n_in, g.n_out, nf)
 
 
+# normalize's values of small nested chains, by ring and chain (see term.fold)
+chain_nfs = _term.ChainTable(1024)
+
+
 def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     """Rewrite a dimension-2 term to its canonical normal form without
     evaluating it: a fold (:func:`zwcalc.term.fold`) of the generators'
@@ -284,7 +292,8 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     wire = generator_nf(_term.ID.gen, ring)._raw
     m = _term.fold(t, lambda g: generator_nf(g, ring)._raw,
                    lambda acc, blocks: _plug(acc, blocks, ring, wire),
-                   lambda acc, layers: _plug_run(acc, layers, ring))
+                   lambda acc, layers: _plug_run(acc, layers, ring),
+                   chain_nfs.at(ring))
     n = m.n_in + m.n_out
     return MapNormalForm(m.n_in, m.n_out, trusted_nf(2, n, sorted(m.rows, key=itemgetter(1)), ring))
 

@@ -31,7 +31,15 @@ once.  Over C each word walks the crossings in order, taking the factor
 its two letters read from each crossing's table and swapping them, which
 gives the layer joins' values bit for bit (:func:`_apply_run_in_order`).
 
-Maps are immutable once built; evaluation is pure.
+Over the exact rings the values of small nested chains, such as the
+merge gadget ``w(k,1) ; w(1,1)``, outlive the call in
+:data:`chain_maps`, keyed by the ring and the chain (see
+:func:`zwcalc.term.fold`), at most 1024 of them.  Over C every call
+joins its chains itself: two equal labels there may differ in the sign
+of a zero part, which the tables keep.
+
+Maps are immutable once built, and so are the raw values the tables
+share; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -307,6 +315,10 @@ def _apply_run_in_order(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | N
     return _RawMap(a.n_in, a.n_out, {("".join(letters), u): v for letters, u, v, _ in rows})
 
 
+# interpret's values of small nested chains over the exact rings (see term.fold)
+chain_maps = _term.ChainTable(1024)
+
+
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     """Evaluate a term to its sparse map over ``ring`` at dimension ``d``.
 
@@ -324,7 +336,8 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     wire = generator_map(_term.ID.gen, ring, d)._raw if ring.exact else None
     m = _term.fold(t, lambda g: generator_map(g, ring, d)._raw,
                    lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
-                   lambda acc, layers: join_run(acc, layers, ring))
+                   lambda acc, layers: join_run(acc, layers, ring),
+                   chain_maps.at(ring) if ring.exact else None)
     return SparseMap(ring, d, m.n_in, m.n_out,
                      {k: RingElement(ring, v) for k, v in m.entries.items()})
 

@@ -260,7 +260,11 @@ def _blocks(u: Term) -> list[Term]:
     return blocks
 
 
-def fold(t: Term, leaf, layer, run=None):
+# the most nodes of a nested chain that fold looks up by its pre-order list
+CHAIN_KEY_NODES = 32
+
+
+def fold(t: Term, leaf, layer, run=None, chains=None):
     """Fold ``t`` bottom-up along its chains, on an explicit stack:
     ``leaf(generator)`` is the value of a generator leaf, ``layer(acc,
     values)`` joins the values of a layer's blocks onto the value ``acc``
@@ -279,16 +283,29 @@ def fold(t: Term, leaf, layer, run=None):
     to collapse, and a chain's opening layer, which has no value below it.
 
     ``leaf`` runs once per distinct leaf object in ``t``, and each
-    distinct nested chain object is joined once: blocks that share one
-    reuse its value, keyed by ``id``, which stays valid because ``t``
-    keeps every node alive until the call returns.  The memo belongs to
-    the call, so no value outlives it, and a ``leaf`` that raises raises
-    again on the next call."""
+    distinct nested chain object (a ``;`` chain that is one block of a
+    ``*`` layer) is joined at most once: blocks that share one reuse its
+    value, keyed by ``id``, which stays valid because ``t`` keeps every
+    node alive until the call returns.  This memo belongs to the call.
+
+    ``chains``, a mapping that outlives the call, keeps the values of
+    small nested chains from one call to the next, such as the merge
+    gadget ``w(k,1) ; w(1,1)`` that ends every canonical diagram.  A
+    nested chain that the memo does not hold, of at most
+    ``CHAIN_KEY_NODES`` nodes and with no nested chain in its layers, is
+    looked up by its pre-order node list (:func:`_chain_key`), and a
+    stored value is used; a miss is joined as before and stored when the
+    chain closes.  Any other chain is never keyed; the walk that finds
+    so stops at the first node that shows it and never enters a nested
+    chain, so deep terms stay linear.  A ``leaf`` that raises leaves its
+    chain open, so no error is stored, and it raises again on the next
+    call."""
     memo = {}  # id(leaf or nested chain) -> its value
     frames = []  # the chains below, each waiting at a nested chain of its layer
-    # the chain being folded: its node, its ; operands left (the next on top), acc,
-    # the run's (blocks, values), and its layer's blocks, blocks left and values
-    node, spine, acc, pending, todo = t, [t], None, [], None
+    # the chain being folded: its node, its key in chains, its ; operands left (the
+    # next on top), acc, the run's (blocks, values), and its layer's blocks, blocks
+    # left and values
+    node, key, spine, acc, pending, todo = t, None, [t], None, [], None
     while True:
         if todo is None:  # open the chain's next layer
             u = spine.pop()
@@ -301,13 +318,18 @@ def fold(t: Term, leaf, layer, run=None):
         for u in todo:
             v = memo.get(id(u))
             if v is None:
-                if type(u) is Seq:  # the nested chain u opens; this layer waits for its value
-                    frames.append((node, spine, acc, pending, blocks, todo, values))
-                    node, spine, acc, pending, todo = u, [u], None, [], None
-                    break
-                if type(u) is not Gen:
+                if type(u) is Seq:  # a nested chain: its stored value, or it opens
+                    k = None if chains is None else _chain_key(u)
+                    v = None if k is None else chains.get(k)
+                    if v is None:  # this layer waits for the chain's value
+                        frames.append((node, key, spine, acc, pending, blocks, todo, values))
+                        node, key, spine, acc, pending, todo = u, k, [u], None, [], None
+                        break
+                elif type(u) is Gen:
+                    v = leaf(u.gen)
+                else:
                     raise ArityError(f"not a term: {u!r}")
-                v = memo[id(u)] = leaf(u.gen)
+                memo[id(u)] = v
             values.append(v)
             # a layer that holds a chain's value does not only move wires
             if wiring and (type(u) is Seq or u.gen.kind not in _WIRING):
@@ -327,9 +349,69 @@ def fold(t: Term, leaf, layer, run=None):
             if not frames:
                 return acc
             memo[id(node)] = v = acc
-            node, spine, acc, pending, blocks, todo, values = frames.pop()
+            if key is not None:
+                chains[key] = v
+            node, key, spine, acc, pending, blocks, todo, values = frames.pop()
             values.append(v)
             wiring = False
+
+
+def _chain_key(t: Seq) -> tuple | None:
+    """The :func:`_preorder` list of the nested chain ``t`` as a tuple, which
+    is the chain itself, if it has at most ``CHAIN_KEY_NODES`` nodes and its
+    layers hold no nested chain; else None, found at the first node that
+    breaks either.  The walk never enters a nested chain, so deep terms
+    stay linear."""
+    out, stack = [Seq], [t.then, t.first]
+    while stack:
+        if len(out) == CHAIN_KEY_NODES:
+            return None
+        u = stack.pop()
+        kind = type(u)
+        if kind is Par:
+            if type(u.left) is Seq or type(u.right) is Seq:
+                return None
+            out.append(Par)
+            stack += (u.right, u.left)
+        elif kind is Seq:
+            out.append(Seq)
+            stack += (u.then, u.first)
+        else:
+            out.append(u.gen if kind is Gen else None)
+    return tuple(out)
+
+
+class ChainTable(dict):
+    """Values of small nested chains that outlive :func:`fold` calls, by
+    ``(tag, chain key)`` with ``tag`` the caller's ring: ``at(tag)`` is
+    the mapping one call reads and fills.  It holds at most ``size``
+    values, as the generator tables' caches are bounded; a new value
+    drops the oldest."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def at(self, tag) -> "_TaggedChains":
+        return _TaggedChains(self, tag)
+
+
+class _TaggedChains:
+    """One tag's part of a :class:`ChainTable`, as :func:`fold` reads it."""
+
+    __slots__ = ("table", "tag")
+
+    def __init__(self, table: ChainTable, tag):
+        self.table, self.tag = table, tag
+
+    def get(self, key):
+        return self.table.get((self.tag, key))
+
+    def __setitem__(self, key, value):
+        table = self.table
+        if len(table) >= table.size:
+            del table[next(iter(table))]
+        table[self.tag, key] = value
 
 
 def _run(acc, pending: list, run, layer):
@@ -374,7 +456,8 @@ def _preorder(t: Term) -> list:
 
 
 # ---------------------------------------------------------------------------
-# composite gadgets used throughout the calculus
+# composite gadgets used throughout the calculus: one shared term per
+# argument, as the leaves are, so a fold's memo joins each one once
 
 
 def negate() -> Term:
@@ -382,22 +465,26 @@ def negate() -> Term:
     return wspider(1, 1)
 
 
+@lru_cache(maxsize=4096)
 def w_comonoid(m: int) -> Term:
     """Copy-like comonoid branch 1 -> m: |0> to |0..0>, |1> to the m-fold
     sum of one-hot words."""
     return seq(negate(), wspider(1, m))
 
 
+@lru_cache(maxsize=4096)
 def w_monoid(n: int) -> Term:
     """Transpose of :func:`w_comonoid`: merges n wires into one."""
     return seq(wspider(n, 1), negate())
 
 
+@lru_cache(maxsize=1)
 def twist() -> Term:
     """Self-crossing kink, interpreted as |0><0| - |1><1|."""
     return seq_all([ID @ CUP, X @ ID, ID @ CAP])
 
 
+@lru_cache(maxsize=256)
 def bra(level: int) -> Term:
     """Effect <level| as a term: pair the wire with ket(level) and cap."""
     return seq(ID @ ket(level), CAP)

@@ -21,9 +21,25 @@ import random
 
 import numpy as np
 
+from zwcalc import normalform as znormalform
 from zwcalc import ring as zring
+from zwcalc import semantics as zsemantics
 from zwcalc import term as zterm
 from zwcalc.term import Gen, Par, Seq, Term, _Empty
+
+
+# the pillars' generator tables, taken before a test can patch a name
+_GENERATOR_TABLES = zsemantics._generator_map, znormalform.generator_nf
+
+
+def clear_tables() -> None:
+    """Empty both pillars' generator tables and chain tables, so that a
+    table a test plants or swaps meets no value stored before it, and no
+    value built from it outlives the test."""
+    for cache in _GENERATOR_TABLES:
+        cache.cache_clear()
+    zsemantics.chain_maps.clear()
+    znormalform.chain_nfs.clear()
 
 
 def _kron(a, b):

@@ -55,7 +55,7 @@ def test_roundtrip_verdict(capsys):
         "term": "w(0,3) ; (cap * id)", "agree": True}
 
 
-def test_roundtrip_reports_witness(capsys, monkeypatch):
+def test_roundtrip_reports_witness(capsys, monkeypatch, fresh_tables):
     # plant a mismatch: normalize sees x with every sign flipped
     real = normalform.generator_nf
 
@@ -75,7 +75,7 @@ def test_roundtrip_reports_witness(capsys, monkeypatch):
     assert data["witness"] == ["01", "", "-1", "1"]
 
 
-def test_roundtrip_reports_interpreter_witness(capsys, monkeypatch):
+def test_roundtrip_reports_interpreter_witness(capsys, monkeypatch, fresh_tables):
     # plant the mismatch on the other side: interpret sees x with every
     # sign flipped, through a patch of the cached generator lookup
     real = semantics.generator_map
@@ -121,23 +121,17 @@ def _flip_x_ones(pillar, monkeypatch):
 
 
 @pytest.mark.parametrize("pillar", ["normalize", "interpret"])
-def test_planted_crossing_sign_fails_through_the_run(capsys, monkeypatch, pillar):
+def test_planted_crossing_sign_fails_through_the_run(capsys, monkeypatch, fresh_tables, pillar):
     # the last two layers are a run, which each pillar joins as one signed
-    # permutation with the sign read from its own table
+    # permutation with the sign read from its own table; fresh_tables keeps
+    # the planted table from outliving the test
     joined = []
     for module, name in ((semantics, "_apply_run"), (normalform, "_plug_run")):
         real_run = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real_run=real_run:
                             joined.append(real_run(*args)) or joined[-1])
-    caches = semantics._generator_map, normalform.generator_nf
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        _flip_x_ones(pillar, monkeypatch)
-        code, out, _ = run(capsys, "roundtrip", "--ring", "Z", "id * x ; x * id ; id * x")
-    finally:  # no planted table outlives the test
-        for cache in caches:
-            cache.cache_clear()
+    _flip_x_ones(pillar, monkeypatch)
+    code, out, _ = run(capsys, "roundtrip", "--ring", "Z", "id * x ; x * id ; id * x")
     assert code == 1
     data = json.loads(out)
     assert data["agree"] is False and len(data["witness"]) == 4
@@ -333,7 +327,7 @@ def test_universal_verb(capsys):
     assert [r["w"] for r in data["normal_form"]["rows"]] == ["01", "22"]
 
 
-def test_universal_reports_witness(capsys, monkeypatch):
+def test_universal_reports_witness(capsys, monkeypatch, fresh_tables):
     # plant a mismatch: the rebuilt diagram sees every z table negated on
     # the levels above 0 (negating level 0 too would cancel in pairs, as
     # each row's white node meets the particle or the vacuum)

@@ -361,7 +361,6 @@ def plant_x(monkeypatch):
     """``plant_x(u, v, value)`` sets the entry of x and xinv from the input
     word u to the output word v to ``value(ring)``, in both pillars' tables
     and in the dense oracle, and returns the values the run joins give back."""
-    caches = semantics._generator_map, normalform.generator_nf
     real_entries, real_nf, real_dense = (
         qudit.generator_entries, normalform.generator_nf, helpers._gen_matrix)
     joined = []
@@ -391,16 +390,14 @@ def plant_x(monkeypatch):
                 m[int(v, 2), int(u, 2)] = value(r)
             return m
 
-        for cache in caches:
-            cache.cache_clear()
+        helpers.clear_tables()
         monkeypatch.setattr(qudit, "generator_entries", entries)
         monkeypatch.setattr(normalform, "generator_nf", nf)
         monkeypatch.setattr(helpers, "_gen_matrix", dense)
         return joined
 
     yield plant
-    for cache in caches:  # no planted table outlives the test
-        cache.cache_clear()
+    helpers.clear_tables()  # no planted table outlives the test
 
 
 @pytest.mark.parametrize("plant", ["sign by side", "not a swap"])
@@ -562,7 +559,7 @@ def test_opening_layer_starts_from_its_first_block(monkeypatch):
     assert rows_of(nf.nf) == [("1", "010")]
 
 
-def test_only_the_shared_id_table_copies_its_segment(monkeypatch):
+def test_only_the_shared_id_table_copies_its_segment(monkeypatch, fresh_tables):
     # a padded layer copies the segment of an id block that is the cached
     # normal form of id; a rebuilt table, as after an eviction from the
     # cache, takes the general join and multiplies by one

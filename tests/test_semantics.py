@@ -200,8 +200,8 @@ def test_ket_matches_w1():
     assert map_equal(interpret(term.ket(1), Z), interpret(term.wspider(0, 1), Z))
 
 
-def test_generator_tables_are_built_once_per_key(monkeypatch):
-    from zwcalc import qudit, semantics
+def test_generator_tables_are_built_once_per_key(monkeypatch, fresh_tables):
+    from zwcalc import qudit
 
     calls = []
     real = qudit.generator_entries
@@ -211,7 +211,6 @@ def test_generator_tables_are_built_once_per_key(monkeypatch):
         return real(g, r, d)
 
     monkeypatch.setattr(qudit, "generator_entries", spy)
-    semantics._generator_map.cache_clear()
     C = ring.C()
     lhs, rhs = qudit.law_terms(3)["bialgebra"]
     # seven leaves on the left, two on the right, four distinct generators

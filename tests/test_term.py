@@ -359,7 +359,8 @@ def _spy(monkeypatch, module, name) -> list:
     (semantics.interpret, semantics, "generator_map"),
     (normalform.normalize, normalform, "generator_nf"),
 ], ids=["interpret", "normalize"])
-def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, pillar, module, lookup):
+def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, fresh_tables, pillar,
+                                                          module, lookup):
     calls = _spy(monkeypatch, module, lookup)
     spider = term.zspider(10, 10, QI.one)
     t = term.identity(10) >> spider >> term.identity(10)  # 20 id leaves
@@ -375,7 +376,8 @@ def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, pillar, mod
     (semantics.interpret, semantics, "_apply_blocks"),
     (normalform.normalize, normalform, "_plug"),
 ], ids=["interpret", "normalize"])
-def test_fold_joins_each_distinct_nested_chain_once_per_call(monkeypatch, pillar, module, join):
+def test_fold_joins_each_distinct_nested_chain_once_per_call(monkeypatch, fresh_tables, pillar,
+                                                             module, join):
     bundle = parse("w(1,1) ; w(1,3)", QI)  # as in ba_w[n=3,m=3]
     copy_ = parse("w(1,1) ; w(1,3)", QI)  # equal, but another object
     calls, real = [], getattr(module, join)
@@ -383,17 +385,28 @@ def test_fold_joins_each_distinct_nested_chain_once_per_call(monkeypatch, pillar
     top = term.wspider(0, 3)
     shared, mixed = (top >> term.par_all(row) for row in ([bundle] * 3, [bundle, copy_, bundle]))
     assert pillar(shared, QI) == pillar(mixed, QI)
-    for t, joins in ((shared, 2 + 2), (mixed, 2 + 2 + 2), (shared, 2 + 2)):
+    for t in (shared, mixed):
+        helpers.clear_tables()
         calls.clear()
         pillar(t, QI)
-        assert len(calls) == joins  # each distinct bundle's two layers, then the top's two
-    # and through the fold itself, with values that show each chain's layers
-    got = term.fold(mixed, lambda g: g.kind, lambda acc, values: (acc, values))
+        # the bundle's two layers, then the top's two: the copy is found by its key
+        assert len(calls) == 2 + 2
+        calls.clear()
+        pillar(t, QI)
+        assert len(calls) == 2  # the next call finds the bundle in the pillar's table
+    # and through the fold itself, with no table and values that show each
+    # chain's layers: each distinct chain object is joined once per call
+    joined = []
+    for t, joins in ((shared, 2 + 2), (mixed, 2 + 2 + 2)):
+        joined.clear()
+        got = term.fold(t, lambda g: g.kind,
+                        lambda acc, values: joined.append(values) or (acc, values))
+        assert len(joined) == joins
     inner = ((None, ["w"]), ["w"])
     assert got == ((None, ["w"]), [inner, inner, inner])
 
 
-def test_a_leaf_that_raises_raises_on_every_call(monkeypatch):
+def test_a_leaf_that_raises_raises_on_every_call(monkeypatch, fresh_tables):
     calls = _spy(monkeypatch, normalform, "generator_nf")
     t = term.identity(20) @ term.ket(2)
     for n in (1, 2):

@@ -3,6 +3,7 @@
     python3 tools/pillar_costs.py                  # the catalogue's sides
     python3 tools/pillar_costs.py 10/64 12/128     # wide round trips, outputs/rows
     python3 tools/pillar_costs.py qudit            # the qudit universal rebuilds
+    python3 tools/pillar_costs.py reconstruct      # the d = 2 round trips' terms
 
 imports zwcalc from the ``src`` next to this file, so running it in two
 checkouts compares them; alternate the two, run by run, and compare the
@@ -31,6 +32,15 @@ With ``qudit`` it draws seeded states shaped like the benchmark's
 after a warm-up pass) of one pass of ``qudit_universal_nf`` building
 their canonical diagrams, of ``crossing_perm`` building just their
 crossing networks, and of ``interpret`` reading the diagrams back.
+
+With ``reconstruct`` it takes the benchmark's d = 2 states
+(``perfbench.workloads.RECONSTRUCT`` as ``workloads.build`` draws them,
+seed 1), builds each one's canonical diagram and parses its render, as a
+round-trip verdict does, and prints the CPU seconds (best of 5, after a
+warm-up pass) of one pass of each pillar over the parsed terms: first
+with both pillars' chain tables (``semantics.chain_maps``,
+``normalform.chain_nfs``) emptied before every call, so each call joins
+every nested chain itself, then with the tables left full.
 """
 
 from __future__ import annotations
@@ -121,6 +131,29 @@ def qudit_costs() -> None:
           f"crossing_perm {network:.4f} s  interpret {read:.4f} s")
 
 
+def reconstruct_costs() -> None:
+    """One pass's least CPU time of each pillar over the reconstruct terms,
+    with the chain tables emptied before every call, then full."""
+    z, tables = ring.Z(), (semantics.chain_maps, normalform.chain_nfs)
+    terms = [term.parse(term.render(normalform.nf_to_term(normalform.from_json_dict(data, z))), z)
+             for data in workloads.build("reconstruct", 1).inputs]
+
+    def one_pass(pillar, clear: bool):
+        def work():
+            for t in terms:
+                if clear:
+                    for table in tables:
+                        table.clear()
+                pillar(t, z)
+        return work
+
+    for clear in (True, False):
+        read, rows = (best_of(one_pass(pillar, clear))
+                      for pillar in (semantics.interpret, normalform.normalize))
+        print(f"{len(terms)} reconstruct terms, chain tables {'cleared' if clear else 'full'}: "
+              f"interpret {read:.4f} s  normalize {rows:.4f} s")
+
+
 def wide_costs(outputs: int, rows: int) -> None:
     """Each pillar's least CPU time of ``wide_roundtrip.REPEATS`` calls on
     the wide round trip, with gc on and off, then each front-end step's."""
@@ -157,6 +190,9 @@ def main(argv: list[str]) -> int:
         return 0
     if argv == ["qudit"]:
         qudit_costs()
+        return 0
+    if argv == ["reconstruct"]:
+        reconstruct_costs()
         return 0
     sizes = wide_roundtrip.parse_sizes(argv, "pillar_costs")
     if sizes is None:
