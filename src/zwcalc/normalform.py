@@ -21,9 +21,10 @@ layer's own normal form is never built.  The first layer has nothing
 below it; its rows concatenate the blocks' bent words, and one
 permutation moves the input letters to the front.  The joins run on raw
 ring values, read a generator table's rows through the index by input
-letters cached with the table, and merge equal words but leave the rows
-unsorted: over an exact ring the order of a sum cannot change it, and
-the result is sorted once, as it is wrapped in ring elements.  A run of
+letters cached with the table, splice a block that ends the word in with
+no slice after it, and merge equal words but leave the rows unsorted:
+over an exact ring the order of a sum cannot change it, and the result
+is sorted once, as it is wrapped in ring elements, unchecked.  A run of
 wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only) is
 plugged in one step (:func:`_plug_run`): one walk over its crossings
 multiplies each coefficient other than one (the row "1111" of ``x``)
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 
 from . import ring as _ring
@@ -115,11 +116,11 @@ def _merged(rows, ring: RingDescriptor, d: int | None = None,
         rows = [(c, "".join([w[i] for i in source])) for c, w in rows]
     if d is not None:
         rows = [(c, w) for c, w in rows if _below(w, d)]
-    add, eq, zero = ring.ops["add"], ring.eq, ring.zero.value
+    add, nonzero = ring.ops["add"], ring.nonzero
     acc: dict[str, object] = {}
     for c, w in rows:
         acc[w] = add(acc[w], c) if w in acc else c
-    return [(c, w) for w, c in acc.items() if not eq(c, zero)]
+    return [(c, w) for w, c in acc.items() if nonzero(c)]
 
 
 def trusted_nf(d: int, n: int, rows, ring: RingDescriptor) -> NormalForm:
@@ -206,13 +207,14 @@ class MapNormalForm:
         rows = [(c.value, w) for c, w in self.nf.rows]
         index = _by_input(rows, self.n_in)
         ring = self.nf.rows[0][0].ring if rows else None  # no rows, no crossing
-        return _RawNF(self.n_in, self.n_out, rows, index, _swap_signs(index, ring))
+        return _raw_nf((self.n_in, self.n_out, rows, index, _swap_signs(index, ring)))
 
 
 # a map's normal form inside a layer join: bent rows on raw ring values,
 # merged and nonzero but unsorted, and a table's index by input letters and
-# crossing signs (see _swap_signs) or None
-_RawNF = namedtuple("_RawNF", "n_in n_out rows by_input signs", defaults=(None, None))
+# crossing signs (see _swap_signs) or None; built by _raw_nf, tuple.__new__
+_RawNF = namedtuple("_RawNF", "n_in n_out rows by_input signs")
+_raw_nf = partial(tuple.__new__, _RawNF)
 
 
 def _by_input(rows, n_in: int) -> dict[str, list]:
@@ -275,8 +277,8 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     return MapNormalForm(g.n_in, g.n_out, nf)
 
 
-# normalize's values of small nested chains, by ring and chain (see term.fold)
-chain_nfs = _term.ChainTable(1024)
+# normalize's values of small nested chains, by ring and chain, indexed (see term.fold)
+chain_nfs = _term.ChainTable(1024, lambda m: m._replace(by_input=_by_input(m.rows, m.n_in)))
 
 
 def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
@@ -294,8 +296,10 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
                    lambda acc, blocks: _plug(acc, blocks, ring, wire),
                    lambda acc, layers: _plug_run(acc, layers, ring),
                    chain_nfs.at(ring))
-    n = m.n_in + m.n_out
-    return MapNormalForm(m.n_in, m.n_out, trusted_nf(2, n, sorted(m.rows, key=itemgetter(1)), ring))
+    out = object.__new__(MapNormalForm)  # unchecked: the rows are n_in + n_out letters
+    out.__dict__.update(n_in=m.n_in, n_out=m.n_out, nf=trusted_nf(
+        2, m.n_in + m.n_out, sorted(m.rows, key=itemgetter(1)), ring))
+    return out
 
 
 def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
@@ -314,8 +318,6 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     tables of ``ring``, so no product checks the ring again.
     """
     if a is not None:
-        if a.n_out != sum(b.n_in for b in blocks):
-            raise ArityError("middle arity mismatch")
         pos = a.n_in  # where the next block's letters start
         for b in blocks:
             if b is not wire:
@@ -323,7 +325,7 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
             pos += b.n_out
         return a
     if len(blocks) < 2:  # the empty layer is the unit row
-        return blocks[0] if blocks else _RawNF(0, 0, [(ring.one.value, "")])
+        return blocks[0] if blocks else _raw_nf((0, 0, [(ring.one.value, "")], None, None))
     mul, rows = ring.ops["mul"], blocks[0].rows
     for b in blocks[1:]:
         rows = [(mul(c, bc), w + bw) for c, w in rows for bc, bw in b.rows]
@@ -332,7 +334,7 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
     perm = [next(ins) if j < b.n_in else next(outs)
             for b in blocks for j in range(b.n_in + b.n_out)]
-    return _RawNF(n_in, n_out, _merged(rows, ring, perm=perm))
+    return _raw_nf((n_in, n_out, _merged(rows, ring, perm=perm), None, None))
 
 
 def _plug_one(a: _RawNF, b: _RawNF, lo: int, ring: RingDescriptor) -> _RawNF:
@@ -342,14 +344,14 @@ def _plug_one(a: _RawNF, b: _RawNF, lo: int, ring: RingDescriptor) -> _RawNF:
     put each match's output letters in their place and multiply."""
     hi = lo + b.n_in
     by_in = _by_input(b.rows, b.n_in) if b.by_input is None else b.by_input
-    mul, add, eq, zero = ring.ops["mul"], ring.ops["add"], ring.eq, ring.zero.value
-    acc = {}
+    mul, add, nonzero = ring.ops["mul"], ring.ops["add"], ring.nonzero
+    acc, tail = {}, hi < a.n_in + a.n_out  # without a tail b ends the word: no slice after it
     for c, w in a.rows:
         for bv, bc in by_in.get(w[lo:hi], ()):
-            key, x = w[:lo] + bv + w[hi:], mul(c, bc)
+            key, x = (w[:lo] + bv + w[hi:] if tail else w[:lo] + bv), mul(c, bc)
             acc[key] = add(acc[key], x) if key in acc else x
-    return _RawNF(a.n_in, a.n_out - b.n_in + b.n_out,
-                  [(c, w) for w, c in acc.items() if not eq(c, zero)])
+    return _raw_nf((a.n_in, a.n_out - b.n_in + b.n_out,
+                    [(c, w) for w, c in acc.items() if nonzero(c)], None, None))
 
 
 def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
@@ -363,7 +365,7 @@ def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
     none of ``swap``) until it is one again (``x ; x``).  A row takes the
     products of its pairs of output letters, which are permuted once, so
     no two rows merge and only a row that a factor made zero is dropped."""
-    mul, eq, one, zero = ring.ops["mul"], ring.eq, ring.one.value, ring.zero.value
+    mul, eq, one, nonzero = ring.ops["mul"], ring.eq, ring.one.value, ring.nonzero
     # perm[p]: the wire now at position p; factors: (i, j), i < j -> {their letters: product}
     perm, factors = list(range(a.n_out)), {}
     for layer in layers:
@@ -392,9 +394,9 @@ def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
                 prod = factors.get((i, j))
                 if prod is not None and v[i] + v[j] in prod:
                     c = mul(c, prod[v[i] + v[j]])
-        if not eq(c, zero):
+        if nonzero(c):
             rows.append((c, w[:n] + "".join([v[p] for p in perm])))
-    return _RawNF(n, a.n_out, rows)
+    return _raw_nf((n, a.n_out, rows, None, None))
 
 
 def nf_to_term(a: NormalForm | PreNormalForm) -> Term:

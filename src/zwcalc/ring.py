@@ -17,7 +17,8 @@ rounds.  ``C`` exists for the anyonic qudit checks, whose coefficients
 care to implement.  Values never coerce between rings; mixing raises
 :class:`RingMismatchError`.  ``Z()``, ``Zn(n)``, ``Qi()`` and ``C(tol)``
 return interned descriptors, so the same-ring check is mostly an ``is``
-test, each carrying its own operations on raw values, zero and one.  The
+test, each carrying its own operations on raw values, zero and one, and
+the raw zero test that every zero filter uses (``nonzero``).  The
 layer joins of both evaluators run on those operations and wrap values as
 :class:`RingElement` only in their results; parsers, labels and JSON use
 elements, which are checked where they enter.
@@ -75,8 +76,11 @@ class GaussianRational:
     re = property(lambda self: Fraction(self.a, self.den))
     im = property(lambda self: Fraction(self.b, self.den))
 
-    def __str__(self):
-        re, im = self.re, self.im
+    def __bool__(self):  # canonical, so zero is exactly (0, 0, 1)
+        return self.a != 0 or self.b != 0 or self.den != 1
+
+    def __str__(self):  # a Gaussian integer formats its ints, with no Fraction
+        re, im = (self.a, self.b) if self.den == 1 else (self.re, self.im)
         if im == 0:
             return str(re)
         im_s = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
@@ -124,9 +128,10 @@ def _qi_mul(x: GaussianRational, y: GaussianRational) -> GaussianRational:
 @dataclass(frozen=True)
 class RingDescriptor:
     """A ring by kind.  ``__post_init__`` also sets its ``name``, its binary
-    ``ops`` by name, its ``neg``, ``conj`` (None mod n), ``eq`` and
-    ``of_int`` on raw values, its ``zero``, ``one`` and hash; none of them
-    enter ``==`` or ``hash``, and a copy or pickle is the interned one."""
+    ``ops`` by name, its ``neg``, ``conj`` (None mod n), ``eq``, ``of_int``
+    and ``nonzero`` (``not eq(x, zero)`` for every value, nan included) on
+    raw values, its ``zero``, ``one``, hash and ``exact``; none of them enter
+    ``==`` or ``hash``, and a copy or pickle is the interned one."""
 
     kind: str
     modulus: int | None = None
@@ -136,41 +141,39 @@ class RingDescriptor:
         n, tol = self.modulus, self.tolerance
         if self.kind == INTEGERS:
             ops = ("Z", operator.add, operator.sub, operator.mul, operator.neg,
-                   lambda x: x, operator.eq, operator.index)
+                   lambda x: x, operator.eq, operator.index, bool)
         elif self.kind == INTEGERS_MOD:
             if not isinstance(n, int) or n < 2:
                 raise RingError("integers_mod needs a modulus n >= 2")
             ops = (f"Z{n}", lambda x, y: (x + y) % n, lambda x, y: (x - y) % n,
                    lambda x, y: (x * y) % n, lambda x: -x % n, None, operator.eq,
-                   lambda k: operator.index(k) % n)
+                   lambda k: operator.index(k) % n, bool)
         elif self.kind == GAUSSIAN_RATIONALS:
             ops = ("Qi", _qi_add, lambda x, y: _qi_add(x, _gr(-y.a, -y.b, y.den)), _qi_mul,
                    lambda x: _gr(-x.a, -x.b, x.den), lambda x: _gr(x.a, -x.b, x.den),
-                   operator.eq, GaussianRational)
+                   operator.eq, GaussianRational, bool)
         elif self.kind == COMPLEX_APPROX:
             if tol is None or not tol > 0:
                 raise RingError("complex_approx needs a tolerance > 0")
             ops = (f"C(tol={tol:g})", operator.add, operator.sub, operator.mul,
-                   operator.neg, complex.conjugate, lambda x, y: abs(x - y) <= tol, complex)
+                   operator.neg, complex.conjugate, lambda x, y: abs(x - y) <= tol, complex,
+                   lambda x: not abs(x) <= tol)  # nan is not zero
         else:
             raise RingError(f"unknown ring kind {self.kind!r}")
         name, add, sub, mul, *unary = ops
-        for attr, v in zip(("name", "ops", "neg", "conj", "eq", "of_int"),
+        for attr, v in zip(("name", "ops", "neg", "conj", "eq", "of_int", "nonzero"),
                            (name, {"add": add, "sub": sub, "mul": mul}, *unary)):
             object.__setattr__(self, attr, v)
         object.__setattr__(self, "zero", RingElement(self, self.of_int(0)))
         object.__setattr__(self, "one", RingElement(self, self.of_int(1)))
         object.__setattr__(self, "_hash", hash((self.kind, self.modulus, self.tolerance)))
+        object.__setattr__(self, "exact", self.kind != COMPLEX_APPROX)
 
     def __hash__(self):  # computed once: every table lookup hashes its ring
         return self._hash
 
     def __reduce__(self):  # the interned descriptor, its hash that of the reading process
         return _interned, (self.kind, self.modulus, self.tolerance)
-
-    @property
-    def exact(self) -> bool:
-        return self.kind != COMPLEX_APPROX
 
     def __str__(self):
         return self.name
@@ -227,7 +230,7 @@ class RingElement:
         return str(self.value)
 
     def is_zero(self) -> bool:
-        return self.ring.eq(self.value, self.ring.zero.value)
+        return not self.ring.nonzero(self.value)
 
 
 _set_ring, _set_value = RingElement.ring.__set__, RingElement.value.__set__

@@ -10,9 +10,10 @@ contracting over the middle word, and a block's output word is
 concatenated on and its coefficient multiplied in.  A layer of one
 block (not counting ``id`` blocks over an exact ring, where a product
 by one keeps every value) is met in one pass, with the same products
-and sums in the same order, so C keeps its values bit for bit.  The
-first layer has nothing below it, so its input words are concatenated
-too.  Nothing is densified, so states stay small on any number of wires.
+and sums in the same order, so C keeps its values bit for bit; a lone
+block matches on the whole middle word, unsliced.  The first layer has
+nothing below it, so its input words are concatenated too.  Nothing is
+densified, so states stay small on any number of wires.
 
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,
@@ -20,7 +21,8 @@ any d in 2..10, each with its calculus in the one generator table,
 builds each generator's table once per ``(generator, ring, d)``, and
 every leaf shares it read-only, with its raw values (ints, Gaussian
 rationals, complex numbers) indexed for the join.  The join multiplies
-raw values with the ring's own operations; a result holds ring elements.
+raw values with the ring's own operations; a result holds ring elements
+and skips the arity check, as the join's words fit.
 
 A run of wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves
 only) on a map is joined in one step, as the fold hands it over.  Over
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -84,8 +86,8 @@ class SparseMap:
         (not a field)."""
         entries = {k: v.value for k, v in self.entries.items()}
         index = _by_input(entries)
-        return _RawMap(self.n_in, self.n_out, entries, index,
-                       _swap_signs(index, self.ring, self.d))
+        return _raw_map((self.n_in, self.n_out, entries, index,
+                         _swap_signs(index, self.ring, self.d)))
 
     def scalar(self) -> RingElement:
         """The value of a (0, 0) map."""
@@ -95,8 +97,9 @@ class SparseMap:
 
 
 # a map inside a layer join: raw entries in SparseMap order, and a table's
-# index and crossing signs (see _swap_signs) or None
+# index and crossing signs (see _swap_signs) or None; built by _raw_map, tuple.__new__
 _RawMap = namedtuple("_RawMap", "n_in n_out entries by_input signs", defaults=(None, None))
+_raw_map = partial(tuple.__new__, _RawMap)
 
 
 def _by_input(entries: dict) -> dict[Word, list]:
@@ -128,8 +131,8 @@ def _clean(ring: RingDescriptor, entries: dict) -> dict:
     """The nonzero entries, each checked to live in ``ring``."""
     if any(v.ring is not ring and v.ring != ring for v in entries.values()):
         raise _ring.RingMismatchError(f"an entry does not live in {ring}")
-    eq, zero = ring.eq, ring.zero.value
-    return {k: v for k, v in entries.items() if not eq(v.value, zero)}
+    nonzero = ring.nonzero
+    return {k: v for k, v in entries.items() if nonzero(v.value)}
 
 
 def make_map(ring, d, n_in, n_out, entries) -> SparseMap:
@@ -182,18 +185,25 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
     raw, all from tables of ``ring``, so no product checks the ring again.
     ``wire``, ``id``'s table over an exact ring, keeps each letter and value."""
     mul, add = ring.ops["mul"], ring.ops["add"]
-    others = [b for b in blocks if b is not wire]
-    if a is None:
+    if len(blocks) == 1 and a is not None and blocks[0] is not wire:
+        b, acc = blocks[0], {}  # b takes the whole middle word: no slices
+        index = _by_input(b.entries) if b.by_input is None else b.by_input
+        for (mid, u), v in a.entries.items():
+            for bw, bv in index.get(mid, ()):
+                key, x = (bw, u), mul(v, bv)
+                acc[key] = add(acc[key], x) if key in acc else x
+        n_in, n_out = a.n_in, b.n_out
+    elif a is None:
         if len(blocks) == 1:
             return blocks[0]
         # the empty layer is the unit row
-        partial = blocks[0].entries.items() if blocks else [(("", ""), ring.one.value)]
+        joined = blocks[0].entries.items() if blocks else [(("", ""), ring.one.value)]
         for b in blocks[1:]:
-            partial = [((w + bw, u + bu), mul(v, bv))
-                       for (w, u), v in partial for (bw, bu), bv in b.entries.items()]
-        acc = dict(partial)  # the blocks' keys are distinct, so these are too
+            joined = [((w + bw, u + bu), mul(v, bv))
+                      for (w, u), v in joined for (bw, bu), bv in b.entries.items()]
+        acc = dict(joined)  # the blocks' keys are distinct, so these are too
         n_in, n_out = sum(b.n_in for b in blocks), sum(b.n_out for b in blocks)
-    elif not others:  # wires only: every word and value stays
+    elif not (others := [b for b in blocks if b is not wire]):  # wires only: all stays
         return a
     elif len(others) == 1:  # straight into the sums
         b, lo, acc = others[0], blocks.index(others[0]), {}
@@ -219,8 +229,8 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
             key = (w, u)
             acc[key] = add(acc[key], v) if key in acc else v
         n_in = a.n_in
-    eq, zero = ring.eq, ring.zero.value
-    return _RawMap(n_in, n_out, {k: v for k, v in acc.items() if not eq(v, zero)})
+    nonzero = ring.nonzero
+    return _raw_map((n_in, n_out, {k: v for k, v in acc.items() if nonzero(v)}, None, None))
 
 
 def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
@@ -233,7 +243,7 @@ def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
     values other than one ("11" for ``x`` and ``xinv``, none for ``swap``)
     until it is one again (``x ; x``).  A word takes the products of its
     pairs of letters, then is permuted once."""
-    mul, eq, one, zero = ring.ops["mul"], ring.eq, ring.one.value, ring.zero.value
+    mul, eq, one, nonzero = ring.ops["mul"], ring.eq, ring.one.value, ring.nonzero
     # perm[p]: the wire now at position p; factors: (i, j), i < j -> {their letters: product}
     perm, factors = list(range(a.n_out)), {}
     for layer in layers:
@@ -261,9 +271,9 @@ def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
                 prod = factors.get((i, j))
                 if prod is not None and w[i] + w[j] in prod:
                     v = mul(v, prod[w[i] + w[j]])
-        if not eq(v, zero):
+        if nonzero(v):
             entries["".join([w[p] for p in perm]), u] = v
-    return _RawMap(a.n_in, a.n_out, entries)
+    return _raw_map((a.n_in, a.n_out, entries, None, None))
 
 
 def _plain(v: complex) -> bool:
@@ -285,8 +295,7 @@ def _apply_run_in_order(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | N
     replayed, every block's factor multiplied in block order.  A word
     whose value is zero is dropped at the end of a layer, as the layer
     joins drop it."""
-    mul, eq, zero, one = ring.ops["mul"], ring.eq, ring.zero.value, ring.one.value
-    n = a.n_out
+    mul, nonzero, one, n = ring.ops["mul"], ring.nonzero, ring.one.value, a.n_out
     rows = [(list(w), u, v, not _plain(v)) for (w, u), v in a.entries.items()]
     for layer in layers:
         if any(table.signs is None for _, table in layer):
@@ -309,14 +318,15 @@ def _apply_run_in_order(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | N
             if replay:
                 for _ in range(n - pos):
                     v = mul(v, one)
-            if not eq(v, zero):
+            if nonzero(v):
                 kept.append((letters, u, v, replay))
         rows = kept
-    return _RawMap(a.n_in, a.n_out, {("".join(letters), u): v for letters, u, v, _ in rows})
+    return _raw_map((a.n_in, a.n_out, {("".join(letters), u): v for letters, u, v, _ in rows},
+                     None, None))
 
 
-# interpret's values of small nested chains over the exact rings (see term.fold)
-chain_maps = _term.ChainTable(1024)
+# interpret's values of small nested chains over the exact rings, indexed (see term.fold)
+chain_maps = _term.ChainTable(1024, lambda m: m._replace(by_input=_by_input(m.entries)))
 
 
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
@@ -338,13 +348,15 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
                    lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
                    lambda acc, layers: join_run(acc, layers, ring),
                    chain_maps.at(ring) if ring.exact else None)
-    return SparseMap(ring, d, m.n_in, m.n_out,
-                     {k: RingElement(ring, v) for k, v in m.entries.items()})
+    out = object.__new__(SparseMap)  # unchecked: the joins' keys fit the arity
+    out.__dict__.update(ring=ring, d=d, n_in=m.n_in, n_out=m.n_out,
+                        entries={k: RingElement(ring, v) for k, v in m.entries.items()})
+    return out
 
 
 def map_equal(a: SparseMap, b: SparseMap) -> bool:
     """Entrywise equality, missing entries counting as zero."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise _ring.RingMismatchError(f"maps over {a.ring} and {b.ring}")
     if a.d != b.d or (a.n_in, a.n_out) != (b.n_in, b.n_out):
         return False
@@ -355,7 +367,7 @@ def map_equal(a: SparseMap, b: SparseMap) -> bool:
 
 def first_difference(a: SparseMap, b: SparseMap):
     """The smallest (out, in) key where the two maps differ, or None."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise _ring.RingMismatchError(f"maps over {a.ring} and {b.ring}")
     if a.d != b.d or (a.n_in, a.n_out) != (b.n_in, b.n_out):
         return ("<arity>", "<arity>", f"{a.n_in}->{a.n_out}", f"{b.n_in}->{b.n_out}")

@@ -383,17 +383,17 @@ def _chain_key(t: Seq) -> tuple | None:
 
 class ChainTable(dict):
     """Values of small nested chains that outlive :func:`fold` calls, by
-    ``(tag, chain key)`` with ``tag`` the caller's ring: ``at(tag)`` is
-    the mapping one call reads and fills.  It holds at most ``size``
-    values, as the generator tables' caches are bounded; a new value
-    drops the oldest."""
+    ``(tag, chain key)`` with ``tag`` the caller's ring: ``at(tag)``, kept
+    per tag, is the mapping one call reads and fills, and it stores
+    ``prepare(value)``.  It holds at most ``size`` values, as the generator
+    tables' caches are bounded; a new value drops the oldest."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, prepare):
         super().__init__()
-        self.size = size
+        self.size, self.prepare, self.views = size, prepare, {}
 
     def at(self, tag) -> "_TaggedChains":
-        return _TaggedChains(self, tag)
+        return self.views.get(tag) or self.views.setdefault(tag, _TaggedChains(self, tag))
 
 
 class _TaggedChains:
@@ -411,7 +411,7 @@ class _TaggedChains:
         table = self.table
         if len(table) >= table.size:
             del table[next(iter(table))]
-        table[self.tag, key] = value
+        table[self.tag, key] = table.prepare(value)
 
 
 def _run(acc, pending: list, run, layer):

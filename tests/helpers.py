@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +41,17 @@ def clear_tables() -> None:
         cache.cache_clear()
     zsemantics.chain_maps.clear()
     znormalform.chain_nfs.clear()
+
+
+def ref_gaussian_str(g) -> str:
+    """A Gaussian rational formatted from its two ``Fraction`` parts, as
+    ``GaussianRational.__str__`` did before Gaussian integers formatted
+    their ints; it must read the same for every canonical value."""
+    re, im = Fraction(g.a, g.den), Fraction(g.b, g.den)
+    if im == 0:
+        return str(re)
+    im_s = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    return im_s if re == 0 else f"{re}{'+' if im > 0 else ''}{im_s}"
 
 
 def _kron(a, b):

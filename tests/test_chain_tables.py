@@ -29,10 +29,11 @@ def test_gadget_builders_return_shared_terms():
 
 
 def test_a_full_table_drops_its_oldest_value():
-    table = term.ChainTable(2)
+    table = term.ChainTable(2, lambda value: 10 * value)  # stores each value prepared
     z, qi = table.at(Z), table.at(QI)
+    assert table.at(Z) is z
     z["a"], qi["a"], z["b"] = 1, 2, 3
-    assert (z.get("a"), qi.get("a"), z.get("b")) == (None, 2, 3)
+    assert (z.get("a"), qi.get("a"), z.get("b")) == (None, 20, 30)
     assert list(table) == [(QI, "a"), (Z, "b")]
 
 
@@ -141,3 +142,20 @@ def test_only_small_chains_of_leaf_layers_are_keyed(fresh_tables, pillar):
     inner = term.wspider(0, 1) >> term.wspider(1, 1)
     run(((inner @ ID) >> term.X) @ ID, Z)
     assert [key for _, key in table] == [term._chain_key(inner)]
+
+
+@pytest.mark.parametrize("pillar, module", [("interpret", semantics), ("normalize", normalform)])
+def test_a_stored_chain_is_indexed_once(fresh_tables, monkeypatch, pillar, module):
+    run, table = PILLARS[pillar]
+    calls = []
+    by_input = module._by_input
+    monkeypatch.setattr(module, "_by_input", lambda *args: calls.append(args) or by_input(*args))
+    # the merge gadget as a nested chain, joined onto one of three wires
+    t = term.wspider(0, 3) >> (term.w_monoid(2) @ ID)
+    first = _read(pillar, t, QI)
+    assert calls and len(table) == 1
+    calls.clear()
+    assert _read(pillar, t, QI) == first
+    assert calls == []
+    (value,) = table.values()
+    assert value.by_input is not None

@@ -15,6 +15,8 @@ from zwcalc.ring import (
     ring_equal,
 )
 
+import helpers
+
 Z = ring.Z()
 Z6 = ring.Zn(6)
 QI = ring.Qi()
@@ -67,6 +69,42 @@ def test_equality_canonical_and_tolerant():
     tiny = ring.complex_value(CC, 1e-12)
     assert ring_equal(tiny, CC.zero)
     assert not ring_equal(ring.from_int(Z, 1), Z.zero)
+
+
+def _edge_values(r):
+    """Raw values of ``r`` on which a zero test can go wrong."""
+    if r.kind == ring.COMPLEX_APPROX:
+        tol, nan, inf = r.tolerance, math.nan, math.inf
+        parts = [0.0, -0.0, nan, inf, -inf, 1.0,
+                 math.nextafter(tol, 0), tol, math.nextafter(tol, 1)]
+        return [complex(x, y) for x in parts for y in parts] + [
+            complex(tol / math.sqrt(2), tol / math.sqrt(2)), 0j, complex(-tol, 0)]
+    if r.kind == ring.INTEGERS_MOD:
+        return list(range(r.modulus))
+    if r.kind == ring.GAUSSIAN_RATIONALS:
+        return [ring.GaussianRational(Fraction(a, den), Fraction(b, den))
+                for a in (-3, 0, 1, 2) for b in (-1, 0, 2) for den in (1, 2, 3, 6)]
+    return [0, 1, -1, 2 ** 200, -(2 ** 200), 10 ** 60 + 1]
+
+
+@pytest.mark.parametrize("r", [Z, Z6, QI, CC, ring.C(1e-16), ring.C(0.5)], ids=str)
+def test_the_raw_zero_test_is_not_eq_zero(r):
+    values = _edge_values(r)
+    assert len(values) > 5
+    for v in values:
+        want = not r.eq(v, r.zero.value)
+        assert r.nonzero(v) is want, v
+        assert ring.RingElement(r, v).is_zero() is not want, v
+    if not r.exact:  # a value too large for abs: both raise
+        for test in (r.nonzero, lambda v: r.eq(v, r.zero.value)):
+            with pytest.raises(OverflowError):
+                test(complex(1.5e308, 1.5e308))
+
+
+def test_gaussian_integers_format_as_their_fraction_parts_do():
+    for a, b, den in itertools.product(range(-12, 13), range(-12, 13), range(1, 7)):
+        g = ring.GaussianRational(Fraction(a, den), Fraction(b, den))
+        assert str(g) == helpers.ref_gaussian_str(g), (a, b, den)
 
 
 ints = st.integers(min_value=-50, max_value=50)

@@ -15,7 +15,13 @@ its negative control (``rules.mutate``), 1125 terms.  It prints the CPU
 seconds (``time.process_time``, best of 5) that one pass of
 ``interpret`` and one pass of ``normalize`` take over all of them, after
 a warm-up pass that fills the generator-table caches.  A side that
-raises counts as a pass over it.
+raises counts as a pass over it.  Then it prints each pillar's mean
+microseconds per call in three size classes of sides, counted in term
+nodes (leaves and ``;``/``*`` nodes): bare generators, sides of 2 to 16
+nodes, and larger sides, so a change to the fixed cost of a call shows
+where it lands.  Each class's time is the best of 5 passes, each pass
+calling the pillar on the class's sides until at least ``CLASS_CALLS``
+calls are made.
 
 With sizes it rebuilds the states of ``tools/wide_roundtrip.py`` and
 prints the CPU seconds (best of 3) of each pillar on each, first with
@@ -60,6 +66,8 @@ from perfbench import workloads  # noqa: E402  (read only: its state shapes)
 import wide_roundtrip  # noqa: E402  (next to this file)
 
 REPEATS = 5
+CLASS_CALLS = 2000  # calls per timed pass of one size class
+SIZE_CLASSES = ("bare generators", "2..16 nodes", "17+ nodes")
 
 
 def sides() -> list:
@@ -99,6 +107,25 @@ def best_time(pillar, terms) -> float:
             except Exception:  # an error is a verdict too
                 pass
     return best_of(one_pass)
+
+
+def size_classes(terms) -> dict:
+    """``terms`` by size class (``SIZE_CLASSES``), by their node count."""
+    classes = {name: [] for name in SIZE_CLASSES}
+    for t in terms:
+        nodes = len(term._preorder(t))
+        classes[SIZE_CLASSES[0 if nodes == 1 else 1 if nodes <= 16 else 2]].append(t)
+    return classes
+
+
+def class_costs(terms) -> None:
+    """Each pillar's mean microseconds per call in each size class."""
+    for name, group in size_classes(terms).items():
+        laps = -(-CLASS_CALLS // len(group))  # passes over the group per timed pass
+        means = [best_time(pillar, group * laps) / (len(group) * laps) * 1e6
+                 for pillar in (semantics.interpret, normalform.normalize)]
+        print(f"  {name}, {len(group)} sides: interpret {means[0]:.2f} us  "
+              f"normalize {means[1]:.2f} us")
 
 
 def qudit_states(seed: int = 1) -> list:
@@ -187,6 +214,7 @@ def main(argv: list[str]) -> int:
         terms = sides()
         print(f"{len(terms)} sides: interpret {best_time(semantics.interpret, terms):.4f} s  "
               f"normalize {best_time(normalform.normalize, terms):.4f} s")
+        class_costs(terms)
         return 0
     if argv == ["qudit"]:
         qudit_costs()
