@@ -12,9 +12,9 @@ to an output with a cup, so a map ``k -> m`` becomes a state on ``k + m``
 wires whose word is the input word followed by the output word.
 :class:`MapNormalForm` remembers the split.
 
-``normalize`` never consults the interpreter.  It folds the term on an
-explicit stack (:func:`zwcalc.term.fold`), with hardcoded normal forms
-for the generators.  Every term is a ``;`` chain of ``*`` layers: the
+``normalize`` never consults the interpreter.  It folds the term from
+the plan its first fold keeps on it (:func:`zwcalc.term.fold`), with hardcoded
+normal forms for the generators.  Every term is a ``;`` chain of ``*`` layers: the
 running rows meet each block that is not an identity wire in one pass,
 matching the letters on its inputs, so padding costs nothing and a
 layer's own normal form is never built.  The first layer has nothing

@@ -45,7 +45,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import ring as _ring
 from .ring import RingDescriptor
@@ -262,18 +263,21 @@ def antipode_term(d: int) -> Term:
 # law checks
 
 
-def law_terms(d: int) -> dict[str, tuple[Term, Term]]:
+@lru_cache(maxsize=16)
+def law_terms(d: int) -> Mapping[str, tuple[Term, Term]]:
     """The bialgebra and Hopf laws at dimension d, by report name, as
-    (lhs, rhs) term pairs; see the module docstring."""
+    (lhs, rhs) term pairs; see the module docstring.  They are built once
+    per d and shared read-only, as the gadgets are, so every check of a
+    law folds its terms from the plans that their first fold keeps."""
     split, merge, wire = _term.wspider(1, 2), _term.wspider(2, 1), _term.ID
-    return {
+    return MappingProxyType({
         "bialgebra": (
             _term.seq_all([split @ split, wire @ _term.X @ wire, merge @ merge]),
             merge >> split),
         "antipode-hopf": (
             _term.seq_all([split, antipode_term(d) @ wire, merge]),
             _term.bra(0) >> _term.ket(0)),
-    }
+    })
 
 
 def _identity_report(name: str, p: QParams, sides) -> RuleReport:

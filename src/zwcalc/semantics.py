@@ -4,16 +4,17 @@ A term with ``k`` inputs and ``m`` outputs denotes a linear map between
 tensor powers of the d-dimensional generator object.  We store it as a
 mapping from ``(output word, input word)`` pairs to nonzero coefficients,
 with words written over the digits ``0 .. d-1``.  A term is folded as a
-``;`` chain of ``*`` layers (:func:`zwcalc.term.fold`), and one join
-composes it: the running map meets each layer block by block,
-contracting over the middle word, and a block's output word is
-concatenated on and its coefficient multiplied in.  A layer of one
-block (not counting ``id`` blocks over an exact ring, where a product
-by one keeps every value) is met in one pass, with the same products
-and sums in the same order, so C keeps its values bit for bit; a lone
-block matches on the whole middle word, unsliced.  The first layer has
-nothing below it, so its input words are concatenated too.  Nothing is
-densified, so states stay small on any number of wires.
+``;`` chain of ``*`` layers, from the plan its first fold keeps on it
+(:func:`zwcalc.term.fold`), and one join composes it: the running map
+meets each layer block by block, contracting over the middle word, and
+a block's output word is concatenated on and its coefficient multiplied
+in.  A layer of one block (not counting ``id`` blocks over an exact
+ring, where a product by one keeps every value) is met in one pass,
+with the same products and sums in the same order, so C keeps its
+values bit for bit; a lone block matches on the whole middle word,
+unsliced.  The first layer has nothing below it, so its input words
+are concatenated too.  Nothing is densified, so states stay small on
+any number of wires.
 
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,

@@ -20,6 +20,13 @@ nest to any depth.  No function here recurses, so ``parse`` (one pass),
 ``render``, ``adjoint``, ``==`` (one walk over both terms), ``hash``,
 ``repr``, copies, pickles and :func:`fold` take terms of any depth and width.
 
+:func:`fold`, the one walk both pillars share, walks a term object once:
+its first fold keeps a plan in a slot of the term's root node while the
+term lives, and later folds run from it.  A plan holds structure only
+(which leaf or nested chain each block is, where wiring layers cross),
+never a value.  ``==``, ``hash``, ``repr``, copies and pickles ignore it,
+and two threads that plan one term at once build equal plans.
+
 Generators
 ----------
 
@@ -33,8 +40,10 @@ the coefficient ring, and ``ket(l)`` the level-``l`` basis state.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, reduce
+from itertools import chain as chain_of
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement
@@ -100,9 +109,9 @@ class Generator:
 class Term:
     """Base class; subclasses are Gen, Seq and Par."""
 
-    # Term, its leaves and its nodes are slotted: the rule catalogue holds
-    # about ten thousand of them, and an instance dict would double each one
-    __slots__ = ("n_in", "n_out")
+    # Term, its leaves and its nodes are slotted: the rule catalogue holds about ten
+    # thousand, an instance dict would double each, and _plan is fold's plan (see fold)
+    __slots__ = ("n_in", "n_out", "_plan")
 
     def __rshift__(self, other: "Term") -> "Term":
         return seq(self, other)
@@ -187,7 +196,7 @@ class Par(Term):
 
 _set_first, _set_then, _set_left, _set_right = (
     Seq.first.__set__, Seq.then.__set__, Par.left.__set__, Par.right.__set__)
-_set_n_in, _set_n_out = Term.n_in.__set__, Term.n_out.__set__
+_set_n_in, _set_n_out, _set_plan = Term.n_in.__set__, Term.n_out.__set__, Term._plan.__set__
 seq, par = Seq, Par  # >> and @ as functions
 for _node in (Gen, Seq, Par):  # their generated setters name the class slots=True replaced
     del _node.__setattr__, _node.__delattr__
@@ -247,21 +256,9 @@ def seq_all(terms) -> Term:
     return reduce(seq, terms)
 
 
-def _blocks(u: Term) -> list[Term]:
-    """The blocks of the ``*`` layer ``u`` left to right, without ``EMPTY``."""
-    blocks, row = [], [u]
-    while row:
-        b = row.pop()
-        while type(b) is Par:  # down the left operands; the right ones wait
-            row.append(b.right)
-            b = b.left
-        if type(b) is not _Empty:
-            blocks.append(b)
-    return blocks
-
-
 # the most nodes of a nested chain that fold looks up by its pre-order list
 CHAIN_KEY_NODES = 32
+_UNSET = object()  # a slot whose value a fold has not found yet in its call
 
 
 def fold(t: Term, leaf, layer, run=None, chains=None):
@@ -285,75 +282,144 @@ def fold(t: Term, leaf, layer, run=None, chains=None):
     ``leaf`` runs once per distinct leaf object in ``t``, and each
     distinct nested chain object (a ``;`` chain that is one block of a
     ``*`` layer) is joined at most once: blocks that share one reuse its
-    value, keyed by ``id``, which stays valid because ``t`` keeps every
-    node alive until the call returns.  This memo belongs to the call.
+    value.  These values belong to the call.
 
     ``chains``, a mapping that outlives the call, keeps the values of
     small nested chains from one call to the next, such as the merge
     gadget ``w(k,1) ; w(1,1)`` that ends every canonical diagram.  A
-    nested chain that the memo does not hold, of at most
+    nested chain that the call has not joined yet, of at most
     ``CHAIN_KEY_NODES`` nodes and with no nested chain in its layers, is
     looked up by its pre-order node list (:func:`_chain_key`), and a
     stored value is used; a miss is joined as before and stored when the
-    chain closes.  Any other chain is never keyed; the walk that finds
-    so stops at the first node that shows it and never enters a nested
-    chain, so deep terms stay linear.  A ``leaf`` that raises leaves its
-    chain open, so no error is stored, and it raises again on the next
-    call."""
-    memo = {}  # id(leaf or nested chain) -> its value
+    chain closes.  Any other chain is never keyed.  A ``leaf`` that
+    raises leaves its chain open, so no error is stored, and it raises
+    again on the next call.
+
+    The first fold of ``t`` walks it into a plan (:func:`_planned`) kept on
+    ``t``'s root node while ``t`` lives; every fold of ``t`` runs from it,
+    whatever its callbacks, and it holds no values.  A block that is not a
+    term raises ArityError as the plan is built, before any callback, and
+    no plan is kept.  Two threads may both plan one new term; they build
+    equal plans, so either may stay."""
+    try:
+        layers, sources = t._plan
+    except AttributeError:  # the first fold of t, or not a term
+        layers, sources = _planned(t)
+    vals = [_UNSET] * len(sources)  # by slot: the values found so far in this call
     frames = []  # the chains below, each waiting at a nested chain of its layer
-    # the chain being folded: its node, its key in chains, its ; operands left (the
-    # next on top), acc, the run's (blocks, values), and its layer's blocks, blocks
-    # left and values
-    node, key, spine, acc, pending, todo = t, None, [t], None, [], None
+    todo, slot, acc, pending = iter(layers), None, None, []  # the chain being folded
     while True:
-        if todo is None:  # open the chain's next layer
+        for step in todo:
+            slots, need, crossings = step
+            for s in need:  # the slots the chain reads first here
+                if vals[s] is _UNSET:
+                    source = sources[s]
+                    if type(source) is not tuple:  # a leaf's generator
+                        vals[s] = leaf(source)
+                        continue
+                    chain, key = source  # a nested chain: its stored value, or it opens
+                    v = None if key is None or chains is None else chains.get(key)
+                    if v is None:  # this layer waits for the chain's value
+                        frames.append((chain_of((step,), todo), slot, acc, pending))
+                        todo, slot, acc, pending = iter(chain), s, None, []
+                        break
+                    vals[s] = v
+            else:  # every slot of the layer has its value
+                if crossings is not None and run is not None:
+                    pending.append(step)
+                else:
+                    if pending:
+                        acc, pending = _run(acc, pending, vals, run, layer), []
+                    acc = layer(acc, [vals[slots]] if type(slots) is int else
+                                [vals[s] for s in slots])
+                continue
+            break  # a nested chain opened
+        else:  # the chain is joined
+            if pending:
+                acc = _run(acc, pending, vals, run, layer)
+            if not frames:
+                return acc
+            vals[slot] = acc
+            key = sources[slot][1]
+            if key is not None and chains is not None:
+                chains[key] = acc
+            todo, slot, acc, pending = frames.pop()  # its waiting layer first
+
+
+def _planned(t: Term) -> tuple:
+    """The plan :func:`fold` runs for ``t``, built on explicit stacks and
+    kept on ``t``: ``(layers, sources)``, the layers of ``t``'s chain in
+    fold order and, by slot, the generator of each distinct leaf object or
+    the ``(layers, key)`` of each distinct nested chain, ``key`` its
+    :func:`_chain_key`.  A layer is ``(slots, need, crossings)``: its blocks'
+    slots (an int for a lone block, packed past 16); those no earlier layer
+    of its chain reads, in order; and, for a layer that can join a wiring
+    run, its crossings as their left wires' positions and their slots."""
+    # slot_of: id(block) -> its slot; width: by slot, the wires of a wiring leaf, else 0
+    slot_of, sources, width, row = {}, [], [], []
+    todo = [(t, None)]  # the chains to lay out, each with its slot; it grows
+    for node, own in todo:
+        # read: this chain's slot_of (t's own chain made every slot), reads its first reads
+        layers, spine, read, reads = [], [node], slot_of if own is None else {}, []
+        while spine:
             u = spine.pop()
             while type(u) is Seq:
                 spine.append(u.then)
                 u = u.first
-            blocks = [u] if type(u) is Gen else _blocks(u)
-            todo, values = iter(blocks), []
-            wiring = run is not None and acc is not None
-        for u in todo:
-            v = memo.get(id(u))
-            if v is None:
-                if type(u) is Seq:  # a nested chain: its stored value, or it opens
-                    k = None if chains is None else _chain_key(u)
-                    v = None if k is None else chains.get(k)
-                    if v is None:  # this layer waits for the chain's value
-                        frames.append((node, key, spine, acc, pending, blocks, todo, values))
-                        node, key, spine, acc, pending, todo = u, k, [u], None, [], None
-                        break
-                elif type(u) is Gen:
-                    v = leaf(u.gen)
-                else:
-                    raise ArityError(f"not a term: {u!r}")
-                memo[id(u)] = v
-            values.append(v)
-            # a layer that holds a chain's value does not only move wires
-            if wiring and (type(u) is Seq or u.gen.kind not in _WIRING):
-                wiring = False
-        else:  # every block of the layer has its value
-            if wiring:
-                pending.append((blocks, values))
-            else:
-                if pending:
-                    acc, pending = _run(acc, pending, run, layer), []
-                acc = layer(acc, values)
-            todo = None
-            if spine:
-                continue
-            if pending:
-                acc = _run(acc, pending, run, layer)
-            if not frames:
-                return acc
-            memo[id(node)] = v = acc
-            if key is not None:
-                chains[key] = v
-            node, key, spine, acc, pending, blocks, todo, values = frames.pop()
-            values.append(v)
-            wiring = False
+            row.append(u)
+            slots, first = [], len(reads)
+            # an opening layer has no value for a run to move
+            pos, wiring, positions, crossed = 0, bool(layers), [], []
+            while row:  # the layer's blocks left to right
+                b = row.pop()
+                while type(b) is Par:
+                    row.append(b.right)
+                    b = b.left
+                s = read.get(id(b))
+                if s is None:
+                    s = slot_of.get(id(b))
+                    if s is None:
+                        s = len(sources)
+                        if type(b) is Gen:
+                            sources.append(b.gen)
+                            width.append(b.n_in if b.gen.kind in _WIRING else 0)
+                        elif type(b) is Seq:  # laid out once todo reaches it
+                            sources.append(None)
+                            width.append(0)
+                            todo.append((b, s))
+                        elif type(b) is _Empty:
+                            continue
+                        else:
+                            raise ArityError(f"not a term: {b!r}")
+                        slot_of[id(b)] = s
+                    read[id(b)] = s
+                    reads.append(s)
+                slots.append(s)
+                if wiring:
+                    w = width[s]
+                    if w == 2:
+                        positions.append(pos)
+                        crossed.append(s)
+                    wiring, pos = w > 0, pos + w
+            new = len(reads) - first  # the layer's first reads, each block's when all are
+            if len(slots) > 16:  # a wide layer, as in a crossing network
+                slots = _packed(slots, len(sources))
+            if len(crossed) > 16:
+                positions, crossed = _packed(positions, pos), _packed(crossed, len(sources))
+            layers.append((slots[0] if len(slots) == 1 else slots,
+                           slots if new == len(slots) else reads[first:] if new else (),
+                           (positions, crossed) if wiring else None))
+        if own is None:
+            plan = layers, sources
+        else:
+            sources[own] = (layers, _chain_key(node))
+    _set_plan(t, plan)
+    return plan
+
+
+def _packed(numbers: list, bound: int):
+    """``numbers``, each below ``bound``, as bytes where they fit, else as 32-bit ints."""
+    return bytes(numbers) if bound <= 256 else array("I", numbers)
 
 
 def _chain_key(t: Seq) -> tuple | None:
@@ -414,28 +480,17 @@ class _TaggedChains:
         table[self.tag, key] = table.prepare(value)
 
 
-def _run(acc, pending: list, run, layer):
-    """The run of wiring layers ``pending``, as ``(blocks, values)`` pairs,
-    joined onto ``acc`` for :func:`fold`."""
+def _run(acc, pending: list, vals: list, run, layer):
+    """The run of wiring layers ``pending``, as their plans, joined onto
+    ``acc`` for :func:`fold`; a layer's crossings are built as ``run`` reads it."""
     if len(pending) > 1:
-        joined = run(acc, _crossings(pending))
+        joined = run(acc, ([(p, vals[s]) for p, s in zip(*crossings)]
+                           for _, _, crossings in pending))
         if joined is not None:
             return joined
-    for _, values in pending:
-        acc = layer(acc, values)
+    for slots, _, _ in pending:
+        acc = layer(acc, [vals[slots]] if type(slots) is int else [vals[s] for s in slots])
     return acc
-
-
-def _crossings(pending: list):
-    """Each layer of a run as its crossings ``(position, leaf value)``, left
-    to right, built only when the layer is read."""
-    for blocks, values in pending:
-        out, pos = [], 0
-        for u, v in zip(blocks, values):
-            if u.n_in == 2:
-                out.append((pos, v))
-            pos += u.n_in
-        yield out
 
 
 def _preorder(t: Term) -> list:

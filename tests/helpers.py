@@ -304,8 +304,16 @@ def layers(t: Term) -> list[list[Term]]:
         u = chain.pop()
         if type(u) is Seq:
             chain += [u.then, u.first]
-        else:
-            out.append(zterm._blocks(u))
+            continue
+        blocks, row = [], [u]
+        while row:
+            b = row.pop()
+            while type(b) is Par:  # down the left operands; the right ones wait
+                row.append(b.right)
+                b = b.left
+            if type(b) is not _Empty:
+                blocks.append(b)
+        out.append(blocks)
     return out
 
 

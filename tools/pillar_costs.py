@@ -15,7 +15,13 @@ its negative control (``rules.mutate``), 1125 terms.  It prints the CPU
 seconds (``time.process_time``, best of 5) that one pass of
 ``interpret`` and one pass of ``normalize`` take over all of them, after
 a warm-up pass that fills the generator-table caches.  A side that
-raises counts as a pass over it.  Then it prints each pillar's mean
+raises counts as a pass over it.  Those passes run from the plans that
+``term.fold`` keeps on the sides after their first fold, so the next
+line times first folds: each pillar's pass over plan-less copies of the
+sides (``copy.copy``), which build their plans, and then its pass over
+the same copies again, from those plans (best of 5, new copies each
+time).  A copy shares no node with its side, so a gadget that the side
+holds twice is two objects there.  Then it prints each pillar's mean
 microseconds per call in three size classes of sides, counted in term
 nodes (leaves and ``;``/``*`` nodes): bare generators, sides of 2 to 16
 nodes, and larger sides, so a change to the fixed cost of a call shows
@@ -51,6 +57,7 @@ every nested chain itself, then with the tables left full.
 
 from __future__ import annotations
 
+import copy
 import gc
 import random
 import sys
@@ -98,15 +105,32 @@ def each(step, calls):
     return one_pass
 
 
+def one_pass(pillar, terms) -> None:
+    """``pillar`` on each of ``terms`` over Qi, in turn."""
+    for t in terms:
+        try:
+            pillar(t, rules.QI)
+        except Exception:  # an error is a verdict too
+            pass
+
+
 def best_time(pillar, terms) -> float:
     """The least CPU time of ``REPEATS`` passes of ``pillar`` over ``terms``."""
-    def one_pass():
-        for t in terms:
-            try:
-                pillar(t, rules.QI)
-            except Exception:  # an error is a verdict too
-                pass
-    return best_of(one_pass)
+    return best_of(lambda: one_pass(pillar, terms))
+
+
+def first_times(pillar, terms) -> tuple[float, float]:
+    """The least CPU time of ``REPEATS`` passes of ``pillar`` over plan-less
+    copies of ``terms``, made before each pass, and of a second pass over
+    the same copies, after a warm-up round."""
+    firsts, agains = [], []
+    for _ in range(REPEATS + 1):
+        copies = [copy.copy(t) for t in terms]
+        for times in (firsts, agains):
+            start = process_time()
+            one_pass(pillar, copies)
+            times.append(process_time() - start)
+    return min(firsts[1:]), min(agains[1:])
 
 
 def size_classes(terms) -> dict:
@@ -214,6 +238,10 @@ def main(argv: list[str]) -> int:
         terms = sides()
         print(f"{len(terms)} sides: interpret {best_time(semantics.interpret, terms):.4f} s  "
               f"normalize {best_time(normalform.normalize, terms):.4f} s")
+        (read, read_again), (rows, rows_again) = (
+            first_times(pillar, terms) for pillar in (semantics.interpret, normalform.normalize))
+        print(f"  first folds of plan-less copies: interpret {read:.4f} s, then {read_again:.4f} s"
+              f"  normalize {rows:.4f} s, then {rows_again:.4f} s")
         class_costs(terms)
         return 0
     if argv == ["qudit"]:
