@@ -56,8 +56,13 @@ for d in (2, 3, 4):
 
 # The bialgebra and Hopf laws are pairs of terms, checked by interpreting
 # both sides; the commutation law compares interpreted ladder maps.
-for name, (lhs, rhs) in law_terms(3).items():
+laws = law_terms(3)
+for name in ("bialgebra", "antipode-hopf"):
+    lhs, rhs = laws[name]
     print(f"\n{name} at d=3:\n  {term.render(lhs)}\n  = {term.render(rhs)}")
+lowered, raised = laws["commutation"]
+print(f"\ncommutation at d=3: a a+ = 1 + q a+ a, with\n  a a+ = {term.render(lowered)}"
+      f"\n  a+ a = {term.render(raised)}")
 for d in (2, 3, 4, 5, 7, 10):
     p = QParams(d)
     vander = all(check_q_vandermonde(p, n, j, k)

@@ -29,12 +29,13 @@ wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only) is
 plugged in one step (:func:`_plug_run`): one walk over its crossings
 multiplies each coefficient other than one (the row "1111" of ``x``)
 into its pair of wires' product, which a row takes before its output
-letters are permuted once.  The values of small nested chains, such as
-the merge gadget ``w(k,1) ; w(1,1)`` of every canonical diagram, outlive
-the call in :data:`chain_nfs`, keyed by the ring and the chain (see
-:func:`zwcalc.term.fold`), at most 1024 of them.  The test suite checks
-the result against :func:`zwcalc.semantics.interpret`, which shares only
-the fold.
+letters are permuted once.  A small nested chain, such as the merge
+gadget ``w(k,1) ; w(1,1)`` of every canonical diagram, is a leaf of the
+fold, known by its key (see :func:`zwcalc.term.fold`), and its normal
+form is kept beside the generator tables: :func:`_chain_nf` joins it
+once per ring and key from the generator tables alone, at most 1024 of
+them.  The test suite checks the result against
+:func:`zwcalc.semantics.interpret`, which shares only the fold.
 """
 
 from __future__ import annotations
@@ -277,8 +278,21 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     return MapNormalForm(g.n_in, g.n_out, nf)
 
 
-# normalize's values of small nested chains, by ring and chain, indexed (see term.fold)
-chain_nfs = _term.ChainTable(1024, lambda m: m._replace(by_input=_by_input(m.rows, m.n_in)))
+def _fold(t: Term, ring: RingDescriptor, leaf) -> _RawNF:
+    """The raw normal form of ``t``, folded (:func:`zwcalc.term.fold`) with
+    each leaf source's raw normal form from ``leaf``."""
+    wire = generator_nf(_term.ID.gen, ring)._raw
+    return _term.fold(t, leaf, lambda acc, blocks: _plug(acc, blocks, ring, wire),
+                      lambda acc, layers: _plug_run(acc, layers, ring))
+
+
+@lru_cache(maxsize=1024)
+def _chain_nf(key: tuple, ring: RingDescriptor) -> _RawNF:
+    """The raw normal form of the small nested chain ``key`` (see
+    :func:`zwcalc.term.fold`), joined from the generator tables and
+    indexed; errors are not cached and are raised on every call."""
+    m = _fold(_term._assembled(key), ring, lambda g: generator_nf(g, ring)._raw)
+    return m._replace(by_input=_by_input(m.rows, m.n_in))
 
 
 def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
@@ -291,11 +305,8 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
         raise UnsupportedOperationError("normalize runs over exact rings")
     if isinstance(t, _term.Gen):
         return generator_nf(t.gen, ring)
-    wire = generator_nf(_term.ID.gen, ring)._raw
-    m = _term.fold(t, lambda g: generator_nf(g, ring)._raw,
-                   lambda acc, blocks: _plug(acc, blocks, ring, wire),
-                   lambda acc, layers: _plug_run(acc, layers, ring),
-                   chain_nfs.at(ring))
+    m = _fold(t, ring, lambda s: generator_nf(s, ring)._raw if type(s) is Generator
+              else _chain_nf(s, ring))
     out = object.__new__(MapNormalForm)  # unchecked: the rows are n_in + n_out letters
     out.__dict__.update(n_in=m.n_in, n_out=m.n_out, nf=trusted_nf(
         2, m.n_in + m.n_out, sorted(m.rows, key=itemgetter(1)), ring))

@@ -27,7 +27,8 @@ takes the principal branch.
 (antipode * id) ; w(2,1) = bra(0) ; ket(0)`` as term pairs, which the
 checks interpret and compare entrywise.  The commutation law ``a a+ = 1
 + q a+ a``, with ``a+ = (ket(1) * id) ; w(2,1)`` and ``a`` its transpose,
-has a sum on one side, so it compares interpreted maps.  Scalar
+has a sum on one side, so :func:`law_terms` gives its two products and
+the check compares interpreted maps.  Scalar
 identities over level triples (the q-Vandermonde identity, and the
 binomial identity behind the bialgebra law) are compared as maps on the
 words ``njk``.  Every check hands its two maps to
@@ -265,11 +266,15 @@ def antipode_term(d: int) -> Term:
 
 @lru_cache(maxsize=16)
 def law_terms(d: int) -> Mapping[str, tuple[Term, Term]]:
-    """The bialgebra and Hopf laws at dimension d, by report name, as
-    (lhs, rhs) term pairs; see the module docstring.  They are built once
-    per d and shared read-only, as the gadgets are, so every check of a
-    law folds its terms from the plans that their first fold keeps."""
+    """The laws at dimension d, by report name, as term pairs; see the
+    module docstring.  The bialgebra and Hopf pairs are (lhs, rhs); the
+    commutation pair is ``(a a+, a+ a)``, whose law ``a a+ = 1 + q a+ a``
+    has a sum on one side.  They are built once per d and shared
+    read-only, as the gadgets are, so every check of a law folds its
+    terms from the plans that their first fold keeps."""
     split, merge, wire = _term.wspider(1, 2), _term.wspider(2, 1), _term.ID
+    create = (_term.ket(1) @ wire) >> merge
+    annihilate = split >> (_term.bra(1) @ wire)
     return MappingProxyType({
         "bialgebra": (
             _term.seq_all([split @ split, wire @ _term.X @ wire, merge @ merge]),
@@ -277,6 +282,7 @@ def law_terms(d: int) -> Mapping[str, tuple[Term, Term]]:
         "antipode-hopf": (
             _term.seq_all([split, antipode_term(d) @ wire, merge]),
             _term.bra(0) >> _term.ket(0)),
+        "commutation": (create >> annihilate, annihilate >> create),
     })
 
 
@@ -325,15 +331,14 @@ def check_vandermonde(p: QParams) -> RuleReport:
 
 def check_commutation(p: QParams) -> RuleReport:
     """a a+ = 1 + q a+ a at the deformation q, for the creation map
-    a+ = (ket(1) * id) ; w(2,1) and its transpose a."""
+    a+ = (ket(1) * id) ; w(2,1) and its transpose a, from :func:`law_terms`."""
     d, ring = p.d, p.ring()
-    create = (_term.ket(1) @ _term.ID) >> _term.wspider(2, 1)
-    annihilate = _term.wspider(1, 2) >> (_term.bra(1) @ _term.ID)
+    lowered, raised = law_terms(d)["commutation"]
     q = _ring.complex_value(ring, p.q)
     rhs = {(str(n), str(n)): ring.one for n in range(d)}
-    for key, v in interpret(annihilate >> create, ring, d).entries.items():
+    for key, v in interpret(raised, ring, d).entries.items():
         rhs[key] = rhs.get(key, ring.zero) + q * v
-    return check_maps("commutation", f"d={d}", interpret(create >> annihilate, ring, d),
+    return check_maps("commutation", f"d={d}", interpret(lowered, ring, d),
                       make_map(ring, d, 1, 1, rhs))
 
 

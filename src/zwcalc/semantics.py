@@ -34,12 +34,12 @@ once.  Over C each word walks the crossings in order, taking the factor
 its two letters read from each crossing's table and swapping them, which
 gives the layer joins' values bit for bit (:func:`_apply_run_in_order`).
 
-Over the exact rings the values of small nested chains, such as the
-merge gadget ``w(k,1) ; w(1,1)``, outlive the call in
-:data:`chain_maps`, keyed by the ring and the chain (see
-:func:`zwcalc.term.fold`), at most 1024 of them.  Over C every call
-joins its chains itself: two equal labels there may differ in the sign
-of a zero part, which the tables keep.
+A small nested chain, such as the merge gadget ``w(k,1) ; w(1,1)``, is a
+leaf of the fold, known by its key (see :func:`zwcalc.term.fold`), and
+its map is kept beside the generator tables: :func:`_chain_map` joins
+the chain once per ``(key, ring, d)`` from the generator tables alone,
+at most 1024 of them, over every ring.  A key holds no complex label,
+so the sign of a zero part never goes astray.
 
 Maps are immutable once built, and so are the raw values the tables
 share; evaluation is pure.
@@ -326,8 +326,22 @@ def _apply_run_in_order(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | N
                      None, None))
 
 
-# interpret's values of small nested chains over the exact rings, indexed (see term.fold)
-chain_maps = _term.ChainTable(1024, lambda m: m._replace(by_input=_by_input(m.entries)))
+def _fold(t: Term, ring: RingDescriptor, d: int, leaf) -> _RawMap:
+    """The raw map of ``t``, folded (:func:`zwcalc.term.fold`) with each
+    leaf source's raw map from ``leaf``."""
+    join_run = _apply_run if ring.exact else _apply_run_in_order
+    wire = generator_map(_term.ID.gen, ring, d)._raw if ring.exact else None
+    return _term.fold(t, leaf, lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
+                      lambda acc, layers: join_run(acc, layers, ring))
+
+
+@lru_cache(maxsize=1024)
+def _chain_map(key: tuple, ring: RingDescriptor, d: int) -> _RawMap:
+    """The raw map of the small nested chain ``key`` (see
+    :func:`zwcalc.term.fold`), joined from the generator tables and
+    indexed; errors are not cached and are raised on every call."""
+    m = _fold(_term._assembled(key), ring, d, lambda g: generator_map(g, ring, d)._raw)
+    return m._replace(by_input=_by_input(m.entries))
 
 
 def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
@@ -343,12 +357,8 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     _check_dimension(ring, d)
     if isinstance(t, _term.Gen):
         return generator_map(t.gen, ring, d)
-    join_run = _apply_run if ring.exact else _apply_run_in_order
-    wire = generator_map(_term.ID.gen, ring, d)._raw if ring.exact else None
-    m = _term.fold(t, lambda g: generator_map(g, ring, d)._raw,
-                   lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
-                   lambda acc, layers: join_run(acc, layers, ring),
-                   chain_maps.at(ring) if ring.exact else None)
+    m = _fold(t, ring, d, lambda s: generator_map(s, ring, d)._raw if type(s) is Generator
+              else _chain_map(s, ring, d))
     out = object.__new__(SparseMap)  # unchecked: the joins' keys fit the arity
     out.__dict__.update(ring=ring, d=d, n_in=m.n_in, n_out=m.n_out,
                         entries={k: RingElement(ring, v) for k, v in m.entries.items()})

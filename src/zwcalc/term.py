@@ -24,8 +24,10 @@ nest to any depth.  No function here recurses, so ``parse`` (one pass),
 its first fold keeps a plan in a slot of the term's root node while the
 term lives, and later folds run from it.  A plan holds structure only
 (which leaf or nested chain each block is, where wiring layers cross),
-never a value.  ``==``, ``hash``, ``repr``, copies and pickles ignore it,
-and two threads that plan one term at once build equal plans.
+never a value; a small nested chain is a leaf there, known by its key,
+so each pillar keeps its value beside its generator tables.  ``==``,
+``hash``, ``repr``, copies and pickles ignore the plan, and two threads
+that plan one term at once build equal plans.
 
 Generators
 ----------
@@ -256,44 +258,42 @@ def seq_all(terms) -> Term:
     return reduce(seq, terms)
 
 
-# the most nodes of a nested chain that fold looks up by its pre-order list
+# the most nodes of a nested chain that fold hands to its leaf function by its key
 CHAIN_KEY_NODES = 32
 _UNSET = object()  # a slot whose value a fold has not found yet in its call
 
 
-def fold(t: Term, leaf, layer, run=None, chains=None):
+def fold(t: Term, leaf, layer, run):
     """Fold ``t`` bottom-up along its chains, on an explicit stack:
-    ``leaf(generator)`` is the value of a generator leaf, ``layer(acc,
-    values)`` joins the values of a layer's blocks onto the value ``acc``
-    of the chain below it (None at the first layer), and a chain's value
-    is its last ``acc``.  A bare generator is a one-layer chain.
+    ``leaf(source)`` is the value of a leaf, ``layer(acc, values)`` joins
+    the values of a layer's blocks onto the value ``acc`` of the chain
+    below it (None at the first layer), and a chain's value is its last
+    ``acc``.  A bare generator is a one-layer chain.
 
-    With ``run``, wiring layers (every block an ``id``, ``swap``, ``x`` or
-    ``xinv`` leaf) that follow each other on a value ``acc`` form a run,
-    which only moves wires and is joined in one call, ``run(acc,
-    layers)``.  ``layers`` yields the run's layers in order, one at a
-    time, each as the list of its crossings left to right: ``(p, leaf
-    value)`` crosses the wires at positions p and p + 1, and an ``id``
-    leaf holds its wire in place.  ``run`` returns the joined value, or
-    None, after reading any part of ``layers``, to have the run joined
-    layer by layer.  ``layer`` joins a run of one layer, which has nothing
-    to collapse, and a chain's opening layer, which has no value below it.
+    A leaf's source is its generator, or the key of a small nested chain
+    (a ``;`` chain that is one block of a ``*`` layer, of at most
+    ``CHAIN_KEY_NODES`` nodes, with no nested chain in its layers and no
+    inexact label): its pre-order node list as a tuple (:func:`_chain_key`),
+    which :func:`_assembled` builds back into an equal chain.  A caller
+    may so keep the values of small chains, such as the merge gadget
+    ``w(k,1) ; w(1,1)`` of every canonical diagram, across calls, as it
+    keeps its generators'.  Any other nested chain is joined here.
 
-    ``leaf`` runs once per distinct leaf object in ``t``, and each
-    distinct nested chain object (a ``;`` chain that is one block of a
-    ``*`` layer) is joined at most once: blocks that share one reuse its
-    value.  These values belong to the call.
+    Wiring layers (every block an ``id``, ``swap``, ``x`` or ``xinv``
+    leaf) that follow each other on a value ``acc`` form a run, which
+    only moves wires and is joined in one call, ``run(acc, layers)``.
+    ``layers`` yields the run's layers in order, one at a time, each as
+    the list of its crossings left to right: ``(p, leaf value)`` crosses
+    the wires at positions p and p + 1, and an ``id`` leaf holds its wire
+    in place.  ``run`` returns the joined value, or None, after reading
+    any part of ``layers``, to have the run joined layer by layer.
+    ``layer`` joins a run of one layer, which has nothing to collapse,
+    and a chain's opening layer, which has no value below it.
 
-    ``chains``, a mapping that outlives the call, keeps the values of
-    small nested chains from one call to the next, such as the merge
-    gadget ``w(k,1) ; w(1,1)`` that ends every canonical diagram.  A
-    nested chain that the call has not joined yet, of at most
-    ``CHAIN_KEY_NODES`` nodes and with no nested chain in its layers, is
-    looked up by its pre-order node list (:func:`_chain_key`), and a
-    stored value is used; a miss is joined as before and stored when the
-    chain closes.  Any other chain is never keyed.  A ``leaf`` that
-    raises leaves its chain open, so no error is stored, and it raises
-    again on the next call.
+    ``leaf`` runs once per distinct leaf object in ``t``, small nested
+    chains included, and each distinct nested chain object that is laid
+    out is joined once: blocks that share one reuse its value.  These
+    values belong to the call.
 
     The first fold of ``t`` walks it into a plan (:func:`_planned`) kept on
     ``t``'s root node while ``t`` lives; every fold of ``t`` runs from it,
@@ -314,18 +314,15 @@ def fold(t: Term, leaf, layer, run=None, chains=None):
             for s in need:  # the slots the chain reads first here
                 if vals[s] is _UNSET:
                     source = sources[s]
-                    if type(source) is not tuple:  # a leaf's generator
+                    if type(source) is not list:  # a generator or a small chain's key
                         vals[s] = leaf(source)
                         continue
-                    chain, key = source  # a nested chain: its stored value, or it opens
-                    v = None if key is None or chains is None else chains.get(key)
-                    if v is None:  # this layer waits for the chain's value
-                        frames.append((chain_of((step,), todo), slot, acc, pending))
-                        todo, slot, acc, pending = iter(chain), s, None, []
-                        break
-                    vals[s] = v
+                    # a laid-out nested chain opens: this layer waits for its value
+                    frames.append((chain_of((step,), todo), slot, acc, pending))
+                    todo, slot, acc, pending = iter(source), s, None, []
+                    break
             else:  # every slot of the layer has its value
-                if crossings is not None and run is not None:
+                if crossings is not None:
                     pending.append(step)
                 else:
                     if pending:
@@ -340,21 +337,19 @@ def fold(t: Term, leaf, layer, run=None, chains=None):
             if not frames:
                 return acc
             vals[slot] = acc
-            key = sources[slot][1]
-            if key is not None and chains is not None:
-                chains[key] = acc
             todo, slot, acc, pending = frames.pop()  # its waiting layer first
 
 
 def _planned(t: Term) -> tuple:
     """The plan :func:`fold` runs for ``t``, built on explicit stacks and
     kept on ``t``: ``(layers, sources)``, the layers of ``t``'s chain in
-    fold order and, by slot, the generator of each distinct leaf object or
-    the ``(layers, key)`` of each distinct nested chain, ``key`` its
-    :func:`_chain_key`.  A layer is ``(slots, need, crossings)``: its blocks'
-    slots (an int for a lone block, packed past 16); those no earlier layer
-    of its chain reads, in order; and, for a layer that can join a wiring
-    run, its crossings as their left wires' positions and their slots."""
+    fold order and, by slot, the generator of each distinct leaf object,
+    the :func:`_chain_key` of each distinct small nested chain, or the
+    list of layers of each distinct larger one.  A layer is ``(slots,
+    need, crossings)``: its blocks' slots (an int for a lone block, packed
+    past 16); those no earlier layer of its chain reads, in order; and,
+    for a layer that can join a wiring run, its crossings as their left
+    wires' positions and their slots."""
     # slot_of: id(block) -> its slot; width: by slot, the wires of a wiring leaf, else 0
     slot_of, sources, width, row = {}, [], [], []
     todo = [(t, None)]  # the chains to lay out, each with its slot; it grows
@@ -383,10 +378,12 @@ def _planned(t: Term) -> tuple:
                         if type(b) is Gen:
                             sources.append(b.gen)
                             width.append(b.n_in if b.gen.kind in _WIRING else 0)
-                        elif type(b) is Seq:  # laid out once todo reaches it
-                            sources.append(None)
+                        elif type(b) is Seq:  # a leaf by its key, or laid out once todo reaches it
+                            key = _chain_key(b)
+                            sources.append(key)
                             width.append(0)
-                            todo.append((b, s))
+                            if key is None:
+                                todo.append((b, s))
                         elif type(b) is _Empty:
                             continue
                         else:
@@ -412,7 +409,7 @@ def _planned(t: Term) -> tuple:
         if own is None:
             plan = layers, sources
         else:
-            sources[own] = (layers, _chain_key(node))
+            sources[own] = layers
     _set_plan(t, plan)
     return plan
 
@@ -424,10 +421,12 @@ def _packed(numbers: list, bound: int):
 
 def _chain_key(t: Seq) -> tuple | None:
     """The :func:`_preorder` list of the nested chain ``t`` as a tuple, which
-    is the chain itself, if it has at most ``CHAIN_KEY_NODES`` nodes and its
-    layers hold no nested chain; else None, found at the first node that
-    breaks either.  The walk never enters a nested chain, so deep terms
-    stay linear."""
+    is the chain itself, if it has at most ``CHAIN_KEY_NODES`` nodes, its
+    layers hold no nested chain and no leaf has an inexact label; else
+    None, found at the first node that breaks one of these.  Two equal
+    complex labels may differ in the sign of a zero part, so a key never
+    holds one.  A block that is not a term raises ArityError.  The walk
+    never enters a nested chain, so deep terms stay linear."""
     out, stack = [Seq], [t.then, t.first]
     while stack:
         if len(out) == CHAIN_KEY_NODES:
@@ -442,42 +441,15 @@ def _chain_key(t: Seq) -> tuple | None:
         elif kind is Seq:
             out.append(Seq)
             stack += (u.then, u.first)
+        elif kind is Gen:
+            if u.gen.label is not None and not u.gen.label.ring.exact:
+                return None
+            out.append(u.gen)
+        elif kind is _Empty:
+            out.append(None)
         else:
-            out.append(u.gen if kind is Gen else None)
+            raise ArityError(f"not a term: {u!r}")
     return tuple(out)
-
-
-class ChainTable(dict):
-    """Values of small nested chains that outlive :func:`fold` calls, by
-    ``(tag, chain key)`` with ``tag`` the caller's ring: ``at(tag)``, kept
-    per tag, is the mapping one call reads and fills, and it stores
-    ``prepare(value)``.  It holds at most ``size`` values, as the generator
-    tables' caches are bounded; a new value drops the oldest."""
-
-    def __init__(self, size: int, prepare):
-        super().__init__()
-        self.size, self.prepare, self.views = size, prepare, {}
-
-    def at(self, tag) -> "_TaggedChains":
-        return self.views.get(tag) or self.views.setdefault(tag, _TaggedChains(self, tag))
-
-
-class _TaggedChains:
-    """One tag's part of a :class:`ChainTable`, as :func:`fold` reads it."""
-
-    __slots__ = ("table", "tag")
-
-    def __init__(self, table: ChainTable, tag):
-        self.table, self.tag = table, tag
-
-    def get(self, key):
-        return self.table.get((self.tag, key))
-
-    def __setitem__(self, key, value):
-        table = self.table
-        if len(table) >= table.size:
-            del table[next(iter(table))]
-        table[self.tag, key] = table.prepare(value)
 
 
 def _run(acc, pending: list, vals: list, run, layer):

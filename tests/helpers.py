@@ -29,18 +29,17 @@ from zwcalc import term as zterm
 from zwcalc.term import Gen, Par, Seq, Term, _Empty
 
 
-# the pillars' generator tables, taken before a test can patch a name
-_GENERATOR_TABLES = zsemantics._generator_map, znormalform.generator_nf
+# the pillars' generator tables and small-chain caches, taken before a test can patch a name
+_TABLES = (zsemantics._generator_map, znormalform.generator_nf,
+           zsemantics._chain_map, znormalform._chain_nf)
 
 
 def clear_tables() -> None:
-    """Empty both pillars' generator tables and chain tables, so that a
-    table a test plants or swaps meets no value stored before it, and no
+    """Empty both pillars' generator tables and small-chain caches, so that
+    a table a test plants or swaps meets no value stored before it, and no
     value built from it outlives the test."""
-    for cache in _GENERATOR_TABLES:
+    for cache in _TABLES:
         cache.cache_clear()
-    zsemantics.chain_maps.clear()
-    znormalform.chain_nfs.clear()
 
 
 def ref_gaussian_str(g) -> str:

@@ -1,6 +1,9 @@
-"""The pillars' chain tables: values of small nested chains kept from one
-call to the next (see ``zwcalc.term.fold``)."""
+"""The pillars' small-chain caches: a small nested chain is a leaf of the
+fold, known by its key, and each pillar keeps its value beside its
+generator tables (``semantics._chain_map``, ``normalform._chain_nf``;
+see ``zwcalc.term.fold``)."""
 
+import copy
 import functools
 import math
 import random
@@ -14,9 +17,15 @@ from zwcalc.term import ArityError, ID
 
 import helpers
 
-Z, QI, ZN6 = ring.Z(), ring.Qi(), ring.Zn(6)
-PILLARS = {"interpret": (semantics.interpret, semantics.chain_maps),
-           "normalize": (normalform.normalize, normalform.chain_nfs)}
+Z, QI, ZN6, C = ring.Z(), ring.Qi(), ring.Zn(6), ring.C()
+PILLARS = {"interpret": (semantics.interpret, semantics._chain_map),
+           "normalize": (normalform.normalize, normalform._chain_nf)}
+# the generators that take no label: every chain of them is cached over C too
+LABEL_FREE_POOL = helpers.PURE_POOL + ("ket0", "ket1")
+
+
+def _entries(cache) -> int:
+    return cache.cache_info().currsize
 
 
 def test_gadget_builders_return_shared_terms():
@@ -28,21 +37,26 @@ def test_gadget_builders_return_shared_terms():
     assert term.w_monoid(2) == term.seq(term.wspider(2, 1), term.wspider(1, 1))
 
 
-def test_a_full_table_drops_its_oldest_value():
-    table = term.ChainTable(2, lambda value: 10 * value)  # stores each value prepared
-    z, qi = table.at(Z), table.at(QI)
-    assert table.at(Z) is z
-    z["a"], qi["a"], z["b"] = 1, 2, 3
-    assert (z.get("a"), qi.get("a"), z.get("b")) == (None, 20, 30)
-    assert list(table) == [(QI, "a"), (Z, "b")]
+def test_a_full_table_drops_its_oldest_value(fresh_tables):
+    # 1025 distinct small chains: z(1,1)[k] ; id for k = 1..1025
+    chains = [(term.zspider(1, 1, ring.from_int(Z, k)) >> ID) @ ID for k in range(1, 1026)]
+    for run, cache in PILLARS.values():
+        for t in chains:
+            run(t, Z)
+        assert _entries(cache) == cache.cache_info().maxsize == 1024
+        misses = cache.cache_info().misses
+        run(chains[-1], Z)  # the newest is kept
+        assert cache.cache_info().misses == misses
+        run(chains[0], Z)  # the oldest was dropped
+        assert cache.cache_info().misses == misses + 1
 
 
-def _nested_term(seed: int, r) -> term.Term:
+def _nested_term(seed: int, r, pool=helpers.FULL_POOL) -> term.Term:
     """A seeded term whose first layer holds small random chains, some of
     them gadgets, side by side, and whose second layer may merge two
     wires with ``w_monoid(2)`` as a nested chain."""
     rng = random.Random(seed)
-    labels = [ring.from_int(r, v) for v in (-2, -1, 2, 3)]
+    labels = [ring.from_int(r, v) for v in (-2, -1, 2, 3)] if r.exact else []
     blocks = []
     for _ in range(rng.randint(2, 3)):
         pick = rng.random()
@@ -50,20 +64,28 @@ def _nested_term(seed: int, r) -> term.Term:
             blocks.append(rng.choice([term.w_comonoid(2), term.w_monoid(2), term.twist()]))
         else:
             sub = rng.randrange(10 ** 6)  # an equal chain may come back as another object
-            blocks.append(helpers.random_term(random.Random(sub), labels, max_generators=4,
-                                              max_wires=2))
+            blocks.append(helpers.random_term(random.Random(sub), labels, pool=pool,
+                                              max_generators=4, max_wires=2))
     t = term.par_all(blocks)
     if t.n_out >= 2 and rng.random() < 0.7:
         t = t >> (term.w_monoid(2) @ term.identity(t.n_out - 2))
     return t
 
 
-def _read(pillar: str, t, r):
+def _read(pillar: str, t, r, d: int = 2):
     """The pillar's result as exact, ordered text: entries or rows."""
     if pillar == "interpret":
-        return [(k, repr(v.value)) for k, v in semantics.interpret(t, r).entries.items()]
+        return [(k, repr(v.value)) for k, v in semantics.interpret(t, r, d).entries.items()]
     m = normalform.normalize(t, r)
     return (m.n_in, m.n_out, [(repr(c.value), w) for c, w in m.nf.rows])
+
+
+def _laid_out(pillar: str, t, r, d: int = 2):
+    """:func:`_read` of a plan-less copy of ``t`` in which no chain is a
+    leaf, so the fold joins every nested chain itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(term, "CHAIN_KEY_NODES", 1)  # every key walk stops at once
+        return _read(pillar, copy.copy(t), r, d)
 
 
 RINGS = (Z, QI, ZN6)
@@ -80,12 +102,28 @@ def test_a_full_table_gives_what_a_cleared_one_does(pillar, seed, r):
         for u in (t, *others):
             helpers.clear_tables()
             cleared.append(_read(pillar, u, r))
+        assert cleared[0] == _laid_out(pillar, t, r)
         for other in RINGS:  # the same chains over every ring, labels read in each
             if other is not r:
                 _read(pillar, _nested_term(seed, other), other)
-        # the table now holds the chains of every term, over each ring
+        # the caches now hold the chains of every term, over each ring
         for u, want in zip((t, *others, twin, t), (*cleared, cleared[0], cleared[0])):
             assert _read(pillar, u, r) == want
+    finally:
+        helpers.clear_tables()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 9))
+def test_label_free_chains_over_c_are_cached_bit_for_bit(seed):
+    t = _nested_term(seed, C, LABEL_FREE_POOL)
+    try:
+        missed = {}
+        for d in (2, 3, 4):
+            helpers.clear_tables()
+            missed[d] = _read("interpret", t, C, d)
+        for d in (2, 3, 4):  # the cache now holds the chains at every d
+            assert _read("interpret", t, C, d) == missed[d] == _laid_out("interpret", t, C, d)
     finally:
         helpers.clear_tables()
 
@@ -96,20 +134,19 @@ def test_a_full_table_gives_what_a_cleared_one_does(pillar, seed, r):
     (lambda: term.zspider(1, 1, ring.from_int(QI, 2)) >> ID, RingMismatchError),
 ], ids=["ket(2)", "a Qi label"])
 def test_a_chain_that_raises_is_never_stored(fresh_tables, pillar, chain, error):
-    run, table = PILLARS[pillar]
+    run, cache = PILLARS[pillar]
     t = chain() @ ID
     for _ in range(2):
         with pytest.raises(error):
             run(t, Z)
-        assert len(table) == 0
+        assert _entries(cache) == 0
     run((term.wspider(0, 1) >> term.wspider(1, 1)) @ ID, Z)  # a chain that closes
-    assert len(table) == 1
+    assert _entries(cache) == 1
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_c_keeps_each_zero_sign(fresh_tables, d):
-    # equal labels whose real parts are 0.0 and -0.0: over C no value is shared
-    C = ring.C()
+    # equal labels whose real parts are 0.0 and -0.0: a chain with either is never keyed
     for _ in range(2):
         for zero in (0.0, -0.0):
             label = ring.complex_value(C, complex(zero, 1))
@@ -117,45 +154,51 @@ def test_c_keeps_each_zero_sign(fresh_tables, d):
             m = semantics.interpret(t, C, d)
             value = m.entries[("10", "10")].value
             assert math.copysign(1, value.real) == math.copysign(1, zero) and value.imag == 1
-    assert len(semantics.chain_maps) == 0
+            assert type(t._plan[1][0]) is list  # laid out in the plan
+    assert _entries(semantics._chain_map) == 0
 
 
 def test_a_deep_term_stores_no_long_key(fresh_tables):
     # the CI's chain_in_row: 3000 levels of (w(0,1) * (...)) ; w(2,1)
     t = functools.reduce(lambda u, _: (term.wspider(0, 1) @ u) >> term.wspider(2, 1),
                          range(3000), term.ket(0))
-    for run, table in PILLARS.values():
+    for run, cache in PILLARS.values():
         run(t, QI)
-        assert 0 < len(table) and max(len(key) for _, key in table) <= term.CHAIN_KEY_NODES
+        assert _entries(cache) == 1  # the innermost level
+    keys = [s for s in t._plan[1] if type(s) is tuple]
+    assert len(keys) == 1 and len(keys[0]) <= term.CHAIN_KEY_NODES
 
 
 @pytest.mark.parametrize("pillar", PILLARS)
-def test_only_small_chains_of_leaf_layers_are_keyed(fresh_tables, pillar):
-    run, table = PILLARS[pillar]
+def test_only_small_chains_of_leaf_layers_are_keyed(fresh_tables, monkeypatch, pillar):
+    run, cache = PILLARS[pillar]
     # n id layers make a chain of 2n - 1 nodes
     for n, keyed in ((16, 1), (17, 0)):
-        table.clear()
+        cache.cache_clear()
         run(term.seq_all([ID] * n) @ ID, Z)
-        assert len(table) == keyed
+        assert _entries(cache) == keyed
     # a chain whose layer holds a nested chain: only the inner one is keyed
-    table.clear()
+    cache.cache_clear()
     inner = term.wspider(0, 1) >> term.wspider(1, 1)
+    calls, real = [], term._assembled
+    monkeypatch.setattr(term, "_assembled", lambda key: calls.append(key) or real(key))
     run(((inner @ ID) >> term.X) @ ID, Z)
-    assert [key for _, key in table] == [term._chain_key(inner)]
+    assert calls == [term._chain_key(inner)] and _entries(cache) == 1
 
 
 @pytest.mark.parametrize("pillar, module", [("interpret", semantics), ("normalize", normalform)])
 def test_a_stored_chain_is_indexed_once(fresh_tables, monkeypatch, pillar, module):
-    run, table = PILLARS[pillar]
+    _, cache = PILLARS[pillar]
     calls = []
     by_input = module._by_input
     monkeypatch.setattr(module, "_by_input", lambda *args: calls.append(args) or by_input(*args))
     # the merge gadget as a nested chain, joined onto one of three wires
     t = term.wspider(0, 3) >> (term.w_monoid(2) @ ID)
     first = _read(pillar, t, QI)
-    assert calls and len(table) == 1
+    assert calls and _entries(cache) == 1
     calls.clear()
     assert _read(pillar, t, QI) == first
     assert calls == []
-    (value,) = table.values()
-    assert value.by_input is not None
+    key = term._chain_key(term.w_monoid(2))
+    value = cache(key, QI, 2) if pillar == "interpret" else cache(key, QI)
+    assert value.by_input is not None and _entries(cache) == 1

@@ -70,15 +70,15 @@ def _planned(t) -> bool:
 def test_a_reused_plan_gives_what_a_plan_less_copy_gives(pillar, r, d, seed):
     t = _term(seed, r)
     try:
-        helpers.clear_tables()  # every chain table missed
+        helpers.clear_tables()  # every small-chain cache missed
         want = _read(pillar, copy.copy(t), r, d)
         helpers.clear_tables()
         first = _read(pillar, t, r, d)  # builds the plan, unless a shared gadget has one
         assert _planned(t) or isinstance(t, term.Gen)  # a bare leaf is not folded
         plan = getattr(t, "_plan", None)
-        second = _read(pillar, t, r, d)  # from the plan, with the chain tables filled
+        second = _read(pillar, t, r, d)  # from the plan, with the caches filled
         helpers.clear_tables()
-        third = _read(pillar, t, r, d)  # from the plan, every chain table missed again
+        third = _read(pillar, t, r, d)  # from the plan, every cache missed again
         assert first == second == third == want
         assert getattr(t, "_plan", None) is plan
     finally:
@@ -127,39 +127,41 @@ def test_a_planned_run_that_declines_is_joined_layer_by_layer(monkeypatch, fresh
 
 
 def test_one_plan_serves_every_set_of_callbacks():
-    inner = term.wspider(0, 1) >> term.wspider(1, 2)
-    t = term.seq_all([inner @ inner @ term.ket(0), ID @ term.X @ ID @ ID,
+    small = term.wspider(0, 1) >> term.wspider(1, 2)  # a leaf, by its key
+    big = term.seq_all([small, *[ID @ ID] * 8])  # 35 nodes: laid out
+    t = term.seq_all([small @ big @ term.ket(0), ID @ term.X @ ID @ ID,
                       term.X @ term.SWAP @ ID, term.wspider(4, 1) @ ID])
-    by_kind = (lambda g: g.kind, lambda acc, values: (acc, values),
+
+    def kind(source):  # a small chain's key as the kinds of the chain it is
+        if isinstance(source, term.Generator):
+            return source.kind
+        return tuple(u.kind for u in source if isinstance(u, term.Generator))
+
+    by_kind = (kind, lambda acc, values: (acc, values),
                lambda acc, layers: ("run", acc, [list(x) for x in layers]))
-    by_arity = (lambda g: (g.n_in, g.n_out), lambda acc, values: [acc, len(values), values])
+    by_arity = (lambda s: len(s) if type(s) is tuple else (s.n_in, s.n_out),
+                lambda acc, values: [acc, len(values), values], lambda acc, layers: None)
     kinds = term.fold(t, *by_kind)
     arities = term.fold(t, *by_arity)  # from the plan the first call built
     assert kinds == term.fold(copy.copy(t), *by_kind) == term.fold(t, *by_kind)
     assert arities == term.fold(copy.copy(t), *by_arity) == term.fold(t, *by_arity)
-    nested = ((None, ["w"]), ["w"])
-    assert kinds == (("run", (None, [nested, nested, "ket"]), [[(1, "x")], [(0, "x"), (2, "swap")]]),
-                     ["w", "id"])
+    # big's spine starts with small's two layers; its id layers cross nothing
+    laid_out = ("run", ((None, ["w"]), ["w"]), [[]] * 8)
+    assert kinds == (("run", (None, [("w", "w"), laid_out, "ket"]),
+                      [[(1, "x")], [(0, "x"), (2, "swap")]]), ["w", "id"])
     assert arities[1:] == [2, [(4, 1), (1, 1)]]
-    # a chain table given to one call is read and filled by that call alone
-    table = {}
-    assert term.fold(t, *by_kind, table) == kinds
-    assert table == {term._chain_key(inner): nested}
-    table[term._chain_key(inner)] = "stored"
-    assert term.fold(t, *by_kind, table)[0][1] == (None, ["stored", "stored", "ket"])
-    assert term.fold(t, *by_kind) == kinds
 
 
 def test_a_leaf_that_raises_keeps_raising_and_the_plan_serves_on(monkeypatch, fresh_tables):
-    t = (term.wspider(0, 2) >> term.X) @ term.identity(3) @ term.ket(2)
+    chain = term.wspider(0, 2) >> term.X
+    t = chain @ term.identity(3) @ term.ket(2)
     twin = (term.wspider(0, 2) >> term.X) @ term.identity(3) @ term.ket(2)
-    built = []
-    real = term._planned
-    monkeypatch.setattr(term, "_planned", lambda u: built.append(u) or real(u))
+    built = _count_plans(monkeypatch)
     for _ in range(3):
         with pytest.raises(ArityError, match=r"ket\(2\)"):
             normalform.normalize(t, QI)
-    assert built == [t] and _planned(t)
+    # t's plan, and that of the copy of its small chain, joined once on the cache's miss
+    assert built == [t, chain] and built[1] is not chain and _planned(t)
     # over C at d = 3 the same term object folds from its plan
     assert _read("interpret", t, C, 3) == _read("interpret", copy.copy(t), C, 3)
     assert sum(u is t for u in built) == 1
@@ -172,11 +174,14 @@ def test_a_leaf_that_raises_keeps_raising_and_the_plan_serves_on(monkeypatch, fr
 
 def test_a_block_that_is_not_a_term_leaves_no_plan():
     stray = types.SimpleNamespace(n_in=1, n_out=1)
-    t = term.Par(ID, stray)
-    for _ in range(2):
-        with pytest.raises(ArityError, match="not a term"):
-            term.fold(t, lambda g: g.kind, lambda acc, values: values)
-        assert not _planned(t)
+    # in a layer, in a small nested chain (its key walk finds it) and in a large one
+    for t in (term.Par(ID, stray), term.Par(term.Seq(ID, stray), ID),
+              term.Par(term.seq_all([ID] * 20 + [stray]), ID)):
+        for _ in range(2):
+            with pytest.raises(ArityError, match="not a term"):
+                term.fold(t, lambda g: g.kind, lambda acc, values: values,
+                          lambda acc, layers: None)
+            assert not _planned(t)
 
 
 def _count_plans(monkeypatch) -> list:
@@ -192,7 +197,9 @@ def test_a_deep_chain_folds_from_its_plan(monkeypatch, fresh_tables):
     built = _count_plans(monkeypatch)
     rows = [normalform.normalize(t, QI) for _ in range(2)]
     maps = [semantics.interpret(t, QI) for _ in range(2)]
-    assert built == [t]
+    # the innermost level is a small chain: each pillar's cache joins a copy of it once
+    inner = (term.wspider(0, 1) @ term.ket(0)) >> term.wspider(2, 1)
+    assert built[0] is t and built[1:] == [inner, inner]
     assert rows[0] == rows[1] and semantics.map_equal(maps[0], maps[1])
     assert semantics.map_equal(rows[0].to_sparse(QI), maps[0]) and not maps[0].is_zero()
 
@@ -214,7 +221,9 @@ def test_law_terms_are_shared_so_every_check_folds_from_their_plans(monkeypatch)
     with pytest.raises(TypeError):
         qudit.law_terms(3)["bialgebra"] = None  # shared, so read-only
     p = qudit.QParams(3, 1e-9)
-    qudit.check_bialgebra(p), qudit.check_antipode(p)
+    checks = (qudit.check_bialgebra, qudit.check_antipode, qudit.check_commutation)
+    for check in checks:
+        check(p)
     built = _count_plans(monkeypatch)
-    assert qudit.check_bialgebra(p).passed and qudit.check_antipode(p).passed
+    assert all(check(p).passed for check in checks)
     assert built == []

@@ -413,7 +413,8 @@ def test_runs_read_each_table_the_way_round_it_is(plant_x, plant):
         t = term.seq_all([_spider_layer(rng, 0, n, labels), *helpers.wiring_run(rng, n)])
         m = interpret(t, Z)
         by_layer = term.fold(t, lambda g: semantics.generator_map(g, Z, 2)._raw,
-                             lambda acc, blocks: semantics._apply_blocks(acc, blocks, Z))
+                             lambda acc, blocks: semantics._apply_blocks(acc, blocks, Z),
+                             lambda acc, layers: None)  # every layer joined alone
         assert {k: v.value for k, v in m.entries.items()} == by_layer.entries
         rows = {w: c for c, w in normalize(t, Z).nf.rows}
         assert rows == {w: v for (w, _), v in m.entries.items()}

@@ -293,7 +293,8 @@ def test_c_runs_give_the_layer_joins_values_bit_for_bit(seed):
     state = _c_state(rng, d)
     t = term.seq_all([state, *helpers.wiring_run(rng, state.n_out)])
     by_layer = term.fold(t, lambda g: semantics.generator_map(g, C, d)._raw,
-                         lambda acc, blocks: semantics._apply_blocks(acc, blocks, C))
+                         lambda acc, blocks: semantics._apply_blocks(acc, blocks, C),
+                         lambda acc, layers: None)  # every layer joined alone
     got = interpret(t, C, d)
     assert [(k, repr(v.value)) for k, v in got.entries.items()] == [
         (k, repr(v)) for k, v in by_layer.entries.items()]

@@ -303,15 +303,36 @@ def test_random_bracketings(seed):
         assert term.adjoint(adj) == u
 
 
+def _kind(source):
+    """A leaf source as text: a generator's kind, a small chain's key as
+    the chain that ``term._assembled`` builds back from it."""
+    return source.kind if isinstance(source, term.Generator) else render(term._assembled(source))
+
+
+def _layers(acc, values):
+    return acc, values
+
+
+def _no_run(acc, layers):  # declines every run, so each layer is joined alone
+    return None
+
+
 def test_fold_joins_each_chain_layer_by_layer():
     t = parse("(cup ; (id * w(1,2))) * ket(0) ; id * x * id", Z)
-    # the leaves' values, and each layer's values on top of its chain's acc
-    got = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
-    assert got == ((None, [((None, ["cup"]), ["id", "w"]), "ket"]), ["id", "x", "id"])
-    assert term.fold(ID, lambda g: g.kind, lambda acc, values: (acc, values)) == (None, ["id"])
-    assert term.fold(term.EMPTY, None, lambda acc, values: (acc, values)) == (None, [])
+    # the leaves' values, and each layer's values on top of its chain's acc;
+    # the small nested chain is a leaf, handed over by its key
+    got = term.fold(t, _kind, _layers, _no_run)
+    assert got == ((None, ["cup ; id * w(1,2)", "ket"]), ["id", "x", "id"])
+    keys = []
+    term.fold(t, lambda s: keys.append(s) or s, _layers, _no_run)
+    assert term._assembled(keys[0]) == t.first.left and keys[0] == term._chain_key(t.first.left)
+    # a nested chain whose layer holds a nested chain is laid out and joined here
+    big = parse("((cup ; (id * w(1,2))) * ket(0) ; id * x * id) * ket(1) ; w(5,0)", Z)
+    assert term.fold(big, _kind, _layers, _no_run) == ((None, [got, "ket"]), ["w"])
+    assert term.fold(ID, _kind, _layers, _no_run) == (None, ["id"])
+    assert term.fold(term.EMPTY, None, _layers, _no_run) == (None, [])
     with pytest.raises(ArityError, match="not a term"):
-        term.fold("id", None, None)
+        term.fold("id", None, None, None)
 
 
 def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
@@ -322,22 +343,22 @@ def test_fold_hands_a_run_of_wiring_layers_over_as_one_call():
         calls.append((acc, list(layers)))
         return "run"
 
-    got = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values), run)
+    got = term.fold(t, _kind, _layers, run)
     assert got == ("run", ["w"])
     # each layer as its crossings, by the position of their left wire
     assert calls == [((None, ["w"]), [[(0, "x")], [(1, "swap")], [(0, "xinv")], [(0, "x")]])]
-    # a run that declines is joined layer by layer, as without a run
-    by_layer = term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values))
-    assert term.fold(t, lambda g: g.kind, lambda acc, values: (acc, values),
-                     lambda *_: None) == by_layer
+    # a run that declines is joined layer by layer
+    assert term.fold(t, _kind, _layers, _no_run) == (
+        (((((None, ["w"]), ["x", "id"]), ["id", "swap"]), ["xinv", "id"]), ["x", "id"]), ["w"])
     # one wiring layer, and wiring that opens a chain, go to the layer join
     calls.clear()
-    for text in ("w(0,2) ; x ; w(2,0)", "x ; w(2,0)", "(w(0,2) ; swap) * ket(0) ; w(3,0)"):
-        term.fold(parse(text, Z), lambda g: g.kind, lambda acc, values: (acc, values), run)
+    for text in ("w(0,2) ; x ; w(2,0)", "x ; w(2,0)",
+                 "((w(0,1) ; w(1,1)) * ket(0) ; swap) * ket(0) ; w(3,0)"):
+        term.fold(parse(text, Z), _kind, _layers, run)
     assert calls == []
-    # a run inside a nested chain is found there, and its opening layer is not in it
-    got = term.fold(parse("(w(0,2) ; x ; x) * ket(0) ; id * swap ; swap * id", Z),
-                    lambda g: g.kind, lambda acc, values: (acc, values), run)
+    # a run inside a laid-out nested chain is found there, and its opening layer is not in it
+    got = term.fold(parse("((w(0,1) ; w(1,1)) * ket(0) ; x ; x) * ket(0) ; id * swap ; swap * id",
+                          Z), _kind, _layers, run)
     assert got == "run"
     assert [layers for _, layers in calls] == [[[(0, "x")], [(0, "x")]],
                                                [[(1, "swap")], [(0, "swap")]]]
@@ -393,16 +414,21 @@ def test_fold_joins_each_distinct_nested_chain_once_per_call(monkeypatch, fresh_
         assert len(calls) == 2 + 2
         calls.clear()
         pillar(t, QI)
-        assert len(calls) == 2  # the next call finds the bundle in the pillar's table
-    # and through the fold itself, with no table and values that show each
-    # chain's layers: each distinct chain object is joined once per call
+        assert len(calls) == 2  # the next call finds the bundle in the pillar's cache
+    # a nested chain too large to be a leaf is laid out: through the fold
+    # itself, with values that show each chain's layers, each distinct
+    # chain object is joined once per call, and again on the next call
+    big = term.seq_all([term.wspider(1, 1)] * 16 + [term.wspider(1, 3)])  # 33 nodes
+    twin = term.seq_all([term.wspider(1, 1)] * 16 + [term.wspider(1, 3)])
     joined = []
-    for t, joins in ((shared, 2 + 2), (mixed, 2 + 2 + 2)):
-        joined.clear()
-        got = term.fold(t, lambda g: g.kind,
-                        lambda acc, values: joined.append(values) or (acc, values))
-        assert len(joined) == joins
-    inner = ((None, ["w"]), ["w"])
+    for row, joins in (([big] * 3, 17 + 2), ([big, twin, big], 17 + 17 + 2)):
+        t = top >> term.par_all(row)
+        for _ in range(2):
+            joined.clear()
+            got = term.fold(t, _kind, lambda acc, values: joined.append(values) or (acc, values),
+                            _no_run)
+            assert len(joined) == joins
+    inner = term.fold(big, _kind, _layers, _no_run)
     assert got == ((None, ["w"]), [inner, inner, inner])
 
 

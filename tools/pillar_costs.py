@@ -50,9 +50,9 @@ With ``reconstruct`` it takes the benchmark's d = 2 states
 seed 1), builds each one's canonical diagram and parses its render, as a
 round-trip verdict does, and prints the CPU seconds (best of 5, after a
 warm-up pass) of one pass of each pillar over the parsed terms: first
-with both pillars' chain tables (``semantics.chain_maps``,
-``normalform.chain_nfs``) emptied before every call, so each call joins
-every nested chain itself, then with the tables left full.
+with both pillars' small-chain caches (``semantics._chain_map``,
+``normalform._chain_nf``) emptied before every call, so each call joins
+every small nested chain once, then with the caches left full.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def qudit_costs() -> None:
 
 def reconstruct_costs() -> None:
     """One pass's least CPU time of each pillar over the reconstruct terms,
-    with the chain tables emptied before every call, then full."""
-    z, tables = ring.Z(), (semantics.chain_maps, normalform.chain_nfs)
+    with the small-chain caches emptied before every call, then full."""
+    z, caches = ring.Z(), (semantics._chain_map, normalform._chain_nf)
     terms = [term.parse(term.render(normalform.nf_to_term(normalform.from_json_dict(data, z))), z)
              for data in workloads.build("reconstruct", 1).inputs]
 
@@ -193,15 +193,15 @@ def reconstruct_costs() -> None:
         def work():
             for t in terms:
                 if clear:
-                    for table in tables:
-                        table.clear()
+                    for cache in caches:
+                        cache.cache_clear()
                 pillar(t, z)
         return work
 
     for clear in (True, False):
         read, rows = (best_of(one_pass(pillar, clear))
                       for pillar in (semantics.interpret, normalform.normalize))
-        print(f"{len(terms)} reconstruct terms, chain tables {'cleared' if clear else 'full'}: "
+        print(f"{len(terms)} reconstruct terms, chain caches {'cleared' if clear else 'full'}: "
               f"interpret {read:.4f} s  normalize {rows:.4f} s")
 
 
