@@ -25,7 +25,9 @@ its first fold keeps a plan in a slot of the term's root node while the
 term lives, and later folds run from it.  A plan holds structure only
 (which leaf or nested chain each block is, where wiring layers cross),
 never a value; a small nested chain is a leaf there, known by its key,
-so each pillar keeps its value beside its generator tables.  ``==``,
+so each pillar keeps its value beside its generator tables.  A fold
+builds values bottom-up: every leaf first, then each larger nested chain
+after the chains it reads, and the term's own chain last.  ``==``,
 ``hash``, ``repr``, copies and pickles ignore the plan, and two threads
 that plan one term at once build equal plans.
 
@@ -42,10 +44,10 @@ the coefficient ring, and ``ket(l)`` the level-``l`` basis state.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain as chain_of
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement
@@ -93,6 +95,8 @@ class Generator:
         if self.kind in ("w", "z"):
             if self.n_in < 0 or self.n_out < 0 or self.n_in + self.n_out < 1:
                 raise ArityError(f"{self.kind} spider needs n_in + n_out >= 1")
+            if self.n_in + self.n_out >= sys.maxsize:  # no table or word could index its wires
+                raise ArityError(f"{self.kind} spider needs n_in + n_out < {sys.maxsize}")
         if self.kind == "z" and self.label is None:
             raise ArityError("z spider needs a label")
         if self.kind == "ket":
@@ -260,11 +264,10 @@ def seq_all(terms) -> Term:
 
 # the most nodes of a nested chain that fold hands to its leaf function by its key
 CHAIN_KEY_NODES = 32
-_UNSET = object()  # a slot whose value a fold has not found yet in its call
 
 
 def fold(t: Term, leaf, layer, run):
-    """Fold ``t`` bottom-up along its chains, on an explicit stack:
+    """Fold ``t`` bottom-up along its chains, in two flat passes:
     ``leaf(source)`` is the value of a leaf, ``layer(acc, values)`` joins
     the values of a layer's blocks onto the value ``acc`` of the chain
     below it (None at the first layer), and a chain's value is its last
@@ -290,10 +293,11 @@ def fold(t: Term, leaf, layer, run):
     ``layer`` joins a run of one layer, which has nothing to collapse,
     and a chain's opening layer, which has no value below it.
 
-    ``leaf`` runs once per distinct leaf object in ``t``, small nested
-    chains included, and each distinct nested chain object that is laid
-    out is joined once: blocks that share one reuse its value.  These
-    values belong to the call.
+    The first pass looks every leaf up, in slot order: ``leaf`` runs once
+    per distinct leaf object in ``t``, small nested chains included.  The
+    second joins each distinct laid-out nested chain object once, after
+    the chains it reads, and ``t``'s own chain last: blocks that share a
+    chain reuse its value.  These values belong to the call.
 
     The first fold of ``t`` walks it into a plan (:func:`_planned`) kept on
     ``t``'s root node while ``t`` lives; every fold of ``t`` runs from it,
@@ -302,67 +306,55 @@ def fold(t: Term, leaf, layer, run):
     no plan is kept.  Two threads may both plan one new term; they build
     equal plans, so either may stay."""
     try:
-        layers, sources = t._plan
+        layers, sources, order = t._plan
     except AttributeError:  # the first fold of t, or not a term
-        layers, sources = _planned(t)
-    vals = [_UNSET] * len(sources)  # by slot: the values found so far in this call
-    frames = []  # the chains below, each waiting at a nested chain of its layer
-    todo, slot, acc, pending = iter(layers), None, None, []  # the chain being folded
-    while True:
-        for step in todo:
-            slots, need, crossings = step
-            for s in need:  # the slots the chain reads first here
-                if vals[s] is _UNSET:
-                    source = sources[s]
-                    if type(source) is not list:  # a generator or a small chain's key
-                        vals[s] = leaf(source)
-                        continue
-                    # a laid-out nested chain opens: this layer waits for its value
-                    frames.append((chain_of((step,), todo), slot, acc, pending))
-                    todo, slot, acc, pending = iter(source), s, None, []
-                    break
-            else:  # every slot of the layer has its value
-                if crossings is not None:
-                    pending.append(step)
-                else:
-                    if pending:
-                        acc, pending = _run(acc, pending, vals, run, layer), []
-                    acc = layer(acc, [vals[slots]] if type(slots) is int else
-                                [vals[s] for s in slots])
-                continue
-            break  # a nested chain opened
-        else:  # the chain is joined
-            if pending:
-                acc = _run(acc, pending, vals, run, layer)
-            if not frames:
-                return acc
-            vals[slot] = acc
-            todo, slot, acc, pending = frames.pop()  # its waiting layer first
+        layers, sources, order = _planned(t)
+    # by slot: each leaf's value, then each laid-out chain's, once joined
+    vals = [None if type(source) is list else leaf(source) for source in sources]
+    for s in order:
+        vals[s] = _joined(sources[s], vals, layer, run)
+    return _joined(layers, vals, layer, run)
+
+
+def _joined(layers: list, vals: list, layer, run):
+    """The value of the chain of ``layers`` for :func:`fold`, whose blocks'
+    values are all in ``vals``: its layers in order, each wiring run as one."""
+    acc, pending = None, []
+    for step in layers:
+        slots, crossings = step
+        if crossings is not None:
+            pending.append(step)
+            continue
+        if pending:
+            acc, pending = _run(acc, pending, vals, run, layer), []
+        acc = layer(acc, [vals[slots]] if type(slots) is int else [vals[s] for s in slots])
+    return _run(acc, pending, vals, run, layer) if pending else acc
 
 
 def _planned(t: Term) -> tuple:
     """The plan :func:`fold` runs for ``t``, built on explicit stacks and
-    kept on ``t``: ``(layers, sources)``, the layers of ``t``'s chain in
-    fold order and, by slot, the generator of each distinct leaf object,
-    the :func:`_chain_key` of each distinct small nested chain, or the
-    list of layers of each distinct larger one.  A layer is ``(slots,
-    need, crossings)``: its blocks' slots (an int for a lone block, packed
-    past 16); those no earlier layer of its chain reads, in order; and,
-    for a layer that can join a wiring run, its crossings as their left
-    wires' positions and their slots."""
+    kept on ``t``: ``(layers, sources, order)``.  ``layers`` are the
+    layers of ``t``'s chain in order; ``sources``, by slot, the generator
+    of each distinct leaf object, the :func:`_chain_key` of each distinct
+    small nested chain, or the list of layers of each distinct larger one;
+    and ``order`` the slots of the larger ones, each after the laid-out
+    chains it reads (a post-order).  A layer is ``(slots, crossings)``:
+    its blocks' slots (an int for a lone block, packed past 16) and, for a
+    layer that can join a wiring run, its crossings as their left wires'
+    positions and their slots."""
     # slot_of: id(block) -> its slot; width: by slot, the wires of a wiring leaf, else 0
     slot_of, sources, width, row = {}, [], [], []
+    reads = {}  # by the slot of each chain laid out (None for t's): the laid-out chains it reads
     todo = [(t, None)]  # the chains to lay out, each with its slot; it grows
     for node, own in todo:
-        # read: this chain's slot_of (t's own chain made every slot), reads its first reads
-        layers, spine, read, reads = [], [node], slot_of if own is None else {}, []
+        layers, spine, below = [], [node], []
         while spine:
             u = spine.pop()
             while type(u) is Seq:
                 spine.append(u.then)
                 u = u.first
             row.append(u)
-            slots, first = [], len(reads)
+            slots = []
             # an opening layer has no value for a run to move
             pos, wiring, positions, crossed = 0, bool(layers), [], []
             while row:  # the layer's blocks left to right
@@ -370,27 +362,25 @@ def _planned(t: Term) -> tuple:
                 while type(b) is Par:
                     row.append(b.right)
                     b = b.left
-                s = read.get(id(b))
+                s = slot_of.get(id(b))
                 if s is None:
-                    s = slot_of.get(id(b))
-                    if s is None:
-                        s = len(sources)
-                        if type(b) is Gen:
-                            sources.append(b.gen)
-                            width.append(b.n_in if b.gen.kind in _WIRING else 0)
-                        elif type(b) is Seq:  # a leaf by its key, or laid out once todo reaches it
-                            key = _chain_key(b)
-                            sources.append(key)
-                            width.append(0)
-                            if key is None:
-                                todo.append((b, s))
-                        elif type(b) is _Empty:
-                            continue
-                        else:
-                            raise ArityError(f"not a term: {b!r}")
-                        slot_of[id(b)] = s
-                    read[id(b)] = s
-                    reads.append(s)
+                    s = len(sources)
+                    if type(b) is Gen:
+                        sources.append(b.gen)
+                        width.append(b.n_in if b.gen.kind in _WIRING else 0)
+                    elif type(b) is Seq:  # a leaf by its key, or laid out once todo reaches it
+                        key = _chain_key(b)
+                        sources.append(key)
+                        width.append(0)
+                        if key is None:
+                            todo.append((b, s))
+                    elif type(b) is _Empty:
+                        continue
+                    else:
+                        raise ArityError(f"not a term: {b!r}")
+                    slot_of[id(b)] = s
+                if type(b) is Seq and type(sources[s]) is not tuple:  # a chain laid out
+                    below.append(s)
                 slots.append(s)
                 if wiring:
                     w = width[s]
@@ -398,18 +388,26 @@ def _planned(t: Term) -> tuple:
                         positions.append(pos)
                         crossed.append(s)
                     wiring, pos = w > 0, pos + w
-            new = len(reads) - first  # the layer's first reads, each block's when all are
             if len(slots) > 16:  # a wide layer, as in a crossing network
                 slots = _packed(slots, len(sources))
             if len(crossed) > 16:
                 positions, crossed = _packed(positions, pos), _packed(crossed, len(sources))
             layers.append((slots[0] if len(slots) == 1 else slots,
-                           slots if new == len(slots) else reads[first:] if new else (),
                            (positions, crossed) if wiring else None))
+        reads[own] = below
         if own is None:
-            plan = layers, sources
+            top = layers
         else:
             sources[own] = layers
+    order, seen, stack = [], set(), reads[None][::-1]
+    while stack:  # depth first from t's chain, left to right; at ~s, s's reads are out
+        s = stack.pop()
+        if s < 0:
+            order.append(~s)
+        elif s not in seen:
+            seen.add(s)
+            stack += (~s, *reads[s][::-1])
+    plan = top, sources, order
     _set_plan(t, plan)
     return plan
 
@@ -457,10 +455,10 @@ def _run(acc, pending: list, vals: list, run, layer):
     ``acc`` for :func:`fold`; a layer's crossings are built as ``run`` reads it."""
     if len(pending) > 1:
         joined = run(acc, ([(p, vals[s]) for p, s in zip(*crossings)]
-                           for _, _, crossings in pending))
+                           for _, crossings in pending))
         if joined is not None:
             return joined
-    for slots, _, _ in pending:
+    for slots, _ in pending:
         acc = layer(acc, [vals[slots]] if type(slots) is int else [vals[s] for s in slots])
     return acc
 

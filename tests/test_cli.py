@@ -278,7 +278,10 @@ def test_chains_nested_in_rows_are_evaluated(capsys, verb):
     ["eval", "--ring", "C", "--d", "3", "z(0,2)[1e155+1e155i]"],
     # an infinite entry has no literal to write
     ["eval", "--ring", "C", "z(0,1)[1e308] ; z(1,1)[1e308]"],
-], ids=["eval-z-table", "universal-z-table", "eval-z-table-nan", "eval-infinite-entry"])
+    # a spider arity no word of wires can index
+    ["eval", "w(999999999999999999999,1)"],
+], ids=["eval-z-table", "universal-z-table", "eval-z-table-nan", "eval-infinite-entry",
+        "eval-w-arity"])
 def test_overflowing_values_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")

@@ -152,6 +152,35 @@ def test_one_plan_serves_every_set_of_callbacks():
     assert arities[1:] == [2, [(4, 1), (1, 1)]]
 
 
+def _shared_chain_term(r) -> term.Term:
+    """``T = P * Q ; id⁵``: P reads a laid-out chain X, and Q reads a
+    laid-out chain Y that reads X too, so Y is laid out after X, which it
+    needs joined first.  Built through the API, as ``parse`` shares no chain."""
+    a, b = _labels(r)[:2]
+    z = term.zspider
+    # 2 x 17 layers, 37 nodes: too large to be a leaf
+    x = term.seq_all([term.wspider(0, 2), *[z(1, 1, a) @ ID, term.X, ID @ z(1, 1, b)] * 5,
+                      term.SWAP])
+    assert x.n_out == 2 and term._chain_key(x) is None
+    p = (x @ term.ket(1)) >> (z(1, 1, b) @ term.wspider(2, 1))
+    y = (term.ket(0) @ x) >> (term.wspider(1, 1) @ term.X)
+    q = (y @ term.ket(1)) >> (ID @ ID @ term.wspider(2, 1))
+    return (p @ q) >> term.identity(5)
+
+
+@pytest.mark.parametrize("pillar, r, d", [
+    ("interpret", Z, 2), ("interpret", QI, 2), ("interpret", C, 3),
+    ("normalize", Z, 2), ("normalize", QI, 2),
+])
+def test_a_chain_shared_by_two_laid_out_chains_is_joined_before_both(fresh_tables, pillar,
+                                                                      r, d):
+    t = _shared_chain_term(r)
+    want = _read(pillar, copy.copy(t), r, d)
+    assert want[2]  # not the zero map
+    for _ in range(2):  # the first call builds the plan, the second runs from it
+        assert _read(pillar, t, r, d) == want
+
+
 def test_a_leaf_that_raises_keeps_raising_and_the_plan_serves_on(monkeypatch, fresh_tables):
     chain = term.wspider(0, 2) >> term.X
     t = chain @ term.identity(3) @ term.ket(2)
