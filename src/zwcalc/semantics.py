@@ -146,6 +146,8 @@ def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
     ring.  Each table is built once per ``(generator, ring, d)`` and
     shared, so its entries are read-only; errors are not cached and are
     raised on every call."""
+    if ring.exact:  # a complex label raises a mismatch there, so only C needs the key
+        return _generator_map(g, ring, d, None)
     value = None if g.label is None else g.label.value
     # complex labels that compare equal may differ in the sign of a zero
     # part, which the table keeps, so they are told apart by their repr

@@ -5,7 +5,11 @@ A term is a tree whose leaves are generators and whose internal nodes are
 are checked at construction; ``Seq(f, g)`` requires ``f.n_out == g.n_in``.
 
 Terms are immutable, so leaves are shared: the wire generators, the kets,
-the W spiders and the Z spiders over exact rings are built once and reused.
+the W spiders and the Z spiders over exact rings are built once and reused,
+by the builders, ``parse``, copies and pickles alike.  So are the composite
+gadgets (``w_comonoid``, ``w_monoid``, ``twist``, ``bra``) and the crossing
+networks of :func:`crossing_perm` up to ``SHARED_NETWORK_WIRES`` wires:
+one term per argument.
 ``>>`` is sequential and ``@`` parallel composition, so snake-like
 composites read the way they are drawn:
 
@@ -264,6 +268,8 @@ def seq_all(terms) -> Term:
 
 # the most nodes of a nested chain that fold hands to its leaf function by its key
 CHAIN_KEY_NODES = 32
+# the most wires of a crossing network that crossing_perm shares between its callers
+SHARED_NETWORK_WIRES = 16
 
 
 def fold(t: Term, leaf, layer, run):
@@ -482,7 +488,8 @@ def _preorder(t: Term) -> list:
 
 # ---------------------------------------------------------------------------
 # composite gadgets used throughout the calculus: one shared term per
-# argument, as the leaves are, so a fold's memo joins each one once
+# argument, as the leaves are, so a fold joins every copy of one once and
+# builders do not rebuild them
 
 
 def negate() -> Term:
@@ -526,15 +533,35 @@ def crossing_perm(perm) -> Term:
     theorem and the Reidemeister III move it denotes the same map as any
     other reduced word for ``perm``, at every dimension.
 
-    Each round's ``*`` chain of the shared leaves ``X`` and ``ID`` grows
-    from its first crossing on.  The rounds are chained by ``;`` at the end:
-    a chain grown round by round is reachable only through its top, which
-    doubles the cyclic collector's time on wide networks.
+    So a permutation has one network, and one of at most
+    ``SHARED_NETWORK_WIRES`` wires is built once and shared, as the other
+    gadgets are: equal permutations, as lists or tuples, give the same
+    object, and the least recently used of the 256 kept is dropped first.
+    A wider network is built on every call, so nothing keeps it alive.  A
+    non-permutation raises ArityError on every call.
     """
+    perm = tuple(perm)
+    try:  # an unhashable entry is no permutation, which _network reports
+        return _shared_network(perm) if len(perm) <= SHARED_NETWORK_WIRES else _network(perm)
+    except TypeError:
+        return _network(perm)
+
+
+@lru_cache(maxsize=256)
+def _shared_network(perm: tuple) -> Term:
+    return _network(perm)
+
+
+def _network(perm: tuple) -> Term:
+    """The network of :func:`crossing_perm`, built.  Each round's ``*``
+    chain of the shared leaves ``X`` and ``ID`` grows from its first
+    crossing on.  The rounds are chained by ``;`` at the end: a chain grown
+    round by round is reachable only through its top, which doubles the
+    cyclic collector's time on wide networks."""
     n = len(perm)
     done = list(range(n))
     if sorted(perm) != done:
-        raise ArityError(f"{perm!r} is not a permutation")
+        raise ArityError(f"{list(perm)!r} is not a permutation")
     cur = list(perm)  # cur[i]: target of the wire now at position i
     layers = []
     for r in range(n):
@@ -568,7 +595,18 @@ def adjoint(t: Term) -> Term:
     return _assembled(_preorder(t), _reflect, True)
 
 
-def _assembled(nodes: list, leaf=Gen, mirror: bool = False) -> Term:
+def _shared_leaf(g: Generator) -> Term:
+    """The leaf of ``g`` that the builders share (a complex Z spider's is its own)."""
+    if g.kind == "w":
+        return wspider(g.n_in, g.n_out)
+    if g.kind == "z":
+        return zspider(g.n_in, g.n_out, g.label)
+    if g.kind == "ket":
+        return ket(g.level)
+    return _WIRES[g.kind]
+
+
+def _assembled(nodes: list, leaf=_shared_leaf, mirror: bool = False) -> Term:
     """The term of a :func:`_preorder` list, each generator as ``leaf(generator)``
     and, with ``mirror``, each ``Seq`` reversed: built bottom-up along its reverse."""
     done: list[Term] = []

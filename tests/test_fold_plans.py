@@ -245,6 +245,43 @@ def test_a_wide_crossing_network_folds_from_its_plan(monkeypatch, fresh_tables):
     assert built == [t]
 
 
+def _diagrams_sharing_a_network(r, d: int) -> list:
+    """Two canonical diagrams over ``r`` at ``d`` with the same words and
+    other amplitudes, so one crossing network."""
+    if d == 2:
+        words = ["0110", "1011", "1100", "0111"]
+        return [normalform.nf_to_term(normalform.canonicalize(normalform.PreNormalForm(
+            2, 4, tuple((ring.from_int(r, v), w) for v, w in zip(values, words)))))
+            for values in ([1, -2, 3, 2], [2, 5, -1, -3])]
+    p = qudit.QParams(d, 1e-9)
+    words = ["012", "201", "110"]
+    return [qudit.qudit_universal_nf(semantics.make_map(r, d, 0, 3, {
+        (w, ""): ring.complex_value(r, a) for w, a in zip(words, amps)}), p)[0]
+        for amps in ([1, 2j, complex(-0.0, 1)], [3 - 1j, 0.25, -1])]
+
+
+@pytest.mark.parametrize("pillar, r, d", [
+    ("interpret", Z, 2), ("interpret", QI, 2), ("normalize", Z, 2), ("normalize", QI, 2),
+    ("interpret", C, 3),
+])
+def test_diagrams_that_share_a_network_read_as_plan_less_copies(pillar, r, d):
+    diagrams = _diagrams_sharing_a_network(r, d)
+    networks = [t.first.then for t in diagrams]  # bottom ; whites ; network ; merges
+    assert networks[0] is networks[1] and networks[0].n_in > 3
+    assert diagrams[0] != diagrams[1]
+    for t in diagrams:
+        helpers.clear_tables()
+        want = _read(pillar, copy.copy(t), r, d)
+        helpers.clear_tables()
+        assert _read(pillar, t, r, d) == want  # builds t's plan
+        assert _read(pillar, t, r, d) == want  # from it, with the caches filled
+    # the network folded on its own, then inside both diagrams, from their plans
+    alone = _read(pillar, networks[0], r, d)
+    assert alone == _read(pillar, copy.copy(networks[0]), r, d)
+    assert [_read(pillar, t, r, d) for t in diagrams] == [
+        _read(pillar, copy.copy(t), r, d) for t in diagrams]
+
+
 def test_law_terms_are_shared_so_every_check_folds_from_their_plans(monkeypatch):
     assert qudit.law_terms(3) is qudit.law_terms(3)
     with pytest.raises(TypeError):

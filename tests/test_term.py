@@ -101,6 +101,35 @@ def test_copies_and_pickles_rebuild_terms(how):
         assert got is not deep and got == deep and (got.n_in, got.n_out) == (deep.n_in, deep.n_out)
 
 
+@pytest.mark.parametrize("how", _round_trips())
+def test_copies_and_pickles_share_the_builders_leaves(how):
+    t = parse("(x * x * ket(1)) ; (id * x * id * w(1,1)) ; (x * z(1,1)[2] * z(1,1)[2] * id)", Z)
+    got = _round_trips()[how](t)
+    assert got is not t and got == t
+    gens = {}  # each leaf object of the copy, by its generator
+    todo = [got]
+    while todo:
+        u = todo.pop()
+        if type(u) is term.Gen:
+            gens.setdefault(u.gen, set()).add(id(u))
+        else:
+            todo += (u.first, u.then) if type(u) is term.Seq else (u.left, u.right)
+    assert all(len(objects) == 1 for objects in gens.values())
+    for leaf in (term.X, ID, term.ket(1), term.wspider(1, 1),
+                 term.zspider(1, 1, ring.from_int(Z, 2))):
+        assert gens[leaf.gen] == {id(leaf)}
+    # a fold looks each of them up once: four x leaves, one lookup
+    looked = []
+    term.fold(got, lambda g: looked.append(g) or g, lambda acc, values: values,
+              lambda acc, layers: None)
+    assert looked.count(term.X.gen) == 1 and len(looked) == len(gens)
+    # a complex label keeps a leaf of its own, as zspider gives it
+    c = ring.C()
+    labelled = parse("z(1,1)[-0.0+1i] ; z(1,1)[-0.0+1i]", c)
+    got = _round_trips()[how](labelled)
+    assert got.first is not got.then and got == labelled
+
+
 def test_terms_are_frozen():
     t = parse("w(1,2) ; x", Z)
     for node, name in ((t, "n_in"), (t, "first"), (ID, "n_out"), (ID, "gen"),
@@ -544,10 +573,51 @@ def test_crossing_perm_seeded_twelve_wires():
     _check_crossing_network(perm)
 
 
-@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 3], [0, 1, 2, 4]])
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 3], [0, 1, 2, 4], [1, 2], [[1], [0]],
+                                  list(range(term.SHARED_NETWORK_WIRES)) + [99]])
 def test_crossing_perm_rejects_non_permutation(perm):
-    with pytest.raises(ArityError, match="is not a permutation"):
-        term.crossing_perm(perm)
+    for _ in range(3):  # on every call: no error is kept, and none stands in for a network
+        with pytest.raises(ArityError, match="is not a permutation"):
+            term.crossing_perm(perm)
+
+
+def test_crossing_perm_shares_one_network_per_permutation():
+    perm = [2, 0, 3, 1]
+    t = term.crossing_perm(perm)
+    assert term.crossing_perm(tuple(perm)) is t and term.crossing_perm(list(perm)) is t
+    assert term.crossing_perm([2, 0, 1, 3]) is not t
+    # the identity's network, and a network at the bound, are shared too
+    assert term.crossing_perm(range(3)) is term.crossing_perm([0, 1, 2]) == term.identity(3)
+    widest = list(range(term.SHARED_NETWORK_WIRES))[::-1]
+    assert term.crossing_perm(widest) is term.crossing_perm(tuple(widest))
+
+
+def test_a_network_wider_than_the_bound_is_built_on_every_call():
+    perm = list(range(term.SHARED_NETWORK_WIRES + 1))
+    random.Random(17).shuffle(perm)
+    before = term._shared_network.cache_info()
+    t, again = term.crossing_perm(perm), term.crossing_perm(tuple(perm))
+    assert term._shared_network.cache_info() == before  # neither looked up nor kept
+    assert t is not again and t == again
+    shared = term._shared_network(tuple(perm))  # what sharing would have kept
+    assert shared == t and hash(shared) == hash(t) and render(shared) == render(t)
+
+
+def test_the_shared_networks_stay_bounded():
+    cache = term._shared_network
+    cache.cache_clear()
+    size = cache.cache_info().maxsize
+    assert size is not None
+    perms = list(itertools.islice(itertools.permutations(range(7)), size + 10))
+    kept = [term.crossing_perm(p) for p in perms]
+    info = cache.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (size, size + 10, 0)
+    # the ten least recently used are dropped: the newest is found, the oldest rebuilt
+    assert term.crossing_perm(perms[-1]) is kept[-1]
+    oldest = term.crossing_perm(perms[0])
+    assert oldest is not kept[0] and oldest == kept[0]
+    assert cache.cache_info().currsize == size
+    cache.cache_clear()
 
 
 def _bubble_network(perm):

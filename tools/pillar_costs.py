@@ -20,12 +20,12 @@ raises counts as a pass over it.  Those passes run from the plans that
 line times first folds: each pillar's pass over plan-less copies of the
 sides (``copy.copy``), which build their plans, and then its pass over
 the same copies again, from those plans (best of 5, new copies each
-time).  A copy shares no node with its side, so a gadget that the side
-holds twice is two objects there.  Then it prints each pillar's mean
-microseconds per call in three size classes of sides, counted in term
-nodes (leaves and ``;``/``*`` nodes): bare generators, sides of 2 to 16
-nodes, and larger sides, so a change to the fixed cost of a call shows
-where it lands.  Each class's time is the best of 5 passes, each pass
+time).  A copy shares its side's leaves but none of its ``;`` and
+``*`` nodes, so a gadget that the side holds twice is two objects
+there.  Then it prints each pillar's mean microseconds per call in
+three size classes of sides, counted in term nodes (leaves and
+``;``/``*`` nodes): bare generators, sides of 2 to 16 nodes, and larger
+sides, so a change to the fixed cost of a call shows where it lands.  Each class's time is the best of 5 passes, each pass
 calling the pillar on the class's sides until at least ``CLASS_CALLS``
 calls are made.
 
@@ -44,6 +44,11 @@ With ``qudit`` it draws seeded states shaped like the benchmark's
 after a warm-up pass) of one pass of ``qudit_universal_nf`` building
 their canonical diagrams, of ``crossing_perm`` building just their
 crossing networks, and of ``interpret`` reading the diagrams back.
+``crossing_perm`` shares each network up to
+``term.SHARED_NETWORK_WIRES`` wires, so the first two steps are timed
+twice: "cold", with the shared networks dropped before every call
+(``cache_clear``), so each call builds its network, and "shared", with
+them kept, so a repeated permutation finds its network built.
 
 With ``reconstruct`` it takes the benchmark's d = 2 states
 (``perfbench.workloads.RECONSTRUCT`` as ``workloads.build`` draws them,
@@ -175,11 +180,17 @@ def qudit_costs() -> None:
         built = [(p, qudit.qudit_universal_nf(state, p)[0]) for p, state in states]
     finally:
         term.crossing_perm = real
-    build = best_of(each(qudit.qudit_universal_nf, [(state, p) for p, state in states]))
-    network = best_of(each(term.crossing_perm, [(perm,) for perm in perms]))
+
+    def cold(step):  # step on an emptied network cache
+        return lambda *args: term._shared_network.cache_clear() or step(*args)
+
+    steps = {"qudit_universal_nf": (qudit.qudit_universal_nf, [(s, p) for p, s in states]),
+             "crossing_perm": (term.crossing_perm, [(perm,) for perm in perms])}
+    for name, (step, calls) in steps.items():
+        print(f"{len(calls)} calls of {name}: cold {best_of(each(cold(step), calls)):.4f} s  "
+              f"shared {best_of(each(step, calls)):.4f} s")
     read = best_of(each(semantics.interpret, [(t, p.ring(), p.d) for p, t in built]))
-    print(f"{len(states)} qudit states: qudit_universal_nf {build:.4f} s  "
-          f"crossing_perm {network:.4f} s  interpret {read:.4f} s")
+    print(f"{len(states)} qudit states: interpret {read:.4f} s")
 
 
 def reconstruct_costs() -> None:
