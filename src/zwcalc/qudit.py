@@ -120,7 +120,7 @@ def _sqrt_binom(d: int, n: int, k: int) -> complex:
     return cmath.exp(2j * math.pi * k * (n - k) / (4 * d)) * math.sqrt(ratio)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # bounded, as law_terms is: a table depends on d, a key also on tolerance
 def binomial_table(p: QParams) -> QBinomialTable:
     d = p.d
     return QBinomialTable(

@@ -23,6 +23,11 @@ layer joins of both evaluators run on those operations and wrap values as
 :class:`RingElement` only in their results; parsers, labels and JSON use
 elements, which are checked where they enter.
 
+An element's ``==`` and ``hash`` say when one may stand in for another,
+as every cache of labels, tables and chains needs: a ``C`` element by the
+text it prints, so ``0.0+1.0i`` and ``-0.0+1.0i``, which the tolerant
+``eq`` calls equal but the anyonic tables keep apart, are two elements.
+
 All values are immutable and all operations are pure functions, so
 elements can be shared freely between threads.
 """
@@ -220,6 +225,16 @@ class RingElement:
 
     def __neg__(self):
         return RingElement(self.ring, self.ring.neg(self.value))
+
+    def __eq__(self, other):  # a C value by its text: labels that print apart differ
+        if type(other) is not RingElement:
+            return NotImplemented
+        r = self.ring
+        return (other.ring is r or other.ring == r) and (
+            self.value == other.value if r.exact else str(self) == str(other))
+
+    def __hash__(self):
+        return hash((self.ring, self.value if self.ring.exact else str(self)))
 
     def __str__(self):
         if self.ring.kind == COMPLEX_APPROX:

@@ -38,8 +38,8 @@ A small nested chain, such as the merge gadget ``w(k,1) ; w(1,1)``, is a
 leaf of the fold, known by its key (see :func:`zwcalc.term.fold`), and
 its map is kept beside the generator tables: :func:`_chain_map` joins
 the chain once per ``(key, ring, d)`` from the generator tables alone,
-at most 1024 of them, over every ring.  A key holds no complex label,
-so the sign of a zero part never goes astray.
+at most 1024 of them, over every ring.  C labels that differ only in the
+sign of a zero part are two elements (:mod:`zwcalc.ring`): two keys, two tables.
 
 Maps are immutable once built, and so are the raw values the tables
 share; evaluation is pure.
@@ -140,22 +140,13 @@ def make_map(ring, d, n_in, n_out, entries) -> SparseMap:
     return SparseMap(ring, d, n_in, n_out, _clean(ring, dict(entries)))
 
 
+@lru_cache(maxsize=1024)
 def generator_map(g: Generator, ring: RingDescriptor, d: int) -> SparseMap:
     """The table of one generator over ``ring`` at dimension ``d``, read
     from :func:`zwcalc.qudit.generator_entries`, the one table for every
     ring.  Each table is built once per ``(generator, ring, d)`` and
     shared, so its entries are read-only; errors are not cached and are
     raised on every call."""
-    if ring.exact:  # a complex label raises a mismatch there, so only C needs the key
-        return _generator_map(g, ring, d, None)
-    value = None if g.label is None else g.label.value
-    # complex labels that compare equal may differ in the sign of a zero
-    # part, which the table keeps, so they are told apart by their repr
-    return _generator_map(g, ring, d, repr(value) if isinstance(value, complex) else None)
-
-
-@lru_cache(maxsize=1024)
-def _generator_map(g: Generator, ring: RingDescriptor, d: int, label_repr) -> SparseMap:
     from . import qudit  # deferred: qudit builds on this module
 
     _check_dimension(ring, d)
@@ -165,8 +156,9 @@ def _generator_map(g: Generator, ring: RingDescriptor, d: int, label_repr) -> Sp
     return SparseMap(ring, d, g.n_in, g.n_out, MappingProxyType(entries))
 
 
+@lru_cache(maxsize=64)
 def _check_dimension(ring: RingDescriptor, d: int) -> None:
-    """Exact rings run at d = 2, the approximate complex ring at 2..10."""
+    """Exact rings run at d = 2, C at 2..10; only a pair that passes is remembered."""
     if d < 2:
         raise ArityError("dimension must be >= 2")
     if d > 2 and ring.exact:

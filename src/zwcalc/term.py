@@ -5,11 +5,11 @@ A term is a tree whose leaves are generators and whose internal nodes are
 are checked at construction; ``Seq(f, g)`` requires ``f.n_out == g.n_in``.
 
 Terms are immutable, so leaves are shared: the wire generators, the kets,
-the W spiders and the Z spiders over exact rings are built once and reused,
-by the builders, ``parse``, copies and pickles alike.  So are the composite
-gadgets (``w_comonoid``, ``w_monoid``, ``twist``, ``bra``) and the crossing
-networks of :func:`crossing_perm` up to ``SHARED_NETWORK_WIRES`` wires:
-one term per argument.
+the W spiders and the Z spiders (one per equal label; see :mod:`zwcalc.ring`)
+are built once and reused, by the builders, ``parse``, copies and pickles
+alike.  So are the composite gadgets (``w_comonoid``, ``w_monoid``,
+``twist``, ``bra``) and the crossing networks of :func:`crossing_perm` up
+to ``SHARED_NETWORK_WIRES`` wires: one term per argument.
 ``>>`` is sequential and ``@`` parallel composition, so snake-like
 composites read the way they are drawn:
 
@@ -224,14 +224,8 @@ def wspider(k: int, m: int) -> Term:
     return Gen(Generator("w", k, m))
 
 
+@lru_cache(maxsize=4096)  # one leaf per arity and label, as W spiders share theirs
 def zspider(k: int, m: int, label: RingElement) -> Term:
-    # complex labels that compare equal may differ in the sign of a zero
-    # part, which the anyonic tables keep, so they get leaves of their own
-    return _shared_z(k, m, label) if label.ring.exact else Gen(Generator("z", k, m, label=label))
-
-
-@lru_cache(maxsize=4096)  # one leaf per exact Z spider, found without building a Generator
-def _shared_z(k: int, m: int, label: RingElement) -> Term:
     return Gen(Generator("z", k, m, label=label))
 
 
@@ -281,9 +275,9 @@ def fold(t: Term, leaf, layer, run):
 
     A leaf's source is its generator, or the key of a small nested chain
     (a ``;`` chain that is one block of a ``*`` layer, of at most
-    ``CHAIN_KEY_NODES`` nodes, with no nested chain in its layers and no
-    inexact label): its pre-order node list as a tuple (:func:`_chain_key`),
-    which :func:`_assembled` builds back into an equal chain.  A caller
+    ``CHAIN_KEY_NODES`` nodes, with no nested chain in its layers): its
+    pre-order node list as a tuple (:func:`_chain_key`), which
+    :func:`_assembled` builds back into an equal chain.  A caller
     may so keep the values of small chains, such as the merge gadget
     ``w(k,1) ; w(1,1)`` of every canonical diagram, across calls, as it
     keeps its generators'.  Any other nested chain is joined here.
@@ -425,12 +419,10 @@ def _packed(numbers: list, bound: int):
 
 def _chain_key(t: Seq) -> tuple | None:
     """The :func:`_preorder` list of the nested chain ``t`` as a tuple, which
-    is the chain itself, if it has at most ``CHAIN_KEY_NODES`` nodes, its
-    layers hold no nested chain and no leaf has an inexact label; else
-    None, found at the first node that breaks one of these.  Two equal
-    complex labels may differ in the sign of a zero part, so a key never
-    holds one.  A block that is not a term raises ArityError.  The walk
-    never enters a nested chain, so deep terms stay linear."""
+    is the chain itself, if it has at most ``CHAIN_KEY_NODES`` nodes and its
+    layers hold no nested chain; else None, found at the first node that
+    breaks one of these.  A block that is not a term raises ArityError.
+    The walk never enters a nested chain, so deep terms stay linear."""
     out, stack = [Seq], [t.then, t.first]
     while stack:
         if len(out) == CHAIN_KEY_NODES:
@@ -446,8 +438,6 @@ def _chain_key(t: Seq) -> tuple | None:
             out.append(Seq)
             stack += (u.then, u.first)
         elif kind is Gen:
-            if u.gen.label is not None and not u.gen.label.ring.exact:
-                return None
             out.append(u.gen)
         elif kind is _Empty:
             out.append(None)
@@ -596,7 +586,7 @@ def adjoint(t: Term) -> Term:
 
 
 def _shared_leaf(g: Generator) -> Term:
-    """The leaf of ``g`` that the builders share (a complex Z spider's is its own)."""
+    """The leaf of ``g`` that the builders share."""
     if g.kind == "w":
         return wspider(g.n_in, g.n_out)
     if g.kind == "z":

@@ -30,7 +30,7 @@ from zwcalc.term import Gen, Par, Seq, Term, _Empty
 
 
 # the pillars' generator tables and small-chain caches, taken before a test can patch a name
-_TABLES = (zsemantics._generator_map, znormalform.generator_nf,
+_TABLES = (zsemantics.generator_map, znormalform.generator_nf,
            zsemantics._chain_map, znormalform._chain_nf)
 
 

@@ -128,6 +128,46 @@ def test_label_free_chains_over_c_are_cached_bit_for_bit(seed):
         helpers.clear_tables()
 
 
+# label parts with both zero signs: C's tolerant eq calls many of the labels
+# equal, but they print apart and their tables keep each sign
+SIGNED_PARTS = (0.0, -0.0, 1.0, -1.0)
+SIGNED_LABELS = st.builds(lambda re, im: ring.complex_value(C, complex(re, im)),
+                           st.sampled_from(SIGNED_PARTS), st.sampled_from(SIGNED_PARTS))
+# a Z spider leaf, or a small chain that recurs as an equal chain of new nodes
+SIGNED_BLOCKS = st.one_of(
+    st.builds(lambda u: term.zspider(0, 1, u), SIGNED_LABELS),
+    st.builds(lambda u: term.ket(1) >> term.zspider(1, 1, u), SIGNED_LABELS),
+    st.builds(lambda u, v: term.zspider(0, 1, u) >> term.zspider(1, 1, v),
+              SIGNED_LABELS, SIGNED_LABELS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.lists(SIGNED_BLOCKS, min_size=1, max_size=3).map(term.par_all),
+                      min_size=2, max_size=4),
+       d=st.sampled_from([2, 3]))
+def test_c_labels_are_told_apart_as_they_render(terms, d):
+    for a in terms:
+        for b in terms:
+            assert (a == b) == (term.render(a) == term.render(b))
+            if a == b:
+                assert hash(a) == hash(b)
+    spiders = [u for t in terms for u in term._preorder(t)
+               if isinstance(u, term.Generator) and u.kind == "z"]
+    for g in spiders:
+        for h in spiders:
+            assert (g.label == h.label) == (str(g.label) == str(h.label))
+            assert g.label != h.label or hash(g.label) == hash(h.label)
+    try:
+        helpers.clear_tables()
+        # after the first read, each may hit a table or chain value an earlier one stored
+        warm = [_read("interpret", t, C, d) for t in terms * 2]
+        for t, want in zip(terms * 2, warm):
+            helpers.clear_tables()
+            assert _read("interpret", copy.copy(t), C, d) == want  # a cold fold
+    finally:
+        helpers.clear_tables()
+
+
 @pytest.mark.parametrize("pillar", PILLARS)
 @pytest.mark.parametrize("chain, error", [
     (lambda: term.ket(2) >> term.wspider(1, 1), ArityError),
@@ -146,7 +186,8 @@ def test_a_chain_that_raises_is_never_stored(fresh_tables, pillar, chain, error)
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_c_keeps_each_zero_sign(fresh_tables, d):
-    # equal labels whose real parts are 0.0 and -0.0: a chain with either is never keyed
+    # labels whose real parts are 0.0 and -0.0 print apart, so they are two
+    # elements: a chain with either is keyed, and each key keeps its own value
     for _ in range(2):
         for zero in (0.0, -0.0):
             label = ring.complex_value(C, complex(zero, 1))
@@ -154,8 +195,9 @@ def test_c_keeps_each_zero_sign(fresh_tables, d):
             m = semantics.interpret(t, C, d)
             value = m.entries[("10", "10")].value
             assert math.copysign(1, value.real) == math.copysign(1, zero) and value.imag == 1
-            assert type(t._plan[1][0]) is list  # laid out in the plan
-    assert _entries(semantics._chain_map) == 0
+            assert type(t._plan[1][0]) is tuple  # a key in the plan
+    info = semantics._chain_map.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)  # one value per sign
 
 
 def test_a_deep_term_stores_no_long_key(fresh_tables):

@@ -292,9 +292,14 @@ def test_c_runs_give_the_layer_joins_values_bit_for_bit(seed):
     C, d = ring.C(), rng.randint(2, 7)
     state = _c_state(rng, d)
     t = term.seq_all([state, *helpers.wiring_run(rng, state.n_out)])
-    by_layer = term.fold(t, lambda g: semantics.generator_map(g, C, d)._raw,
+
+    def layer_by_layer(u):  # every layer joined alone; a small chain's key read as its chain
+        return term.fold(u, lambda s: semantics.generator_map(s, C, d)._raw
+                         if type(s) is term.Generator else layer_by_layer(term._assembled(s)),
                          lambda acc, blocks: semantics._apply_blocks(acc, blocks, C),
-                         lambda acc, layers: None)  # every layer joined alone
+                         lambda acc, layers: None)
+
+    by_layer = layer_by_layer(t)
     got = interpret(t, C, d)
     assert [(k, repr(v.value)) for k, v in got.entries.items()] == [
         (k, repr(v)) for k, v in by_layer.entries.items()]
