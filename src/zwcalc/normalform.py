@@ -14,9 +14,10 @@ wires whose word is the input word followed by the output word.
 
 ``normalize`` never consults the interpreter.  It folds the term from
 the plan its first fold keeps on it (:func:`zwcalc.term.fold`), with hardcoded
-normal forms for the generators.  Every term is a ``;`` chain of ``*`` layers: the
-running rows meet each block that is not an identity wire in one pass,
-matching the letters on its inputs, so padding costs nothing and a
+normal forms for the generators, each looked up by the leaf itself.
+Every term is a ``;`` chain of ``*`` layers: the running rows meet
+each block that is not an identity wire in one pass, matching the
+letters on its inputs, so padding costs nothing and a
 layer's own normal form is never built.  The first layer has nothing
 below it; its rows concatenate the blocks' bent words, and one
 permutation moves the input letters to the front.  The joins run on raw
@@ -252,7 +253,8 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
     """Hardcoded dimension-2 normal forms of the generators, as bent
     states.  Transposing any wires of a spider leaves its bent state
     unchanged, so one table per spider covers every transpose.  Normal
-    forms are immutable, so each table is built once per ring."""
+    forms are immutable, so each table is built once per ring and shared
+    by every leaf equal to ``g``."""
     one = ring.one
     kind = g.kind
     if kind in ("id", "cup", "cap"):
@@ -281,7 +283,7 @@ def generator_nf(g: Generator, ring: RingDescriptor) -> MapNormalForm:
 def _fold(t: Term, ring: RingDescriptor, leaf) -> _RawNF:
     """The raw normal form of ``t``, folded (:func:`zwcalc.term.fold`) with
     each leaf source's raw normal form from ``leaf``."""
-    wire = generator_nf(_term.ID.gen, ring)._raw
+    wire = generator_nf(_term.ID, ring)._raw
     return _term.fold(t, leaf, lambda acc, blocks: _plug(acc, blocks, ring, wire),
                       lambda acc, layers: _plug_run(acc, layers, ring))
 
@@ -303,8 +305,8 @@ def normalize(t: Term, ring: RingDescriptor) -> MapNormalForm:
     :func:`_plug_run`) on raw values, wrapped as ring elements at the end."""
     if not ring.exact:
         raise UnsupportedOperationError("normalize runs over exact rings")
-    if isinstance(t, _term.Gen):
-        return generator_nf(t.gen, ring)
+    if type(t) is Generator:  # a bare leaf: its shared table
+        return generator_nf(t, ring)
     m = _fold(t, ring, lambda s: generator_nf(s, ring)._raw if type(s) is Generator
               else _chain_nf(s, ring))
     out = object.__new__(MapNormalForm)  # unchecked: the rows are n_in + n_out letters

@@ -19,9 +19,10 @@ any number of wires.
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,
 :func:`zwcalc.qudit.generator_entries`.  :func:`generator_map` checks d,
-builds each generator's table once per ``(generator, ring, d)``, and
-every leaf shares it read-only, with its raw values (ints, Gaussian
-rationals, complex numbers) indexed for the join.  The join multiplies
+builds each generator's table once per ``(generator, ring, d)``, keyed
+by the leaf itself (a :class:`zwcalc.term.Generator` compares by its
+fields), and every equal leaf shares it read-only, with its raw values
+(ints, Gaussian rationals, complex numbers) indexed for the join.  The join multiplies
 raw values with the ring's own operations; a result holds ring elements
 and skips the arity check, as the join's words fit.
 
@@ -324,7 +325,7 @@ def _fold(t: Term, ring: RingDescriptor, d: int, leaf) -> _RawMap:
     """The raw map of ``t``, folded (:func:`zwcalc.term.fold`) with each
     leaf source's raw map from ``leaf``."""
     join_run = _apply_run if ring.exact else _apply_run_in_order
-    wire = generator_map(_term.ID.gen, ring, d)._raw if ring.exact else None
+    wire = generator_map(_term.ID, ring, d)._raw if ring.exact else None
     return _term.fold(t, leaf, lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
                       lambda acc, layers: join_run(acc, layers, ring))
 
@@ -342,15 +343,15 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     """Evaluate a term to its sparse map over ``ring`` at dimension ``d``.
 
     Exact rings require d = 2; the qudit tables (d in 2..10) require the
-    approximate complex ring.  A bare generator's map is its shared table
-    from :func:`generator_map`, with read-only entries; other maps are
-    joined on raw values and wrapped as ring elements at the end.  Every
-    run of wiring layers is joined in one step, over C with the values
-    of the layer joins bit for bit.
+    approximate complex ring.  A bare generator, a leaf that is a term,
+    maps to its shared table from :func:`generator_map`, with read-only
+    entries; other maps are joined on raw values and wrapped as ring
+    elements at the end.  Every run of wiring layers is joined in one
+    step, over C with the values of the layer joins bit for bit.
     """
     _check_dimension(ring, d)
-    if isinstance(t, _term.Gen):
-        return generator_map(t.gen, ring, d)
+    if type(t) is Generator:
+        return generator_map(t, ring, d)
     m = _fold(t, ring, d, lambda s: generator_map(s, ring, d)._raw if type(s) is Generator
               else _chain_map(s, ring, d))
     out = object.__new__(SparseMap)  # unchecked: the joins' keys fit the arity

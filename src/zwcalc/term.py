@@ -1,7 +1,9 @@
 """Diagrams as terms: generators, sequential and parallel composition.
 
 A term is a tree whose leaves are generators and whose internal nodes are
-``Seq`` (plug outputs into inputs) and ``Par`` (side by side).  Arities
+``Seq`` (plug outputs into inputs) and ``Par`` (side by side).  A
+generator is itself a term, the one-node diagram of :class:`Generator`,
+so tables, plans and chain keys hold the leaves themselves.  Arities
 are checked at construction; ``Seq(f, g)`` requires ``f.n_out == g.n_in``.
 
 Terms are immutable, so leaves are shared: the wire generators, the kets,
@@ -50,7 +52,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, reduce
 
 from . import ring as _ring
@@ -81,43 +83,8 @@ _FIXED_ARITY = {
 _WIRING = frozenset(("id", "swap", "x", "xinv"))
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
-    kind: str
-    n_in: int
-    n_out: int
-    label: RingElement | None = None
-    level: int | None = None
-    _hash: int = field(init=False, repr=False, compare=False)  # the tables' caches read it
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))  # of the fields
-        if self.kind not in GENERATOR_KINDS:
-            raise ArityError(f"unknown generator kind {self.kind!r}")
-        if self.kind in _FIXED_ARITY and (self.n_in, self.n_out) != _FIXED_ARITY[self.kind]:
-            raise ArityError(f"{self.kind} has arity {_FIXED_ARITY[self.kind]}")
-        if self.kind in ("w", "z"):
-            if self.n_in < 0 or self.n_out < 0 or self.n_in + self.n_out < 1:
-                raise ArityError(f"{self.kind} spider needs n_in + n_out >= 1")
-            if self.n_in + self.n_out >= sys.maxsize:  # no table or word could index its wires
-                raise ArityError(f"{self.kind} spider needs n_in + n_out < {sys.maxsize}")
-        if self.kind == "z" and self.label is None:
-            raise ArityError("z spider needs a label")
-        if self.kind == "ket":
-            if (self.n_in, self.n_out) != (0, 1):
-                raise ArityError("ket has arity (0, 1)")
-            if self.level is None or self.level < 0:
-                raise ArityError("ket needs a level >= 0")
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt, so its hash is the reading process's
-        return Generator, (self.kind, self.n_in, self.n_out, self.label, self.level)
-
-
 class Term:
-    """Base class; subclasses are Gen, Seq and Par."""
+    """Base class; subclasses are Generator, Seq and Par."""
 
     # Term, its leaves and its nodes are slotted: the rule catalogue holds about ten
     # thousand, an instance dict would double each, and _plan is fold's plan (see fold)
@@ -129,7 +96,7 @@ class Term:
     def __matmul__(self, other: "Term") -> "Term":
         return par(self, other)
 
-    # structural ==: one walk over both trees, which stops at the first difference
+    # structural ==, leaves by their fields: one walk over both trees, to the first difference
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
@@ -139,7 +106,7 @@ class Term:
             if a is b:  # a subtree the two share
                 continue
             kind = type(a)
-            if kind is not type(b) or kind is Gen and a.gen != b.gen:
+            if kind is not type(b) or kind is Generator and a.__reduce__() != b.__reduce__():
                 return False
             if kind is Seq:
                 todo += (a.then, b.then, a.first, b.first)
@@ -150,7 +117,7 @@ class Term:
     def __hash__(self):  # of the pre-order node list, which takes no recursion
         return hash(tuple(_preorder(self)))
 
-    def __repr__(self):  # Seq and Par: the text of the iterative render
+    def __repr__(self):  # the text of the iterative render
         try:
             return f"{type(self).__name__}({render(self)!r})"
         except (ValueError, _ring.RingError):  # EMPTY inside, or a non-finite label
@@ -165,13 +132,40 @@ class Term:
     __delattr__ = __setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Gen(Term):
-    gen: Generator
+class Generator(Term):
+    """A generator, which is a leaf: compared by its fields, with its arities
+    in ``Term``'s slots and its hash stored, as the pillars' tables read it."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_in", self.gen.n_in)
-        object.__setattr__(self, "n_out", self.gen.n_out)
+    __slots__ = ("kind", "label", "level", "_hash")
+
+    def __init__(self, kind: str, n_in: int, n_out: int,
+                 label: RingElement | None = None, level: int | None = None):
+        if kind not in GENERATOR_KINDS:
+            raise ArityError(f"unknown generator kind {kind!r}")
+        if kind in _FIXED_ARITY and (n_in, n_out) != _FIXED_ARITY[kind]:
+            raise ArityError(f"{kind} has arity {_FIXED_ARITY[kind]}")
+        if kind in ("w", "z"):
+            if n_in < 0 or n_out < 0 or n_in + n_out < 1:
+                raise ArityError(f"{kind} spider needs n_in + n_out >= 1")
+            if n_in + n_out >= sys.maxsize:  # no table or word could index its wires
+                raise ArityError(f"{kind} spider needs n_in + n_out < {sys.maxsize}")
+        if kind == "z" and label is None:
+            raise ArityError("z spider needs a label")
+        if kind == "ket":
+            if (n_in, n_out) != (0, 1):
+                raise ArityError("ket has arity (0, 1)")
+            if level is None or level < 0:
+                raise ArityError("ket needs a level >= 0")
+        fields = kind, n_in, n_out, label, level
+        for name, value in zip(("kind", "n_in", "n_out", "label", "level"), fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # the builders' leaf, whose hash is the reading process's
+        return _shared_leaf, (self.kind, self.n_in, self.n_out, self.label, self.level)
 
 
 # Seq and Par are built by the thousand per crossing network, so they write
@@ -208,32 +202,32 @@ _set_first, _set_then, _set_left, _set_right = (
     Seq.first.__set__, Seq.then.__set__, Par.left.__set__, Par.right.__set__)
 _set_n_in, _set_n_out, _set_plan = Term.n_in.__set__, Term.n_out.__set__, Term._plan.__set__
 seq, par = Seq, Par  # >> and @ as functions
-for _node in (Gen, Seq, Par):  # their generated setters name the class slots=True replaced
+for _node in (Seq, Par):  # their generated setters name the class slots=True replaced
     del _node.__setattr__, _node.__delattr__
 
 
 # the wire generators are shared leaves, as terms are immutable
-_WIRES = {kind: Gen(Generator(kind, *arity)) for kind, arity in _FIXED_ARITY.items()}
+_WIRES = {kind: Generator(kind, *arity) for kind, arity in _FIXED_ARITY.items()}
 
 
 ID, SWAP, CUP, CAP, X, XINV = (_WIRES[k] for k in ("id", "swap", "cup", "cap", "x", "xinv"))
 
 
 @lru_cache(maxsize=4096)  # one leaf per arity, found without building a Generator
-def wspider(k: int, m: int) -> Term:
-    return Gen(Generator("w", k, m))
+def wspider(k: int, m: int) -> Generator:
+    return Generator("w", k, m)
 
 
 @lru_cache(maxsize=4096)  # one leaf per arity and label, as W spiders share theirs
-def zspider(k: int, m: int, label: RingElement) -> Term:
-    return Gen(Generator("z", k, m, label=label))
+def zspider(k: int, m: int, label: RingElement) -> Generator:
+    return Generator("z", k, m, label=label)
 
 
 @lru_cache(maxsize=256)  # one leaf per level, as W spiders share theirs
-def ket(level: int) -> Term:
+def ket(level: int) -> Generator:
     """The basis state |level>; ``interpret`` and ``normalize`` check the
     level against their dimension."""
-    return Gen(Generator("ket", 0, 1, level=level))
+    return Generator("ket", 0, 1, level=level)
 
 
 def identity(n: int) -> Term:
@@ -273,11 +267,12 @@ def fold(t: Term, leaf, layer, run):
     below it (None at the first layer), and a chain's value is its last
     ``acc``.  A bare generator is a one-layer chain.
 
-    A leaf's source is its generator, or the key of a small nested chain
-    (a ``;`` chain that is one block of a ``*`` layer, of at most
-    ``CHAIN_KEY_NODES`` nodes, with no nested chain in its layers): its
-    pre-order node list as a tuple (:func:`_chain_key`), which
-    :func:`_assembled` builds back into an equal chain.  A caller
+    A leaf's source is the generator leaf itself, or the key of a small
+    nested chain (a ``;`` chain that is one block of a ``*`` layer, of at
+    most ``CHAIN_KEY_NODES`` nodes, with no nested chain in its layers):
+    its pre-order node list as a tuple (:func:`_chain_key`), which holds
+    the chain's leaves and which :func:`_assembled` builds back into an
+    equal chain.  A caller
     may so keep the values of small chains, such as the merge gadget
     ``w(k,1) ; w(1,1)`` of every canonical diagram, across calls, as it
     keeps its generators'.  Any other nested chain is joined here.
@@ -334,9 +329,9 @@ def _joined(layers: list, vals: list, layer, run):
 def _planned(t: Term) -> tuple:
     """The plan :func:`fold` runs for ``t``, built on explicit stacks and
     kept on ``t``: ``(layers, sources, order)``.  ``layers`` are the
-    layers of ``t``'s chain in order; ``sources``, by slot, the generator
-    of each distinct leaf object, the :func:`_chain_key` of each distinct
-    small nested chain, or the list of layers of each distinct larger one;
+    layers of ``t``'s chain in order; ``sources``, by slot, each distinct
+    generator leaf, the :func:`_chain_key` of each distinct small nested
+    chain, or the list of layers of each distinct larger one;
     and ``order`` the slots of the larger ones, each after the laid-out
     chains it reads (a post-order).  A layer is ``(slots, crossings)``:
     its blocks' slots (an int for a lone block, packed past 16) and, for a
@@ -365,9 +360,9 @@ def _planned(t: Term) -> tuple:
                 s = slot_of.get(id(b))
                 if s is None:
                     s = len(sources)
-                    if type(b) is Gen:
-                        sources.append(b.gen)
-                        width.append(b.n_in if b.gen.kind in _WIRING else 0)
+                    if type(b) is Generator:
+                        sources.append(b)
+                        width.append(b.n_in if b.kind in _WIRING else 0)
                     elif type(b) is Seq:  # a leaf by its key, or laid out once todo reaches it
                         key = _chain_key(b)
                         sources.append(key)
@@ -418,11 +413,11 @@ def _packed(numbers: list, bound: int):
 
 
 def _chain_key(t: Seq) -> tuple | None:
-    """The :func:`_preorder` list of the nested chain ``t`` as a tuple, which
-    is the chain itself, if it has at most ``CHAIN_KEY_NODES`` nodes and its
-    layers hold no nested chain; else None, found at the first node that
-    breaks one of these.  A block that is not a term raises ArityError.
-    The walk never enters a nested chain, so deep terms stay linear."""
+    """The :func:`_preorder` list of the nested chain ``t``, leaves and all, as
+    a tuple, which is the chain itself, if it has at most ``CHAIN_KEY_NODES``
+    nodes and its layers hold no nested chain; else None, found at the first
+    node that breaks one of these.  A block that is not a term raises
+    ArityError.  The walk never enters a nested chain, so deep terms stay linear."""
     out, stack = [Seq], [t.then, t.first]
     while stack:
         if len(out) == CHAIN_KEY_NODES:
@@ -437,8 +432,8 @@ def _chain_key(t: Seq) -> tuple | None:
         elif kind is Seq:
             out.append(Seq)
             stack += (u.then, u.first)
-        elif kind is Gen:
-            out.append(u.gen)
+        elif kind is Generator:
+            out.append(u)
         elif kind is _Empty:
             out.append(None)
         else:
@@ -461,7 +456,7 @@ def _run(acc, pending: list, vals: list, run, layer):
 
 def _preorder(t: Term) -> list:
     """Nodes in pre-order, ``Seq``/``Par`` nodes as their class, generator
-    leaves as their generators and ``EMPTY`` as None: the list is the tree."""
+    leaves as themselves and ``EMPTY`` as None: the list is the tree."""
     out, stack = [], [t]
     while stack:
         u = stack.pop()
@@ -472,7 +467,7 @@ def _preorder(t: Term) -> list:
             out.append(Par)
             stack += [u.right, u.left]
         else:
-            out.append(u.gen if type(u) is Gen else None)
+            out.append(u if type(u) is Generator else None)
     return out
 
 
@@ -550,7 +545,11 @@ def _network(perm: tuple) -> Term:
     cyclic collector's time on wide networks."""
     n = len(perm)
     done = list(range(n))
-    if sorted(perm) != done:
+    try:
+        permutes = sorted(perm) == done
+    except TypeError:  # entries that do not compare: no permutation
+        permutes = False
+    if not permutes:
         raise ArityError(f"{list(perm)!r} is not a permutation")
     cur = list(perm)  # cur[i]: target of the wire now at position i
     layers = []
@@ -571,7 +570,7 @@ def _network(perm: tuple) -> Term:
     return seq_all(layers) if layers else identity(n)
 
 
-_MIRROR = {"id": "id", "swap": "swap", "cup": "cap", "cap": "cup", "x": "xinv", "xinv": "x"}
+_MIRROR = {"cup": "cap", "cap": "cup", "x": "xinv", "xinv": "x"}  # id and swap are their own
 
 
 def adjoint(t: Term) -> Term:
@@ -582,41 +581,38 @@ def adjoint(t: Term) -> Term:
 
     The tree is mirrored, ``Seq(f, g)`` to ``Seq(g†, f†)``, bottom-up
     along the reversed pre-order."""
-    return _assembled(_preorder(t), _reflect, True)
+    return _assembled(_preorder(t), mirror=True)
 
 
-def _shared_leaf(g: Generator) -> Term:
-    """The leaf of ``g`` that the builders share."""
-    if g.kind == "w":
-        return wspider(g.n_in, g.n_out)
-    if g.kind == "z":
-        return zspider(g.n_in, g.n_out, g.label)
-    if g.kind == "ket":
-        return ket(g.level)
-    return _WIRES[g.kind]
+def _shared_leaf(kind: str, n_in: int, n_out: int, label, level) -> Generator:
+    """The leaf of these fields that the builders share."""
+    if kind == "w":
+        return wspider(n_in, n_out)
+    if kind == "z":
+        return zspider(n_in, n_out, label)
+    if kind == "ket":
+        return ket(level)
+    return _WIRES[kind]
 
 
-def _assembled(nodes: list, leaf=_shared_leaf, mirror: bool = False) -> Term:
-    """The term of a :func:`_preorder` list, each generator as ``leaf(generator)``
-    and, with ``mirror``, each ``Seq`` reversed: built bottom-up along its reverse."""
+def _assembled(nodes: list, mirror: bool = False) -> Term:
+    """The term of a :func:`_preorder` list and, with ``mirror``, each leaf
+    reflected and each ``Seq`` reversed: built bottom-up along its reverse."""
     done: list[Term] = []
     for u in reversed(nodes):
         if u is Seq or u is Par:
             a, b = done.pop(), done.pop()  # the first and second child
             done.append(Par(a, b) if u is Par else Seq(b, a) if mirror else Seq(a, b))
         else:
-            done.append(EMPTY if u is None else leaf(u))
+            done.append(EMPTY if u is None else _reflect(u) if mirror else u)
     return done[0]
 
 
 def _reflect(g: Generator) -> Term:
-    if g.kind in _MIRROR:
-        return _WIRES[_MIRROR[g.kind]]
-    if g.kind == "w":
-        return wspider(g.n_out, g.n_in)
-    if g.kind == "z":
-        return zspider(g.n_out, g.n_in, _ring.conjugate(g.label))
-    return bra(g.level)  # ket reflects to the matching effect
+    if g.kind == "ket":
+        return bra(g.level)  # the matching effect
+    label = None if g.label is None else _ring.conjugate(g.label)
+    return _shared_leaf(_MIRROR.get(g.kind, g.kind), g.n_out, g.n_in, label, None)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +631,8 @@ def render(t: Term) -> str:
         u = todo.pop()
         if type(u) is str:
             out.append(u)
-        elif type(u) is Gen:
-            out.append(_atom(u.gen))
+        elif type(u) is Generator:
+            out.append(_atom(u))
         elif type(u) is Seq:
             todo += [")", u.then, " ; ("] if type(u.then) is Seq else [u.then, " ; "]
             todo.append(u.first)

@@ -26,7 +26,7 @@ from zwcalc import normalform as znormalform
 from zwcalc import ring as zring
 from zwcalc import semantics as zsemantics
 from zwcalc import term as zterm
-from zwcalc.term import Gen, Par, Seq, Term, _Empty
+from zwcalc.term import Generator, Par, Seq, Term, _Empty
 
 
 # the pillars' generator tables and small-chain caches, taken before a test can patch a name
@@ -117,8 +117,8 @@ def dense_evaluate(t: Term, ring) -> np.ndarray:
         m = np.empty((1, 1), dtype=object)
         m[0, 0] = ring.one
         return m
-    if isinstance(t, Gen):
-        return _gen_matrix(t.gen, ring)
+    if isinstance(t, Generator):
+        return _gen_matrix(t, ring)
     if isinstance(t, Seq):
         return dense_evaluate(t.then, ring) @ dense_evaluate(t.first, ring)
     if isinstance(t, Par):

@@ -74,7 +74,7 @@ def test_a_reused_plan_gives_what_a_plan_less_copy_gives(pillar, r, d, seed):
         want = _read(pillar, copy.copy(t), r, d)
         helpers.clear_tables()
         first = _read(pillar, t, r, d)  # builds the plan, unless a shared gadget has one
-        assert _planned(t) or isinstance(t, term.Gen)  # a bare leaf is not folded
+        assert _planned(t) or isinstance(t, term.Generator)  # a bare leaf is not folded
         plan = getattr(t, "_plan", None)
         second = _read(pillar, t, r, d)  # from the plan, with the caches filled
         helpers.clear_tables()

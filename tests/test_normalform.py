@@ -95,7 +95,7 @@ def test_tensor_then_trace_reproduces_snake():
     snaked = nf_trace(nf_tensor(z2, z2), 1, 2)
     snake_term = term.parse("(z(0,2)[1] * z(0,2)[1]) ; (id * cap * id)", Z)
     assert snaked == nf_of_state(interpret(snake_term, Z))
-    assert snaked == generator_nf(term.ID.gen, Z).nf
+    assert snaked == generator_nf(term.ID, Z).nf
 
 
 def test_nf_trace_examples():
@@ -172,20 +172,20 @@ def test_nf_permute_rejects_non_permutation(perm):
 
 
 def test_generator_nf_crossing_has_minus_on_all_ones():
-    g = generator_nf(term.X.gen, Z)
+    g = generator_nf(term.X, Z)
     assert rows_of(g.nf) == [("1", "0000"), ("1", "0110"),
                              ("1", "1001"), ("-1", "1111")]
 
 
 def test_generator_nf_spiders():
-    z3 = generator_nf(term.zspider(0, 3, iz(5)).gen, Z)
+    z3 = generator_nf(term.zspider(0, 3, iz(5)), Z)
     assert rows_of(z3.nf) == [("1", "000"), ("5", "111")]
-    cap = generator_nf(term.CAP.gen, Z)
+    cap = generator_nf(term.CAP, Z)
     assert rows_of(cap.nf) == [("1", "00"), ("1", "11")]
     assert (cap.n_in, cap.n_out) == (2, 0)
     # every transpose of a spider shares one bent table
-    assert generator_nf(term.wspider(2, 1).gen, Z).nf == \
-        generator_nf(term.wspider(0, 3).gen, Z).nf
+    assert generator_nf(term.wspider(2, 1), Z).nf == \
+        generator_nf(term.wspider(0, 3), Z).nf
 
 
 def test_normalize_examples():

@@ -312,15 +312,15 @@ def test_universal_example_from_two_rows():
     rebuilt = interpret(t, R, 3)
     assert map_equal(rebuilt, state)
     # adjusted labels: row |22> is scaled by 1/[2]! once per doubled leg
-    labels = [g.gen.label for g in _leaves(t) if g.gen.kind == "z"]
+    labels = [g.label for g in _leaves(t) if g.kind == "z"]
     lam = [complex(l.value) for l in labels]
     assert close(lam[0], 1)
     assert close(lam[1], 1 / (q_factorial(2, p)))
 
 
 def _leaves(t):
-    from zwcalc.term import Gen, Par, Seq
-    if isinstance(t, Gen):
+    from zwcalc.term import Generator, Par, Seq
+    if isinstance(t, Generator):
         return [t]
     if isinstance(t, Seq):
         return _leaves(t.first) + _leaves(t.then)
@@ -346,7 +346,7 @@ def test_universal_at_d2_reduces_to_qubit_shape():
         ("01", ""): ring.complex_value(R, 2), ("10", ""): ring.complex_value(R, -1)})
     t, nf = qudit_universal_nf(state, p)
     # multiplicities are 0/1, so no sqrt adjustment happens
-    labels = [complex(g.gen.label.value) for g in _leaves(t) if g.gen.kind == "z"]
+    labels = [complex(g.label.value) for g in _leaves(t) if g.kind == "z"]
     assert close(labels[0], 2) and close(labels[1], -1)
     assert map_equal(interpret(t, R, 2), state)
 

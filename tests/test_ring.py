@@ -252,7 +252,7 @@ def test_complex_label_round_trip(re_part, im_part):
     # render then parse gives back the value exactly, signs of zero included
     c = complex(re_part, im_part)
     t = term.parse(term.render(term.zspider(1, 1, ring.complex_value(CC, c))), CC)
-    assert repr(t.gen.label.value) == repr(c)
+    assert repr(t.label.value) == repr(c)
 
 
 def test_bad_literals_raise():

@@ -100,8 +100,9 @@ def test_mutated_instances_fail_with_witness():
     assert lv != rv
 
 
-@pytest.mark.parametrize("R, n_sound", [(Z, 7), (ring.Zn(6), 8)])
-def test_controls_fail_with_a_witness_in_their_own_ring(R, n_sound):
+@pytest.mark.parametrize("R, n_instances, n_sound", [(Z, 277, 7), (ring.Zn(6), 277, 8),
+                                                    (QI, 375, 7)])
+def test_controls_fail_with_a_witness_in_their_own_ring(R, n_instances, n_sound):
     # a closed rule's control gets the scalar -1 of R: one of Qi made the
     # controls of the 10 scalar rules raise instead of naming an entry
     insts = axiom_instances(DEFAULT_BOUNDS, R) + derived_instances(DEFAULT_BOUNDS, R)
@@ -114,7 +115,7 @@ def test_controls_fail_with_a_witness_in_their_own_ring(R, n_sound):
             sound.append(inst.name)
         else:
             assert rep.witness[0] != "<error>", rep
-    assert len(insts) == 277 and len(sound) == n_sound
+    assert len(insts) == n_instances and len(sound) == n_sound
 
 
 def test_report_formatting():

@@ -230,7 +230,7 @@ def test_cached_tables_are_read_only():
     from zwcalc import semantics
 
     m = interpret(X, Z)  # a bare generator hands back the shared table
-    assert m is interpret(X, Z) is semantics.generator_map(X.gen, Z, 2)
+    assert m is interpret(X, Z) is semantics.generator_map(X, Z, 2)
     with pytest.raises(TypeError):
         m.entries[("00", "00")] = ONE
     with pytest.raises(TypeError):
@@ -343,15 +343,14 @@ def test_a_one_block_layer_joins_as_block_by_block(case, seed):
     r, d = ONE_BLOCK_CASES[case]
     rng = random.Random(seed)
     label = semantics.RingElement(r, _sample(rng, r)) if rng.random() < 0.8 else r.zero
-    g = rng.choice([term.wspider(rng.randint(0, 2), rng.randint(0, 2) + 1).gen,
-                    term.zspider(rng.randint(0, 2), rng.randint(1, 2), label).gen,
-                    X.gen, term.XINV.gen, SWAP.gen, term.CAP.gen, CUP.gen, ID.gen,
-                    term.ket(rng.randrange(d)).gen])
+    g = rng.choice([term.wspider(rng.randint(0, 2), rng.randint(0, 2) + 1),
+                    term.zspider(rng.randint(0, 2), rng.randint(1, 2), label),
+                    X, term.XINV, SWAP, term.CAP, CUP, ID, term.ket(rng.randrange(d))])
     left, right, k = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)
     if not r.exact and rng.random() < 0.5:
         left = right = 0  # over C, id blocks take the written-out join
     table = semantics.generator_map(g, r, d)._raw
-    wire = semantics.generator_map(ID.gen, r, d)._raw
+    wire = semantics.generator_map(ID, r, d)._raw
     letters = "0123456789"[:d]
     n = left + table.n_in + right
     entries = {("".join(rng.choice(letters) for _ in range(n)),
@@ -382,11 +381,11 @@ def test_generator_errors_are_raised_on_every_call():
             interpret(term.wspider(1, 2), ring.C(), 11)
     for _ in range(2):
         with pytest.raises(QuditError):
-            generator_map(term.wspider(1, 2).gen, ring.C(), 11)
+            generator_map(term.wspider(1, 2), ring.C(), 11)
 
 
-@pytest.mark.parametrize("g", [term.ID.gen, term.ket(0).gen, term.wspider(1, 2).gen,
-                               term.zspider(0, 2, ring.C().one).gen])
+@pytest.mark.parametrize("g", [term.ID, term.ket(0), term.wspider(1, 2),
+                               term.zspider(0, 2, ring.C().one)])
 def test_generator_map_checks_the_dimension_as_interpret_does(g):
     from zwcalc.qudit import QuditError
     from zwcalc.semantics import generator_map
@@ -402,7 +401,7 @@ def test_generator_map_checks_the_dimension_as_interpret_does(g):
             with pytest.raises(error):
                 generator_map(g, r, d)
             with pytest.raises(error):
-                interpret(term.Gen(g), r, d)
+                interpret(g, r, d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -110,19 +110,19 @@ def test_copies_and_pickles_share_the_builders_leaves(how):
     todo = [got]
     while todo:
         u = todo.pop()
-        if type(u) is term.Gen:
-            gens.setdefault(u.gen, set()).add(id(u))
+        if type(u) is term.Generator:
+            gens.setdefault(u, set()).add(id(u))
         else:
             todo += (u.first, u.then) if type(u) is term.Seq else (u.left, u.right)
     assert all(len(objects) == 1 for objects in gens.values())
     for leaf in (term.X, ID, term.ket(1), term.wspider(1, 1),
                  term.zspider(1, 1, ring.from_int(Z, 2))):
-        assert gens[leaf.gen] == {id(leaf)}
+        assert gens[leaf] == {id(leaf)}
     # a fold looks each of them up once: four x leaves, one lookup
     looked = []
     term.fold(got, lambda g: looked.append(g) or g, lambda acc, values: values,
               lambda acc, layers: None)
-    assert looked.count(term.X.gen) == 1 and len(looked) == len(gens)
+    assert looked.count(term.X) == 1 and len(looked) == len(gens)
     # a complex label shares its leaf too, as zspider gives it
     c = ring.C()
     labelled = parse("z(1,1)[-0.0+1i] ; z(1,1)[-0.0+1i]", c)
@@ -132,13 +132,33 @@ def test_copies_and_pickles_share_the_builders_leaves(how):
 
 def test_terms_are_frozen():
     t = parse("w(1,2) ; x", Z)
-    for node, name in ((t, "n_in"), (t, "first"), (ID, "n_out"), (ID, "gen"),
+    for node, name in ((t, "n_in"), (t, "first"), (ID, "n_out"), (ID, "kind"),
                        (term.Par(ID, ID), "left"), (term.EMPTY, "n_in")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(node, name)
     assert (t.n_in, t.n_out, ID.n_out) == (1, 2, 1)
+
+
+def test_a_leaf_is_a_slotted_frozen_term_on_every_python():
+    # Python 3.10's dataclass(slots=True) declares inherited slots again and
+    # 3.11 leaves them out, so the leaf's slots are written out by hand
+    leaf = term.zspider(1, 2, ring.from_int(Z, 3))
+    assert isinstance(leaf, term.Term) and not hasattr(leaf, "__dict__")
+    assert term.Generator.n_in is term.Term.n_in and term.Generator.n_out is term.Term.n_out
+    assert not {"n_in", "n_out", "_plan"} & set(term.Generator.__slots__)
+    for name in ("kind", "n_in", "n_out", "label", "level"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(leaf, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(leaf, name)
+    assert repr(leaf) == "Generator('z(1,2)[3]')" and leaf != term.Seq(leaf, ID @ ID)
+    # a leaf built by hand equals the builder's, and its copies are the builder's
+    fresh = term.Generator("z", 1, 2, ring.from_int(Z, 3))
+    assert fresh is not leaf and fresh == leaf and hash(fresh) == hash(leaf)
+    for how in _round_trips().values():
+        assert how(leaf) is leaf and how(fresh) is leaf
 
 
 _PICKLE = """
@@ -154,7 +174,7 @@ t = pickle.loads(sys.stdin.buffer.read())
 gens = [u for u in term._preorder(t) if isinstance(u, term.Generator)]
 fresh = [term.Generator(g.kind, g.n_in, g.n_out, g.label, g.level) for g in gens]
 assert [hash(g) for g in gens] == [hash(g) for g in fresh], "stale generator hash"
-assert t.first.first.gen.label.ring is ring.Qi()
+assert t.first.first.label.ring is ring.Qi()
 assert hash(t) == hash(term.parse("z(1,3)[1/2-i] ; (x * id) ; w(3,0)", ring.Qi()))
 """
 
@@ -170,12 +190,12 @@ def test_an_unpickled_term_hashes_as_the_reading_process_does():
 
 def test_parse_examples():
     t = parse("z(0,3)[1]", Z)
-    assert isinstance(t, term.Gen) and t.gen.kind == "z" and t.gen.n_out == 3
+    assert isinstance(t, term.Generator) and t.kind == "z" and t.n_out == 3
     t = parse("w(0,2) ; x", Z)
     assert isinstance(t, term.Seq)
     snake = parse("(id * cup) ; (cap * id)", Z)
     assert (snake.n_in, snake.n_out) == (1, 1)
-    assert parse("ket(1)", Z).gen.level == 1
+    assert parse("ket(1)", Z).level == 1
 
 
 @pytest.mark.parametrize("text, message, position", [
@@ -235,7 +255,7 @@ def _eq_pairs(draw):
         return a, draw(terms) if how == "drawn" else a if how == "itself" else copy.copy(a)
     i = draw(st.sampled_from(gens))
     g = nodes[i]
-    nodes[i] = draw(st.sampled_from([u.gen for u in _EQ_LEAVES[:-1] if u.gen is not g
+    nodes[i] = draw(st.sampled_from([u for u in _EQ_LEAVES[:-1] if u is not g
                                      and (u.n_in, u.n_out) == (g.n_in, g.n_out)] or [g]))
     return a, term._assembled(nodes)
 
@@ -416,7 +436,7 @@ def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, fresh_table
     spider = term.zspider(10, 10, QI.one)
     t = term.identity(10) >> spider >> term.identity(10)  # 20 id leaves
     # over an exact ring both pillars also fetch id's table once, as their joins' wire
-    want = {ID.gen: 2, spider.gen: 1}
+    want = {ID: 2, spider: 1}
     for _ in range(2):  # the memo lives for one call, so a second call looks up again
         calls.clear()
         pillar(t, QI)
@@ -468,7 +488,7 @@ def test_a_leaf_that_raises_raises_on_every_call(monkeypatch, fresh_tables):
     for n in (1, 2):
         with pytest.raises(ArityError, match=r"ket\(2\)"):
             normalform.normalize(t, QI)
-        assert calls.count(term.ket(2).gen) == n
+        assert calls.count(term.ket(2)) == n
 
 
 def _scalar():
@@ -513,7 +533,7 @@ def test_spider_leaves_are_shared_over_every_ring():
     c = ring.C()
     pos, neg = (term.zspider(0, 1, ring.complex_value(c, v)) for v in (0.0, -0.0))
     assert pos != neg and pos is not neg
-    assert str(neg.gen.label) == "-0.0+0.0i" != str(pos.gen.label)
+    assert str(neg.label) == "-0.0+0.0i" != str(pos.label)
     assert neg is parse("z(0,1)[-0.0]", c) and pos is parse("z(0,1)[0.0+0.0i]", c)
     # slotted nodes and leaves: a catalogue holds about ten thousand
     assert not hasattr(term.wspider(1, 2), "__dict__")
@@ -578,7 +598,8 @@ def test_crossing_perm_seeded_twelve_wires():
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 3], [0, 1, 2, 4], [1, 2], [[1], [0]],
-                                  list(range(term.SHARED_NETWORK_WIRES)) + [99]])
+                                  list(range(term.SHARED_NETWORK_WIRES)) + [99],
+                                  [0, "a"], [0, [1]], (0, None)])
 def test_crossing_perm_rejects_non_permutation(perm):
     for _ in range(3):  # on every call: no error is kept, and none stands in for a network
         with pytest.raises(ArityError, match="is not a permutation"):
