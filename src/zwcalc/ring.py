@@ -294,7 +294,7 @@ def complex_value(ring: RingDescriptor, v: complex) -> RingElement:
     return RingElement(ring, complex(v))
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _split_imag(s: str) -> tuple[str, str]:
@@ -313,14 +313,18 @@ def _split_imag(s: str) -> tuple[str, str]:
 def parse_literal(ring: RingDescriptor, text: str) -> RingElement:
     """Parse a ring literal: integers, p/q rationals, p/q+r/s i Gaussians.
 
-    Spaces are insignificant.  The complex ring reads decimals and
-    e-notation too, rounded to floats; a part that overflows a float is
-    an error, and ``str`` of a complex value reads back to the same value,
-    the signs of zero parts included.
+    Whitespace is insignificant, and a literal is ASCII: ``int``,
+    ``Fraction`` and ``complex`` would read the digits of every script,
+    which ``str`` then writes back in ASCII.  The complex ring reads
+    decimals and e-notation too, rounded to floats; a part that overflows
+    a float is an error, and ``str`` of a complex value reads back to the
+    same value, the signs of zero parts included.
     """
-    s = text.replace(" ", "")
+    s = "".join(text.split())
     if not s:
         raise RingError("empty ring literal")
+    if not s.isascii():
+        raise RingError(f"{text!r} is not an ASCII literal")
     if ring.kind in (INTEGERS, INTEGERS_MOD):
         if not _INT_RE.fullmatch(s):
             raise RingError(f"{text!r} is not an integer literal")

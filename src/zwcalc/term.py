@@ -54,6 +54,7 @@ import sys
 from array import array
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 
 from . import ring as _ring
 from .ring import RingDescriptor, RingElement
@@ -66,7 +67,7 @@ class ArityError(Exception):
 class ParseError(Exception):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 GENERATOR_KINDS = ("id", "swap", "cup", "cap", "x", "xinv", "w", "z", "ket")
@@ -201,6 +202,7 @@ class Par(Term):
 _set_first, _set_then, _set_left, _set_right = (
     Seq.first.__set__, Seq.then.__set__, Par.left.__set__, Par.right.__set__)
 _set_n_in, _set_n_out, _set_plan = Term.n_in.__set__, Term.n_out.__set__, Term._plan.__set__
+_new = object.__new__  # a node with unset slots, which _par_chain writes
 seq, par = Seq, Par  # >> and @ as functions
 for _node in (Seq, Par):  # their generated setters name the class slots=True replaced
     del _node.__setattr__, _node.__delattr__
@@ -232,7 +234,7 @@ def ket(level: int) -> Generator:
 
 def identity(n: int) -> Term:
     """n parallel wires; n = 0 is the empty diagram (scalar 1)."""
-    return par_all([ID] * n)
+    return _par_chain([ID] * n) if n > 0 else EMPTY
 
 
 @dataclass(frozen=True)
@@ -246,8 +248,33 @@ EMPTY = _Empty()
 
 
 def par_all(terms) -> Term:
+    """The left-deep ``*`` chain of ``terms`` with each ``EMPTY`` left out,
+    as ``reduce(par, ...)`` would build it, or ``EMPTY``; built by
+    :func:`_par_chain`, so no ``Par.__init__`` frame runs per node."""
     terms = [t for t in terms if not isinstance(t, _Empty)]
-    return reduce(par, terms) if terms else EMPTY
+    return _par_chain(terms) if terms else EMPTY
+
+
+def _par_chain(blocks: list) -> Term:
+    """The left-deep ``*`` chain of ``blocks``, a non-empty list of terms:
+    ``reduce(par, blocks)``, node for node.  Each node is made bare and its
+    slots written through the setters, its arities as running sums, so no
+    ``Par.__init__`` frame runs per node, which would cost more than the
+    node's four slots.  ``par_all``, ``identity``, the rounds of a crossing
+    network and each ``*`` layer that ``parse`` reads are built here."""
+    it = iter(blocks)
+    acc = next(it)
+    n_in, n_out = acc.n_in, acc.n_out
+    for b in it:
+        node = _new(Par)
+        _set_left(node, acc)
+        _set_right(node, b)
+        n_in += b.n_in
+        n_out += b.n_out
+        _set_n_in(node, n_in)
+        _set_n_out(node, n_out)
+        acc = node
+    return acc
 
 
 def seq_all(terms) -> Term:
@@ -538,11 +565,11 @@ def _shared_network(perm: tuple) -> Term:
 
 
 def _network(perm: tuple) -> Term:
-    """The network of :func:`crossing_perm`, built.  Each round's ``*``
-    chain of the shared leaves ``X`` and ``ID`` grows from its first
-    crossing on.  The rounds are chained by ``;`` at the end: a chain grown
-    round by round is reachable only through its top, which doubles the
-    cyclic collector's time on wide networks."""
+    """The network of :func:`crossing_perm`, built.  A round with a
+    crossing is the :func:`_par_chain` of its row of the shared leaves
+    ``X`` and ``ID``.  The rounds are chained by ``;`` at the end: a chain
+    grown round by round is reachable only through its top, which doubles
+    the cyclic collector's time on wide networks."""
     n = len(perm)
     done = list(range(n))
     try:
@@ -556,17 +583,15 @@ def _network(perm: tuple) -> Term:
     for r in range(n):
         if cur == done:  # the remaining rounds cross nothing
             break
-        layer, at = None, 0  # the round's chain so far, and the wires it holds
+        row, at = [], 0  # the round's blocks so far, and the wires they hold
         for i in range(r % 2, n - 1, 2):
             if cur[i] > cur[i + 1]:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                for _ in range(at, i):
-                    layer = ID if layer is None else Par(layer, ID)
-                layer, at = X if layer is None else Par(layer, X), i + 2
-        if layer is not None:
-            for _ in range(at, n):
-                layer = Par(layer, ID)
-            layers.append(layer)
+                row += [ID] * (i - at)
+                row.append(X)
+                at = i + 2
+        if row:
+            layers.append(_par_chain(row + [ID] * (n - at)))
     return seq_all(layers) if layers else identity(n)
 
 
@@ -654,23 +679,37 @@ def _atom(g: Generator) -> str:
     return f"ket({g.level})"
 
 
-# One token, after optional whitespace: an operator or bracket, a
-# generator with its parameters and label, or a bare word, which is empty
-# at the end of the text and before a character no token starts with.
-_TOKEN = re.compile(r"""\s*(?P<token>
-    (?P<op>[;*()])
-  | w\s*\(\s*(?P<wk>\d+)\s*,\s*(?P<wm>\d+)\s*\)
-  | z\s*\(\s*(?P<zk>\d+)\s*,\s*(?P<zm>\d+)\s*\)\s*\[\s*(?P<label>[^\]]*)\]
-  | ket\s*\(\s*(?P<level>\d+)\s*\)
+# A generator token read into its parameters, once per distinct token text
+# in a call: a spider, a labelled spider or a ket, or a bare word.  Digits
+# are ASCII, as the grammar says; \d would take those of every script.
+_LEAF = re.compile(r"""
+    w\s*\(\s*(?P<wk>[0-9]+)\s*,\s*(?P<wm>[0-9]+)\s*\)
+  | z\s*\(\s*(?P<zk>[0-9]+)\s*,\s*(?P<zm>[0-9]+)\s*\)\s*\[\s*(?P<label>[^\]]*)\]
+  | ket\s*\(\s*(?P<level>[0-9]+)\s*\)
   | (?P<word>[^\W\d_]*)
-)""", re.VERBOSE)
+""", re.VERBOSE)
+
+# One token, after optional whitespace: an operator or bracket, or a
+# generator token of _LEAF's grammar, whose groups do not capture here.  A
+# bare word is empty at the end of the text and before a character no
+# token starts with.  The token is the one group, so findall yields it
+# as a string, with no match object.
+_TOKEN = re.compile(r"\s*([;*()]|" + re.sub(r"\(\?P<\w+>", "(?:", _LEAF.pattern) + ")",
+                    re.VERBOSE)
+
+# parse tokenizes a slice of at least this many characters at a time, so
+# the list of one slice's tokens is live, not the whole text's
+_SLICE_CHARS = 1 << 13
 
 _SHAPES = {"w": "w(k,m)", "z": "z(k,m)[label]", "ket": "ket(level)"}
 
 
-def _generator(m: re.Match, ring: RingDescriptor, start: int) -> Term:
-    """The generator a token names, or the ParseError for a token that
-    cannot start a term."""
+def _generator(token: str, ring: RingDescriptor) -> Term:
+    """The generator ``token`` names, or the ParseError for a token that
+    cannot start a term, its position counted from the token's start."""
+    m = _LEAF.fullmatch(token)
+    if m is None:  # an operator or a bracket
+        raise ParseError("expected a term", 0)
     try:
         if m["wk"] is not None:
             return wspider(int(m["wk"]), int(m["wm"]))
@@ -679,15 +718,33 @@ def _generator(m: re.Match, ring: RingDescriptor, start: int) -> Term:
         if m["level"] is not None:
             return ket(int(m["level"]))
     except ArityError as exc:
-        raise ParseError(str(exc), start) from None
+        raise ParseError(str(exc), 0) from None
     except _ring.RingError as exc:
         raise ParseError(str(exc), m.start("label")) from None
     word = m["word"]
     if word in _FIXED_ARITY:
         return _WIRES[word]
     if word in _SHAPES:
-        raise ParseError(f"expected {_SHAPES[word]}", start)
-    raise ParseError(f"expected a generator, got {word!r}" if word else "expected a term", start)
+        raise ParseError(f"expected {_SHAPES[word]}", 0)
+    raise ParseError(f"expected a generator, got {word!r}" if word else "expected a term", 0)
+
+
+def _cut(text: str, start: int, end: int) -> int:
+    """Where :func:`parse`'s slice of ``text`` from ``start`` ends: just
+    after the first ``;`` at least ``_SLICE_CHARS`` on that no label holds,
+    so no token crosses the cut, or at ``end``.  A label ends at the first
+    ``]``, so a ``;`` after the last ``[`` and no ``]`` since may be in one."""
+    cut = text.find(";", start + _SLICE_CHARS, end)
+    while cut >= 0 and text.rfind("[", start, cut) > text.rfind("]", start, cut):
+        close = text.find("]", cut, end)
+        cut = text.find(";", close, end) if close >= 0 else -1
+    return cut + 1 if cut >= 0 else end
+
+
+def _token_start(text: str, index: int) -> int:
+    """Where the token numbered ``index`` from 0 starts in ``text``, found
+    again for an error by a scan of match objects up to it."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start(1)
 
 
 def parse(text: str, ring: RingDescriptor = _ring.Qi()) -> Term:
@@ -695,36 +752,63 @@ def parse(text: str, ring: RingDescriptor = _ring.Qi()) -> Term:
     (Gaussian rationals by default).
 
     One pass over the tokens keeps, per open bracket, the ``;`` chain so
-    far and the ``*`` chain after it.  A ``;``, a ``)`` or the end joins
-    the two, and reports an arity error at that token."""
-    leaves: dict[str, Term] = {}  # token text -> its leaf, within this call
-    frames = []  # per enclosing bracket: its ; chain and * chain
-    chain = layer = None  # the innermost bracket's ; chain and * chain
+    far and the blocks of the ``*`` chain after it.  A ``;``, a ``)`` or
+    the end joins the two, and reports an arity error at that token.
+
+    The tokens come from ``findall``, as strings, a slice of the text at a
+    time (:func:`_cut`).  A generator token is read into its leaf by
+    ``_LEAF`` the first time its text appears in the call, and each later
+    time found in a table by its text.  A ``*`` chain is built when it
+    ends, by :func:`_par_chain`, so no ``Par.__init__`` frame runs per
+    node.  A token that raises is found again by :func:`_token_start`,
+    which gives the error its position."""
+    leaves = dict(_WIRES)  # token text -> its leaf, within this call
+    frames = []  # per enclosing bracket: its ; chain and the blocks of its * chain
+    chain, blocks = None, []  # the innermost bracket's ; chain and * chain blocks
     operand = True  # a term must start at the next token
-    for m in _TOKEN.finditer(text):  # the last token, an empty word, returns or raises
-        tok = m["token"]
-        if operand and tok == "(":
-            frames.append((chain, layer))
-            chain = layer = None
-        elif operand:
-            u = leaves.get(tok) or leaves.setdefault(tok, _generator(m, ring, m.start("token")))
-            layer = u if layer is None else Par(layer, u)
-            operand = False
-        elif tok == "*":
-            operand = True
-        else:
-            start = m.start("token")
-            if chain is not None:
-                try:
-                    layer = Seq(chain, layer)
-                except ArityError as exc:
-                    raise ParseError(str(exc), start) from None
-            if tok == ";":
-                chain, layer, operand = layer, None, True
-            elif tok == ")" and frames:
-                chain, outer = frames.pop()
-                layer = layer if outer is None else Par(outer, layer)
-            elif frames or start < len(text):
-                raise ParseError("expected ')'" if frames else "trailing input", start)
+    # the text's last token, an empty word, is here; findall over trailing
+    # whitespace would yield two, the whitespace's match and an empty one
+    end = len(text.rstrip())
+    start = read = 0  # where the slice starts, and the tokens read before it
+    while True:
+        cut = _cut(text, start, end)
+        tokens = _TOKEN.findall(text, start, cut)
+        if cut < end:  # the empty word at the cut, which the next slice reads on from
+            tokens.pop()
+        last = read + len(tokens) - 1 if cut == end else -1  # the number of the last token
+        for i, tok in enumerate(tokens, read):  # the last token returns or raises
+            if operand:
+                u = leaves.get(tok)
+                if u is None:
+                    if tok == "(":
+                        frames.append((chain, blocks))
+                        chain, blocks = None, []
+                        continue
+                    try:
+                        u = leaves[tok] = _generator(tok, ring)
+                    except ParseError as exc:
+                        raise ParseError(exc.message,
+                                         _token_start(text, i) + exc.position) from None
+                blocks.append(u)
+                operand = False
+            elif tok == "*":
+                operand = True
             else:
-                return layer
+                layer = blocks[0] if len(blocks) == 1 else _par_chain(blocks)
+                if chain is not None:
+                    try:
+                        layer = Seq(chain, layer)
+                    except ArityError as exc:
+                        raise ParseError(str(exc), _token_start(text, i)) from None
+                if tok == ";":
+                    chain, blocks, operand = layer, [], True
+                elif tok == ")" and frames:
+                    chain, blocks = frames.pop()
+                    blocks.append(layer)
+                elif frames or i != last:
+                    raise ParseError("expected ')'" if frames else "trailing input",
+                                     _token_start(text, i))
+                else:
+                    return layer
+        read += len(tokens)
+        start = cut

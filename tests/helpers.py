@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,80 @@ def ref_nf_to_term(a) -> Term:
     merges = [zterm.w_monoid(sum(int(word[j]) for _, word in rows)) for j in range(n)]
     return ref_canonical_diagram(zterm.wspider(0, len(rows)), whites,
                                  [word for _, word in rows], merges)
+
+
+# ---------------------------------------------------------------------------
+# reference parser: the one-pass parser as it was first written, a match
+# object per token read by group name and a Par node per ``*`` as it is
+# read; the parser tests require the same terms and the same errors
+
+
+_REF_TOKEN = re.compile(r"""\s*(?P<token>
+    (?P<op>[;*()])
+  | w\s*\(\s*(?P<wk>\d+)\s*,\s*(?P<wm>\d+)\s*\)
+  | z\s*\(\s*(?P<zk>\d+)\s*,\s*(?P<zm>\d+)\s*\)\s*\[\s*(?P<label>[^\]]*)\]
+  | ket\s*\(\s*(?P<level>\d+)\s*\)
+  | (?P<word>[^\W\d_]*)
+)""", re.VERBOSE)
+
+_REF_SHAPES = {"w": "w(k,m)", "z": "z(k,m)[label]", "ket": "ket(level)"}
+
+
+def _ref_generator(m: re.Match, ring, start: int) -> Term:
+    try:
+        if m["wk"] is not None:
+            return zterm.wspider(int(m["wk"]), int(m["wm"]))
+        if m["zk"] is not None:
+            return zterm.zspider(int(m["zk"]), int(m["zm"]),
+                                 zring.parse_literal(ring, m["label"]))
+        if m["level"] is not None:
+            return zterm.ket(int(m["level"]))
+    except zterm.ArityError as exc:
+        raise zterm.ParseError(str(exc), start) from None
+    except zring.RingError as exc:
+        raise zterm.ParseError(str(exc), m.start("label")) from None
+    word = m["word"]
+    if word in zterm._FIXED_ARITY:
+        return zterm._WIRES[word]
+    if word in _REF_SHAPES:
+        raise zterm.ParseError(f"expected {_REF_SHAPES[word]}", start)
+    raise zterm.ParseError(f"expected a generator, got {word!r}" if word else "expected a term",
+                           start)
+
+
+def ref_parse(text: str, ring) -> Term:
+    """Per open bracket, the ``;`` chain so far and the ``*`` chain after it."""
+    leaves: dict[str, Term] = {}
+    frames = []
+    chain = layer = None
+    operand = True
+    for m in _REF_TOKEN.finditer(text):
+        tok = m["token"]
+        if operand and tok == "(":
+            frames.append((chain, layer))
+            chain = layer = None
+        elif operand:
+            u = leaves.get(tok) or leaves.setdefault(tok, _ref_generator(m, ring, m.start("token")))
+            layer = u if layer is None else Par(layer, u)
+            operand = False
+        elif tok == "*":
+            operand = True
+        else:
+            start = m.start("token")
+            if chain is not None:
+                try:
+                    layer = Seq(chain, layer)
+                except zterm.ArityError as exc:
+                    raise zterm.ParseError(str(exc), start) from None
+            if tok == ";":
+                chain, layer, operand = layer, None, True
+            elif tok == ")" and frames:
+                chain, outer = frames.pop()
+                layer = layer if outer is None else Par(outer, layer)
+            elif frames or start < len(text):
+                raise zterm.ParseError("expected ')'" if frames else "trailing input", start)
+            else:
+                return layer
 
 
 def ref_qudit_universal_nf(state, p):

@@ -362,6 +362,20 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["w(\u0663,1)"], ["--ring", "Z", "z(1,1)[\u0661]"],
+                                  ["--ring", "Qi", "z(0,1)[\u0661/\u0662+\u0663i]"]])
+def test_digits_of_other_scripts_exit_2(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "position" in err
+
+
+@pytest.mark.parametrize("argv", [["w ( 0 , 2 )\n;\tx"], ["--ring", "Z", "z(1,1)[1\t]"],
+                                  ["--ring", "Z", "z(1,1)[1\n]"]])
+def test_whitespace_in_a_term_exits_0(capsys, argv):
+    code, _, _ = run(capsys, "eval", *argv)
+    assert code == 0
+
+
 def test_zn_ring_flag(capsys):
     code, out, _ = run(capsys, "eval", "--ring", "Zn", "--mod", "2", "x")
     assert code == 0

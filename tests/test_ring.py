@@ -267,6 +267,24 @@ def test_bad_literals_raise():
             ring.parse_literal(CC, text)
 
 
+@pytest.mark.parametrize("r, text", [
+    (Z, "\u0661"), (Z, "-\u0663"), (Z6, "\u0662"), (QI, "\u0661/\u0662+\u0663i"),
+    (QI, "1/\u0662"), (CC, "\u0661.5"), (CC, "1+\u0662i"), (Z, "\uff11"),
+])
+def test_literals_of_other_scripts_raise(r, text):
+    # int, Fraction and complex read the digits of every script; a literal is ASCII
+    with pytest.raises(ring.RingError, match="is not an ASCII literal"):
+        ring.parse_literal(r, text)
+
+
+@pytest.mark.parametrize("r, text, value", [
+    (Z, " 1\t", "1"), (Z, "\n-2\r\n", "-2"), (QI, "1 /\t2 +\n3 i", "1/2+3i"),
+    (CC, "\t-0.0 +\n1.5i ", "-0.0+1.5i"), (Z6, "\x0b7\x0c", "1"),
+])
+def test_whitespace_in_a_literal_never_matters(r, text, value):
+    assert str(ring.parse_literal(r, text)) == value
+
+
 @pytest.mark.parametrize("v", [complex("inf"), complex(0, float("-inf")), complex("nan")])
 def test_non_finite_complex_has_no_literal(v):
     # the JSON and term writers would emit text that parse_literal rejects

@@ -213,6 +213,12 @@ def test_parse_examples():
     ("w(0,2", "expected w(k,m)", 0),
     ("(id id)", "expected ')'", 4),
     ("id * (x", "expected ')'", 7),
+    # nat and labels are ASCII, as render writes them: no digits of other scripts
+    ("w(\u0663,1)", "expected w(k,m)", 0),
+    ("id ; ket(\u0661)", "expected ket(level)", 5),
+    ("z(1,\u0661)[1]", "expected z(k,m)[label]", 0),
+    ("z(1,1)[\u0661]", "'\u0661' is not an ASCII literal", 7),
+    ("z(0,1)[ \u0661/\u0662+\u0663i]", "'\u0661/\u0662+\u0663i' is not an ASCII literal", 8),
 ])
 def test_parse_errors_carry_positions(text, message, position):
     with pytest.raises(ParseError) as err:
@@ -322,6 +328,123 @@ def test_parse_render_round_trip(seed):
               ring.from_int(QI, -2), ring.from_int(QI, 0)]
     t = helpers.random_term(rng, labels, pool=helpers.FULL_POOL)
     assert parse(render(t), QI) == t
+
+
+_C_LABELS = [ring.complex_value(_C, v) for v in (0.0, -0.0, complex(-0.0, 1), complex(1.5, -0.0),
+                                              complex(-2e-05, 3e10))]
+_LABELS = {"Z": (Z, [ring.from_int(Z, v) for v in (0, -2, 7)]),
+           "Qi": (QI, [ring.gaussian(QI, 1, 1), ring.gaussian(QI, 0, 1), ring.from_int(QI, -2),
+                       ring.from_int(QI, 0)] + [ring.parse_literal(QI, "-1/2+3/4i")]),
+           "C": (_C, _C_LABELS)}
+
+
+def _respaced(text: str, rng: random.Random) -> str:
+    """``text`` with runs of spaces, tabs and newlines put between
+    characters that are not both letters or digits: between tokens, inside
+    ``w ( 1 , 2 )`` and inside labels, never inside a word or a number."""
+    out = [text[:1]]
+    for a, b in zip(text, text[1:]):
+        if not (a.isalnum() and b.isalnum()) and rng.random() < 0.3:
+            out.append("".join(rng.choice(" \t\n") for _ in range(rng.randint(1, 3))))
+        out.append(b)
+    return "".join(out)
+
+
+def _corrupted(text: str, rng: random.Random) -> str:
+    """``text`` truncated, with a bracket dropped, a stray ``#``, a token
+    doubled or a ``;`` inside a label."""
+    how = rng.choice(["truncated", "bracket", "hash", "doubled", "label"])
+    if how == "truncated":
+        return text[:rng.randrange(len(text) + 1)]
+    if how == "hash":
+        i = rng.randint(0, len(text))
+        return text[:i] + "#" + text[i:]
+    if how == "doubled":
+        m = rng.choice(list(term._TOKEN.finditer(text))[:-1])
+        return text[:m.end()] + m.group(1) + text[m.end():]
+    if how == "bracket":
+        spots = [i for i, c in enumerate(text) if c in "()"]
+    else:  # just after a '[' or somewhere inside a label, as long as it is
+        spots = [i + 1 for i, c in enumerate(text) if c == "[" or c != "]" and "[" in text[:i]
+                 and text.rfind("[", 0, i) > text.rfind("]", 0, i)]
+    if not spots:
+        return text[:-1]
+    i = rng.choice(spots)
+    return text[:i] + text[i + 1:] if how == "bracket" else text[:i] + ";" + text[i:]
+
+
+def _outcome(read, text, r):
+    """A parser's term, or its error's type, text and position."""
+    try:
+        return read(text, r)
+    except Exception as exc:  # any error must be the reference's too
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.sampled_from(sorted(_LABELS)),
+       st.sampled_from(["render", "respaced", "corrupted"]),
+       st.sampled_from([1, 7, 40, term._SLICE_CHARS]))
+def test_parse_reads_every_text_as_the_reference_parser_does(seed, ring_name, how, slice_chars):
+    # the parser as first written (helpers.ref_parse): the same term, node for
+    # node and with the same stored arities, or the same error at the same
+    # position; small slices cut most texts
+    rng = random.Random(seed)
+    r, labels = _LABELS[ring_name]
+    t = helpers.random_term(rng, labels, pool=helpers.FULL_POOL, max_generators=12)
+    # regrouped at random, so that the text has brackets
+    text = render(_bracket([_bracket(blocks, rng, term.Par) for blocks in helpers.layers(t)],
+                           rng, term.Seq))
+    if how != "render":
+        text = _respaced(text, rng)
+    if how == "corrupted":
+        text = _corrupted(text, rng)
+    assert text.isascii()
+    saved, term._SLICE_CHARS = term._SLICE_CHARS, slice_chars
+    try:
+        got = _outcome(term.parse, text, r)
+    finally:
+        term._SLICE_CHARS = saved
+    want = _outcome(helpers.ref_parse, text, r)
+    if isinstance(want, term.Term):
+        assert isinstance(got, term.Term) and got == want and hash(got) == hash(want)
+        assert render(got) == render(want) and _arities(got) == _arities(want)
+    else:
+        assert got == want and want[0] is ParseError
+
+
+def _arities(t: term.Term) -> list:
+    """Each node's class, or the leaf itself, and its stored arities, in
+    pre-order: ``==`` and ``hash`` read no arity of a ``;`` or ``*`` node."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        out.append((u if type(u) is term.Generator else type(u), u.n_in, u.n_out))
+        if type(u) is term.Seq:
+            todo += [u.then, u.first]
+        elif type(u) is term.Par:
+            todo += [u.right, u.left]
+    return out
+
+
+def test_star_chains_store_what_par_stores():
+    # par_all, identity and the crossing networks write their * nodes'
+    # slots without Par.__init__: a copy, rebuilt by Par and Seq, must
+    # have the same nodes, and par_all must nest as reduce(Par) does
+    rng = random.Random(11)
+    pool = [ID, term.X, CUP, CAP, term.wspider(2, 1), term.ket(1), term.EMPTY,
+            (ID @ term.X) >> (term.X @ ID)]
+    for n in range(1, 12):
+        blocks = [rng.choice(pool) for _ in range(n)]
+        kept = [b for b in blocks if b is not term.EMPTY]
+        t = term.par_all(blocks)
+        assert t is term.EMPTY if not kept else (
+            t == functools.reduce(term.Par, kept) and _arities(t) == _arities(copy.copy(t)))
+        assert _arities(term.identity(n)) == _arities(functools.reduce(term.Par, [ID] * n))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = term.crossing_perm(perm)
+        assert _arities(t) == _arities(copy.copy(t))
 
 
 def _bracket(items, rng, op):
@@ -692,6 +815,12 @@ def test_whitespace_insignificant():
     a = parse(" w(0,2)  ;x ", Z)
     b = parse("w(0,2);x", Z)
     assert a == b
+    # any whitespace, inside a generator or a label too
+    for text, r, rendered in [("z(1,1)[1\t]", Z, "z(1,1)[1]"), ("z(1,1)[1\n]", Z, "z(1,1)[1]"),
+                              ("z(1,1)[\t1 / 2\n+ i ]", QI, "z(1,1)[1/2+i]"),
+                              ("w ( 0 , 2 )\n;\tx", Z, "w(0,2) ; x"),
+                              ("\tket (\n1 ) *\rz\t(0,1)\n[\n-3\n]\n", Z, "ket(1) * z(0,1)[-3]")]:
+        assert render(parse(text, r)) == rendered
 
 
 def test_module_doctests():

@@ -3,7 +3,7 @@
     python3 tools/pillar_costs.py                  # the catalogue's sides
     python3 tools/pillar_costs.py 10/64 12/128     # wide round trips, outputs/rows
     python3 tools/pillar_costs.py qudit            # the qudit universal rebuilds
-    python3 tools/pillar_costs.py reconstruct      # the d = 2 round trips' terms
+    python3 tools/pillar_costs.py reconstruct      # the d = 2 round trips, front end and terms
 
 imports zwcalc from the ``src`` next to this file, so running it in two
 checkouts compares them; alternate the two, run by run, and compare the
@@ -53,8 +53,11 @@ them kept, so a repeated permutation finds its network built.
 With ``reconstruct`` it takes the benchmark's d = 2 states
 (``perfbench.workloads.RECONSTRUCT`` as ``workloads.build`` draws them,
 seed 1), builds each one's canonical diagram and parses its render, as a
-round-trip verdict does, and prints the CPU seconds (best of 5, after a
-warm-up pass) of one pass of each pillar over the parsed terms: first
+round-trip verdict does.  It prints the CPU seconds (best of 5, after a
+warm-up pass) of one pass of each front-end step over the states, as
+the sizes mode does for one wide state: ``nf_to_term``, ``render``,
+``parse`` and ``==`` between each parsed term and the built one.  Then
+it prints those of one pass of each pillar over the parsed terms: first
 with both pillars' small-chain caches (``semantics._chain_map``,
 ``normalform._chain_nf``) emptied before every call, so each call joins
 every small nested chain once, then with the caches left full.
@@ -194,11 +197,21 @@ def qudit_costs() -> None:
 
 
 def reconstruct_costs() -> None:
-    """One pass's least CPU time of each pillar over the reconstruct terms,
-    with the small-chain caches emptied before every call, then full."""
+    """One pass's least CPU time of each front-end step over the
+    reconstruct states, then of each pillar over their parsed terms, with
+    the small-chain caches emptied before every call, then full."""
     z, caches = ring.Z(), (semantics._chain_map, normalform._chain_nf)
-    terms = [term.parse(term.render(normalform.nf_to_term(normalform.from_json_dict(data, z))), z)
-             for data in workloads.build("reconstruct", 1).inputs]
+    states = [normalform.from_json_dict(data, z) for data in workloads.build("reconstruct", 1).inputs]
+    built = [normalform.nf_to_term(nf) for nf in states]
+    texts = [term.render(t) for t in built]
+    terms = [term.parse(text, z) for text in texts]
+    build, write, read, compare = (best_of(each(step, calls)) for step, calls in (
+        (normalform.nf_to_term, [(nf,) for nf in states]),
+        (term.render, [(t,) for t in built]),
+        (term.parse, [(text, z) for text in texts]),
+        (term.Term.__eq__, list(zip(terms, built)))))
+    print(f"{len(states)} reconstruct states, front end: nf_to_term {build:.4f} s  "
+          f"render {write:.4f} s  parse {read:.4f} s  == {compare:.4f} s")
 
     def one_pass(pillar, clear: bool):
         def work():
