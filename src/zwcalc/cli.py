@@ -3,8 +3,9 @@
 JSON results go to stdout; human-readable report tables go to stderr,
 once the JSON is written.  Exit status is 0 when every requested check
 passes, 1 when a check fails, and 2 on bad input (parse errors, arity
-errors, flags a verb does not take, an unwritable ``--output``), which
-prints ``error: ...`` as the first line on stderr.
+errors, flags a verb does not take, an unwritable ``--output``, an input
+too large for the process's memory), which prints ``error: ...`` as the
+first line on stderr.
 """
 
 from __future__ import annotations
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply to read", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large for the memory this process may use", file=sys.stderr)
         return 2
 
 

@@ -22,21 +22,21 @@ layer's own normal form is never built.  The first layer has nothing
 below it; its rows concatenate the blocks' bent words, and one
 permutation moves the input letters to the front.  The joins run on raw
 ring values, read a generator table's rows through the index by input
-letters cached with the table, splice a block that ends the word in with
-no slice after it, and merge equal words but leave the rows unsorted:
-over an exact ring the order of a sum cannot change it, and the result
-is sorted once, as it is wrapped in ring elements, unchecked.  A run of
-wiring layers (``id``, ``x``, ``xinv`` and ``swap`` leaves only) is
-plugged in one step (:func:`_plug_run`): one walk over its crossings
-multiplies each coefficient other than one (the row "1111" of ``x``)
-into its pair of wires' product, which a row takes before its output
-letters are permuted once.  A small nested chain, such as the merge
-gadget ``w(k,1) ; w(1,1)`` of every canonical diagram, is a leaf of the
-fold, known by its key (see :func:`zwcalc.term.fold`), and its normal
-form is kept beside the generator tables: :func:`_chain_nf` joins it
-once per ring and key from the generator tables alone, at most 1024 of
-them.  The test suite checks the result against
-:func:`zwcalc.semantics.interpret`, which shares only the fold.
+letters cached with the table, and merge equal words but leave the
+rows unsorted: over an exact ring the order of a sum cannot change it,
+and the result is sorted once, as it is wrapped in ring elements,
+unchecked.  A run of wiring layers (``id``, ``x``, ``xinv`` and
+``swap`` leaves only) is plugged in one step (:func:`_plug_run`): one
+walk over its crossings multiplies each coefficient other than one (the
+row "1111" of ``x``) into its pair of wires' product, which a row takes
+before its output letters are permuted once.  A small nested chain,
+such as the merge gadget ``w(k,1) ; w(1,1)`` of every canonical
+diagram, is a leaf of the fold, known by its key (see
+:func:`zwcalc.term.fold`), and its normal form is kept beside the
+generator tables: :func:`_chain_nf` joins it once per ring and key from
+the generator tables alone, at most 1024 of them.  The test suite
+checks the result against :func:`zwcalc.semantics.interpret`, which
+shares only the fold.
 """
 
 from __future__ import annotations
@@ -358,10 +358,10 @@ def _plug_one(a: _RawNF, b: _RawNF, lo: int, ring: RingDescriptor) -> _RawNF:
     hi = lo + b.n_in
     by_in = _by_input(b.rows, b.n_in) if b.by_input is None else b.by_input
     mul, add, nonzero = ring.ops["mul"], ring.ops["add"], ring.nonzero
-    acc, tail = {}, hi < a.n_in + a.n_out  # without a tail b ends the word: no slice after it
+    acc = {}
     for c, w in a.rows:
         for bv, bc in by_in.get(w[lo:hi], ()):
-            key, x = (w[:lo] + bv + w[hi:] if tail else w[:lo] + bv), mul(c, bc)
+            key, x = w[:lo] + bv + w[hi:], mul(c, bc)
             acc[key] = add(acc[key], x) if key in acc else x
     return _raw_nf((a.n_in, a.n_out - b.n_in + b.n_out,
                     [(c, w) for w, c in acc.items() if nonzero(c)], None, None))
@@ -394,8 +394,6 @@ def _plug_run(a: _RawNF, layers, ring: RingDescriptor) -> _RawNF | None:
                 signs = {w: c for w, c in {**prod, **signs, **both}.items() if not eq(c, one)}
             if signs:
                 factors[pair] = signs
-    if not factors and perm == sorted(perm):
-        return a
     wires = sorted({i for pair in factors for i in pair})
     part = {c for prod in factors.values() for word in prod for c in word}
     n, rows = a.n_in, []

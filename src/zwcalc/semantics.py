@@ -11,10 +11,9 @@ a block's output word is concatenated on and its coefficient multiplied
 in.  A layer of one block (not counting ``id`` blocks over an exact
 ring, where a product by one keeps every value) is met in one pass,
 with the same products and sums in the same order, so C keeps its
-values bit for bit; a lone block matches on the whole middle word,
-unsliced.  The first layer has nothing below it, so its input words
-are concatenated too.  Nothing is densified, so states stay small on
-any number of wires.
+values bit for bit.  The first layer has nothing below it, so its
+input words are concatenated too.  Nothing is densified, so states stay
+small on any number of wires.
 
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,
@@ -181,15 +180,7 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
     raw, all from tables of ``ring``, so no product checks the ring again.
     ``wire``, ``id``'s table over an exact ring, keeps each letter and value."""
     mul, add = ring.ops["mul"], ring.ops["add"]
-    if len(blocks) == 1 and a is not None and blocks[0] is not wire:
-        b, acc = blocks[0], {}  # b takes the whole middle word: no slices
-        index = _by_input(b.entries) if b.by_input is None else b.by_input
-        for (mid, u), v in a.entries.items():
-            for bw, bv in index.get(mid, ()):
-                key, x = (bw, u), mul(v, bv)
-                acc[key] = add(acc[key], x) if key in acc else x
-        n_in, n_out = a.n_in, b.n_out
-    elif a is None:
+    if a is None:
         if len(blocks) == 1:
             return blocks[0]
         # the empty layer is the unit row
@@ -255,8 +246,6 @@ def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
                 signs = {w: f for w, f in {**prod, **signs, **both}.items() if not eq(f, one)}
             if signs:
                 factors[pair] = signs
-    if not factors and perm == sorted(perm):
-        return a
     wires = sorted({i for pair in factors for i in pair})
     part = {c for prod in factors.values() for word in prod for c in word}
     entries = {}

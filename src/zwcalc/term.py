@@ -8,10 +8,11 @@ are checked at construction; ``Seq(f, g)`` requires ``f.n_out == g.n_in``.
 
 Terms are immutable, so leaves are shared: the wire generators, the kets,
 the W spiders and the Z spiders (one per equal label; see :mod:`zwcalc.ring`)
-are built once and reused, by the builders, ``parse``, copies and pickles
-alike.  So are the composite gadgets (``w_comonoid``, ``w_monoid``,
-``twist``, ``bra``) and the crossing networks of :func:`crossing_perm` up
-to ``SHARED_NETWORK_WIRES`` wires: one term per argument.
+are built once, through one cache, and reused by the builders, ``parse``,
+copies, pickles and ``adjoint`` alike.  So are the composite gadgets
+(``w_comonoid``, ``w_monoid``, ``twist``, ``bra``) and the crossing
+networks of :func:`crossing_perm` up to ``SHARED_NETWORK_WIRES`` wires:
+one term per argument.
 ``>>`` is sequential and ``@`` parallel composition, so snake-like
 composites read the way they are drawn:
 
@@ -215,21 +216,28 @@ _WIRES = {kind: Generator(kind, *arity) for kind, arity in _FIXED_ARITY.items()}
 ID, SWAP, CUP, CAP, X, XINV = (_WIRES[k] for k in ("id", "swap", "cup", "cap", "x", "xinv"))
 
 
-@lru_cache(maxsize=4096)  # one leaf per arity, found without building a Generator
+@lru_cache(maxsize=8192)
+def _shared_leaf(kind: str, n_in: int, n_out: int, label, level) -> Generator:
+    """The one leaf of these fields, shared by the builders, ``parse``,
+    copies, pickles and ``adjoint``.  Every caller passes all five fields
+    by position, as the cache keys ``f(a, b)`` and ``f(a, b, None, None)``
+    apart."""
+    wire = _WIRES.get(kind)
+    return Generator(kind, n_in, n_out, label, level) if wire is None else wire
+
+
 def wspider(k: int, m: int) -> Generator:
-    return Generator("w", k, m)
+    return _shared_leaf("w", k, m, None, None)
 
 
-@lru_cache(maxsize=4096)  # one leaf per arity and label, as W spiders share theirs
 def zspider(k: int, m: int, label: RingElement) -> Generator:
-    return Generator("z", k, m, label=label)
+    return _shared_leaf("z", k, m, label, None)
 
 
-@lru_cache(maxsize=256)  # one leaf per level, as W spiders share theirs
 def ket(level: int) -> Generator:
     """The basis state |level>; ``interpret`` and ``normalize`` check the
     level against their dimension."""
-    return Generator("ket", 0, 1, level=level)
+    return _shared_leaf("ket", 0, 1, None, level)
 
 
 def identity(n: int) -> Term:
@@ -607,17 +615,6 @@ def adjoint(t: Term) -> Term:
     The tree is mirrored, ``Seq(f, g)`` to ``Seq(g†, f†)``, bottom-up
     along the reversed pre-order."""
     return _assembled(_preorder(t), mirror=True)
-
-
-def _shared_leaf(kind: str, n_in: int, n_out: int, label, level) -> Generator:
-    """The leaf of these fields that the builders share."""
-    if kind == "w":
-        return wspider(n_in, n_out)
-    if kind == "z":
-        return zspider(n_in, n_out, label)
-    if kind == "ket":
-        return ket(level)
-    return _WIRES[kind]
 
 
 def _assembled(nodes: list, mirror: bool = False) -> Term:

@@ -287,6 +287,26 @@ def test_overflowing_values_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "w(30000,0)"],
+    ["normalize", "w(30000,0)"],
+    ["roundtrip", "w(99999,0)"],
+], ids=["eval", "normalize", "roundtrip"])
+def test_inputs_past_the_memory_limit_exit_2(argv):
+    # each spider's table outgrows 400 MB of address space, which binds the
+    # child process only
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    limit = 400 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "zwcalc.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
 def _edge_cases():
     # the term verbs read the text, universal the state, and the rule
     # checks the text as their --labels list

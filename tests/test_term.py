@@ -658,6 +658,22 @@ def test_spider_leaves_are_shared_over_every_ring():
     assert pos != neg and pos is not neg
     assert str(neg.label) == "-0.0+0.0i" != str(pos.label)
     assert neg is parse("z(0,1)[-0.0]", c) and pos is parse("z(0,1)[0.0+0.0i]", c)
+    # adjoint hands back the builders' leaves too
+    assert term.adjoint(term.wspider(1, 2)) is term.wspider(2, 1)
+    assert term.adjoint(CUP) is CAP
+    assert term.adjoint(term.ket(1)) is term.bra(1)
+    lab, conj = (ring.parse_literal(QI, v) for v in ("1+i", "1-i"))
+    assert term.adjoint(term.zspider(1, 2, lab)) is term.zspider(2, 1, conj)
+    t = parse("(w(0,2) ; z(1,1)[2-i] * id) * ket(1) ; x * id ; id * cup * swap ; "
+              "xinv * id * cap ; w(3,1)", QI)
+    builders = {"w": lambda u: term.wspider(u.n_in, u.n_out),
+                "z": lambda u: term.zspider(u.n_in, u.n_out, u.label),
+                "ket": lambda u: term.ket(u.level)}
+    leaves = [u for u in term._preorder(term.adjoint(term.adjoint(t)))
+              if isinstance(u, term.Generator)]
+    assert {u.kind for u in leaves} == set(term.GENERATOR_KINDS)
+    for u in leaves:
+        assert u is builders.get(u.kind, lambda u: term._WIRES[u.kind])(u)
     # slotted nodes and leaves: a catalogue holds about ten thousand
     assert not hasattr(term.wspider(1, 2), "__dict__")
     assert not hasattr(term.Seq(ID, ID), "__dict__") and not hasattr(term.Par(ID, ID), "__dict__")

@@ -38,9 +38,9 @@ each step's CPU seconds (best of 3, collector on): ``nf_to_term``
 building it, ``render`` printing it, ``parse`` reading the text back
 and ``==`` comparing the two terms.
 
-With ``qudit`` it draws seeded states shaped like the benchmark's
-(``perfbench.workloads.QUDIT_STATES``, words from
-``workloads.draw_words``, seed 1) and prints the CPU seconds (best of 5,
+With ``qudit`` it takes the benchmark's qudit states (the state inputs
+of ``perfbench.workloads.build("qudit", 1)``, read back by
+``semantics.from_json_dict``) and prints the CPU seconds (best of 5,
 after a warm-up pass) of one pass of ``qudit_universal_nf`` building
 their canonical diagrams, of ``crossing_perm`` building just their
 crossing networks, and of ``interpret`` reading the diagrams back.
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import random
 import sys
 from pathlib import Path
 from time import process_time
@@ -76,7 +75,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from zwcalc import normalform, qudit, ring, rules, semantics, term  # noqa: E402
-from perfbench import workloads  # noqa: E402  (read only: its state shapes)
+from perfbench import workloads  # noqa: E402  (read only: its inputs)
 
 import wide_roundtrip  # noqa: E402  (next to this file)
 
@@ -160,23 +159,13 @@ def class_costs(terms) -> None:
               f"normalize {means[1]:.2f} us")
 
 
-def qudit_states(seed: int = 1) -> list:
-    """(params, state) pairs shaped like the benchmark's universal rebuilds."""
-    rng, out = random.Random(seed), []
-    for d, fans, fan_ins, crossings, copies in workloads.QUDIT_STATES:
-        p = qudit.QParams(d, workloads.QUDIT_TOLERANCE)
-        c = p.ring()
-        for _ in range(copies):
-            words = workloads.draw_words(rng, d, fans, fan_ins, crossings)
-            amps = [complex(rng.randint(1, 16), rng.randint(-16, 16)) / 8 for _ in words]
-            out.append((p, semantics.make_map(c, d, 0, len(fan_ins), {
-                (w, ""): ring.complex_value(c, a) for w, a in zip(words, amps)})))
-    return out
-
-
 def qudit_costs() -> None:
     """One pass's least CPU time of each step of the qudit rebuilds."""
-    states, perms = qudit_states(), []
+    states, perms = [], []
+    for data in workloads.build("qudit", 1).inputs:
+        if isinstance(data, dict):  # a state; the laws' inputs are their labels
+            p = qudit.QParams(data["d"], workloads.QUDIT_TOLERANCE)
+            states.append((p, semantics.from_json_dict(data, p.ring())))
     real = term.crossing_perm
     term.crossing_perm = lambda perm: perms.append(perm) or real(perm)  # collect the networks
     try:
