@@ -19,8 +19,8 @@ Every term is a ``;`` chain of ``*`` layers: the running rows meet
 each block that is not an identity wire in one pass, matching the
 letters on its inputs, so padding costs nothing and a
 layer's own normal form is never built.  The first layer has nothing
-below it; its rows concatenate the blocks' bent words, and one
-permutation moves the input letters to the front.  The joins run on raw
+below it; each of its rows joins the blocks' input letters, then their
+output letters, as ``interpret`` opens a chain.  The joins run on raw
 ring values, read a generator table's rows through the index by input
 letters cached with the table, and merge equal words but leave the
 rows unsorted: over an exact ring the order of a sum cannot change it,
@@ -94,41 +94,22 @@ class NormalForm:
         return not self.rows
 
 
-def canonicalize(p: PreNormalForm | NormalForm, perm: list[int] | None = None) -> NormalForm:
+def canonicalize(p: PreNormalForm | NormalForm) -> NormalForm:
     """Merge duplicate words, drop zero rows, drop rows whose letters the
-    dimension cannot support, and sort; with ``perm``, first send
-    coordinate i to position perm[i] in every word."""
-    if perm is not None and sorted(perm) != list(range(p.n)):
-        raise ArityError(f"{perm!r} is not a permutation of {p.n} coordinates")
+    dimension cannot support, and sort."""
     ring = p.rows[0][0].ring if p.rows else _ring.Z()  # with no rows, any ring
-    if any(c.ring is not ring and c.ring != ring for c, _ in p.rows):
-        raise _ring.RingMismatchError(f"rows over more than one ring, {ring} first")
-    rows = _merged([(c.value, w) for c, w in p.rows], ring, p.d, perm)
-    return trusted_nf(p.d, p.n, sorted(rows, key=itemgetter(1)), ring)
-
-
-def _merged(rows, ring: RingDescriptor, d: int | None = None,
-            perm: list[int] | None = None) -> list:
-    """:func:`canonicalize` on raw values of ``ring``, left unsorted; without
-    ``d`` no letter is checked, as the joins of dimension-2 tables spell none above 1."""
-    if perm is not None:
-        source = [0] * len(perm)  # source[j]: the coordinate that lands at j
-        for i, j in enumerate(perm):
-            source[j] = i
-        rows = [(c, "".join([w[i] for i in source])) for c, w in rows]
-    if d is not None:
-        rows = [(c, w) for c, w in rows if _below(w, d)]
-    add, nonzero = ring.ops["add"], ring.nonzero
-    acc: dict[str, object] = {}
-    for c, w in rows:
-        acc[w] = add(acc[w], c) if w in acc else c
-    return [(c, w) for w, c in acc.items() if nonzero(c)]
+    add, nonzero, d, acc = ring.ops["add"], ring.nonzero, p.d, {}
+    for c, w in p.rows:
+        if c.ring is not ring and c.ring != ring:
+            raise _ring.RingMismatchError(f"rows over more than one ring, {ring} first")
+        if _below(w, d):
+            acc[w] = add(acc[w], c.value) if w in acc else c.value
+    return trusted_nf(d, p.n, [(c, w) for w, c in sorted(acc.items()) if nonzero(c)], ring)
 
 
 def trusted_nf(d: int, n: int, rows, ring: RingDescriptor) -> NormalForm:
     """The normal form of raw rows of ``ring`` that are canonical, unchecked:
-    sorted, with distinct nonzero words below ``d``, as :func:`_merged`
-    leaves them once sorted."""
+    sorted, with distinct nonzero words below ``d``."""
     nf = object.__new__(NormalForm)
     nf.__dict__.update(d=d, n=n, rows=tuple((RingElement(ring, c), w) for c, w in rows))
     return nf
@@ -176,8 +157,12 @@ def nf_negate(a: NormalForm, j: int) -> NormalForm:
 
 
 def nf_permute(a: NormalForm | PreNormalForm, perm: list[int]) -> NormalForm:
-    """Send coordinate i to position perm[i] in every word."""
-    return canonicalize(a, perm)
+    """Send coordinate i to position perm[i] in every word, then canonicalize."""
+    if sorted(perm) != list(range(a.n)):
+        raise ArityError(f"{perm!r} is not a permutation of {a.n} coordinates")
+    source = sorted(range(a.n), key=perm.__getitem__)  # source[j]: the coordinate that lands at j
+    return canonicalize(PreNormalForm(a.d, a.n, tuple(
+        (c, "".join([w[i] for i in source])) for c, w in a.rows)))
 
 
 @dataclass(frozen=True)
@@ -325,10 +310,12 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
     directly, one block at a time (:func:`_plug_one`).  Blocks that are
     ``wire`` (the cached rows of ``id``) keep their letter, so the rows
     stay proportional to ``a``.  With ``a = None`` the layer opens a
-    chain: rows start from the first block's own rows and append every
-    further block's whole bent word, and one permutation moves the input
-    letters to the front.  The coefficients are raw values, all from
-    tables of ``ring``, so no product checks the ring again.
+    chain: each row splits the first block's word at its inputs, every
+    further block adds its input letters to the input word and its output
+    letters to the output word, and the two join once.  Distinct block rows
+    give distinct words, so no two rows merge, and only a row whose product
+    is zero (2 * 3 over Zn(6)) is dropped.  The coefficients are raw values,
+    all from tables of ``ring``, so no product checks the ring again.
     """
     if a is not None:
         pos = a.n_in  # where the next block's letters start
@@ -339,15 +326,13 @@ def _plug(a: _RawNF | None, blocks: list[_RawNF], ring: RingDescriptor,
         return a
     if len(blocks) < 2:  # the empty layer is the unit row
         return blocks[0] if blocks else _raw_nf((0, 0, [(ring.one.value, "")], None, None))
-    mul, rows = ring.ops["mul"], blocks[0].rows
+    mul, nonzero, k = ring.ops["mul"], ring.nonzero, blocks[0].n_in
+    rows = [(c, w[:k], w[k:]) for c, w in blocks[0].rows]  # (value, inputs, outputs)
     for b in blocks[1:]:
-        rows = [(mul(c, bc), w + bw) for c, w in rows for bc, bw in b.rows]
+        k = b.n_in
+        rows = [(mul(c, bc), u + bw[:k], v + bw[k:]) for c, u, v in rows for bc, bw in b.rows]
     n_in, n_out = sum(b.n_in for b in blocks), sum(b.n_out for b in blocks)
-    # words are u_1 v_1 u_2 v_2 ...; send them to u_1 u_2 ... v_1 v_2 ...
-    ins, outs = iter(range(n_in)), iter(range(n_in, n_in + n_out))
-    perm = [next(ins) if j < b.n_in else next(outs)
-            for b in blocks for j in range(b.n_in + b.n_out)]
-    return _raw_nf((n_in, n_out, _merged(rows, ring, perm=perm), None, None))
+    return _raw_nf((n_in, n_out, [(c, u + v) for c, u, v in rows if nonzero(c)], None, None))
 
 
 def _plug_one(a: _RawNF, b: _RawNF, lo: int, ring: RingDescriptor) -> _RawNF:

@@ -343,7 +343,9 @@ def check_rule(r: RuleInstance, desc: RingDescriptor) -> RuleReport:
     try:
         lhs = interpret(r.lhs, desc)
         rhs = interpret(r.rhs, desc)
-    except Exception as exc:  # report evaluation failures, do not raise
+    except MemoryError:  # no verdict on the rule: the caller reports it
+        raise
+    except Exception as exc:  # report other evaluation failures as a FAIL
         return RuleReport(r.name, r.params, False,
                           ("<error>", "<error>", type(exc).__name__, str(exc)))
     return check_maps(r.name, r.params, lhs, rhs)

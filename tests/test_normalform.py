@@ -207,14 +207,20 @@ def test_identity_opens_with_the_bent_identity():
     assert map_equal(interpret(t, Z), bent.to_sparse(Z))
 
 
-@pytest.mark.parametrize("text", [
-    "cap * id * cap",
-    "id * cup * id ; x * z(2,1)[2] ; id * w(2,1)",
-    "(id * cup * id) * w(1,0) ; w(2,2) * cap ; z(2,0)[-1]",
-])
-def test_pillars_agree_on_opening_layers(text):
-    t = term.parse(text, Z)
-    assert map_equal(normalize(t, Z).to_sparse(Z), interpret(t, Z))
+@pytest.mark.parametrize("r, text", [pytest.param(r, text, id=text) for r, text in [
+    (Z, "cap * id * cap"),
+    (Z, "id * cup * id ; x * z(2,1)[2] ; id * w(2,1)"),
+    (Z, "(id * cup * id) * w(1,0) ; w(2,2) * cap ; z(2,0)[-1]"),
+    # over Zn(6) 2 * 3 = 0, so rows 000:1, 010:2, 101:3, and no 111
+    (ring.Zn(6), "z(0,1)[2] * z(1,1)[3]"),
+    (ring.Zn(6), "z(1,1)[3] * cup * z(0,1)[2]"),
+    (ring.Zn(6), "ket(1) * z(1,2)[2] * z(0,1)[3]"),
+]])
+def test_pillars_agree_on_opening_layers(r, text):
+    t = term.parse(text, r)
+    # the same nonzero values, word by word: no zero row and no zero entry
+    rows = {w: c for c, w in normalize(t, r).nf.rows}
+    assert rows == {u + w: v for (w, u), v in interpret(t, r).entries.items()}
 
 
 def test_chain_with_empty_factors():

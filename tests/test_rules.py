@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from zwcalc import ring, term
@@ -15,6 +20,7 @@ from zwcalc.normalform import normalize
 
 Z = ring.Z()
 QI = ring.Qi()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL = RuleBounds(max_spider_arity=3, max_nm=2, label_samples=("0", "1", "-1", "2", "i"))
 
@@ -123,6 +129,34 @@ def test_report_formatting():
     assert "pass" in str(check_rule(inst, Z))
     bad = check_rule(mutate(inst), Z)
     assert "FAIL" in str(bad)
+
+
+# exits 3 if check_rule raises MemoryError, 0 if it returns a report
+_CHECK_BIG_RULE = """
+import sys
+from zwcalc import ring, term
+from zwcalc.rules import RuleInstance, check_rule
+side = term.wspider(30000, 0)
+try:
+    report = check_rule(RuleInstance("big", "", side, side), ring.Z())
+except MemoryError:
+    sys.exit(3)
+print(report)
+"""
+
+
+def test_running_out_of_memory_is_no_verdict():
+    # the spider's table outgrows 400 MB of address space, which binds the
+    # child process only; a rule whose sides are one term must not FAIL
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    limit = 400 << 20
+    done = subprocess.run(
+        [sys.executable, "-c", _CHECK_BIG_RULE], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (done.returncode, done.stdout) == (3, "")
 
 
 def test_check_maps_over_z():

@@ -22,12 +22,17 @@ sides (``copy.copy``), which build their plans, and then its pass over
 the same copies again, from those plans (best of 5, new copies each
 time).  A copy shares its side's leaves but none of its ``;`` and
 ``*`` nodes, so a gadget that the side holds twice is two objects
-there.  Then it prints each pillar's mean microseconds per call in
-three size classes of sides, counted in term nodes (leaves and
-``;``/``*`` nodes): bare generators, sides of 2 to 16 nodes, and larger
-sides, so a change to the fixed cost of a call shows where it lands.  Each class's time is the best of 5 passes, each pass
-calling the pillar on the class's sides until at least ``CLASS_CALLS``
-calls are made.
+there.  The next line times the opening joins alone: one warm pass of
+each pillar records the arguments of every ``semantics._apply_blocks``
+and ``normalform._plug`` call that opens a chain (nothing below it) with
+a layer of two or more blocks, the two functions are restored, and each
+is timed over its recorded calls (best of 5).  Then it prints each
+pillar's mean microseconds per call in three size classes of sides,
+counted in term nodes (leaves and ``;``/``*`` nodes): bare generators,
+sides of 2 to 16 nodes, and larger sides, so a change to the fixed
+cost of a call shows where it lands.  Each class's time is the best of
+5 passes, each pass calling the pillar on the class's sides until at
+least ``CLASS_CALLS`` calls are made.
 
 With sizes it rebuilds the states of ``tools/wide_roundtrip.py`` and
 prints the CPU seconds (best of 3) of each pillar on each, first with
@@ -159,6 +164,36 @@ def class_costs(terms) -> None:
               f"normalize {means[1]:.2f} us")
 
 
+def recorder(join, calls):
+    """``join``, appending the arguments of each call that opens a chain
+    with a layer of two or more blocks to ``calls``."""
+    def recording(a, blocks, *rest):
+        out = join(a, blocks, *rest)
+        if a is None and len(blocks) >= 2:
+            calls.append((a, list(blocks), *rest))
+        return out
+    return recording
+
+
+def opening_costs(terms) -> None:
+    """Each pillar's least CPU time of one pass over its opening joins
+    of ``terms`` alone, as one warm pass of each pillar makes them."""
+    joins = {"interpret": (semantics, "_apply_blocks"), "normalize": (normalform, "_plug")}
+    reals = {pillar: getattr(module, name) for pillar, (module, name) in joins.items()}
+    calls = {pillar: [] for pillar in joins}
+    for pillar, (module, name) in joins.items():  # each _fold looks its join up per call
+        setattr(module, name, recorder(reals[pillar], calls[pillar]))
+    try:
+        one_pass(semantics.interpret, terms)
+        one_pass(normalform.normalize, terms)
+    finally:
+        for pillar, (module, name) in joins.items():
+            setattr(module, name, reals[pillar])
+    print("  opening joins of 2+ blocks: " + "  ".join(
+        f"{pillar} {len(calls[pillar])} calls {best_of(each(reals[pillar], calls[pillar])):.4f} s"
+        for pillar in joins))
+
+
 def qudit_costs() -> None:
     """One pass's least CPU time of each step of the qudit rebuilds."""
     states, perms = [], []
@@ -255,6 +290,7 @@ def main(argv: list[str]) -> int:
             first_times(pillar, terms) for pillar in (semantics.interpret, normalform.normalize))
         print(f"  first folds of plan-less copies: interpret {read:.4f} s, then {read_again:.4f} s"
               f"  normalize {rows:.4f} s, then {rows_again:.4f} s")
+        opening_costs(terms)
         class_costs(terms)
         return 0
     if argv == ["qudit"]:
