@@ -145,10 +145,21 @@ def _cmd_check_qudit(args) -> int:
     return 1 if failed else 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's fields; a key given twice raises RingError, where
+    ``json.loads`` would keep the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise _ring.RingError(f"the JSON key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def _cmd_universal(args) -> int:
     p = _qudit.QParams(args.d, tolerance=args.tol)
     ring = p.ring()
-    data = json.loads(args.state)
+    data = json.loads(args.state, object_pairs_hook=_unique_keys)
     state = _sem.from_json_dict(data, ring)
     term, nf = _qudit.qudit_universal_nf(state, p)
     rep = _rules.check_maps("universal", f"d={p.d}", _sem.interpret(term, ring, p.d), state)

@@ -8,12 +8,12 @@ with words written over the digits ``0 .. d-1``.  A term is folded as a
 (:func:`zwcalc.term.fold`), and one join composes it: the running map
 meets each layer block by block, contracting over the middle word, and
 a block's output word is concatenated on and its coefficient multiplied
-in.  A layer of one block (not counting ``id`` blocks over an exact
-ring, where a product by one keeps every value) is met in one pass,
-with the same products and sums in the same order, so C keeps its
-values bit for bit.  The first layer has nothing below it, so its
-input words are concatenated too.  Nothing is densified, so states stay
-small on any number of wires.
+in; an ``id`` block is a wire, which copies its letter with no product.
+A layer of one block that is not a wire is met in one pass, with the
+same products and sums in the same order, so C keeps its values bit for
+bit.  The first layer has nothing below it, so its input words are
+concatenated too (and ``id``'s one multiplied in).  Nothing is
+densified, so states stay small on any number of wires.
 
 Exact rings interpret at dimension 2 and the approximate complex ring at
 any d in 2..10, each with its calculus in the one generator table,
@@ -31,8 +31,9 @@ the exact rings one walk over its crossings multiplies each table value
 other than one (the "11" entry of ``x``) into its pair of wires' product,
 and each output word takes the products of its pairs and is permuted
 once.  Over C each word walks the crossings in order, taking the factor
-its two letters read from each crossing's table and swapping them, which
-gives the layer joins' values bit for bit (:func:`_apply_run_in_order`).
+its two letters read from each crossing's table, one included, and
+swapping them, which gives the layer joins' values bit for bit
+(:func:`_apply_run_in_order`).
 
 A small nested chain, such as the merge gadget ``w(k,1) ; w(1,1)``, is a
 leaf of the fold, known by its key (see :func:`zwcalc.term.fold`), and
@@ -47,7 +48,6 @@ share; evaluation is pure.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -178,7 +178,8 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
     adds its input letters to the input word and its output letters to
     the output word.  A lone opening block is returned.  The values are
     raw, all from tables of ``ring``, so no product checks the ring again.
-    ``wire``, ``id``'s table over an exact ring, keeps each letter and value."""
+    Below the opening layer a ``wire`` block, ``id``'s table, copies its
+    letter and keeps the value, with no product."""
     mul, add = ring.ops["mul"], ring.ops["add"]
     if a is None:
         if len(blocks) == 1:
@@ -206,10 +207,13 @@ def _apply_blocks(a: _RawMap | None, blocks: list[_RawMap], ring: RingDescriptor
         rows = [("", mid, u, v) for (mid, u), v in a.entries.items()]
         pos = n_out = 0
         for b in blocks:
-            index = _by_input(b.entries) if b.by_input is None else b.by_input
             end = pos + b.n_in
-            rows = [(w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
-                    for bw, bv in index.get(mid[pos:end], ())]
+            if b is wire:  # a wire copies its letter and keeps the value
+                rows = [(w + mid[pos], mid, u, v) for w, mid, u, v in rows]
+            else:
+                index = _by_input(b.entries) if b.by_input is None else b.by_input
+                rows = [(w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
+                        for bw, bv in index.get(mid[pos:end], ())]
             pos, n_out = end, n_out + b.n_out
         acc = {}
         for w, _, u, v in rows:
@@ -261,52 +265,31 @@ def _apply_run(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
     return _raw_map((a.n_in, a.n_out, entries, None, None))
 
 
-def _plain(v: complex) -> bool:
-    """Whether both parts of ``v`` are nonzero and finite, so that a product
-    by one gives ``v`` back bit for bit."""
-    return 0 < abs(v.real) < math.inf and 0 < abs(v.imag) < math.inf
-
-
 def _apply_run_in_order(a: _RawMap, layers, ring: RingDescriptor) -> _RawMap | None:
     """Join a run of wiring layers onto ``a`` over C (see
     :func:`zwcalc.term.fold`) with the values of the layer joins bit for
     bit, or None when a crossing's table is not a phased swap.
 
-    Each word walks the run's crossings in order: it takes the factor its
-    two letters read from the crossing's table and swaps them.  The layer
-    joins also multiply by the factors equal to one (``id``, ``swap``, and
-    ``x`` on a 0 letter), which give a value back unchanged only while
-    both of its parts are nonzero and finite; a value that is not is
-    replayed, every block's factor multiplied in block order.  A word
-    whose value is zero is dropped at the end of a layer, as the layer
-    joins drop it."""
-    mul, nonzero, one, n = ring.ops["mul"], ring.nonzero, ring.one.value, a.n_out
-    rows = [(list(w), u, v, not _plain(v)) for (w, u), v in a.entries.items()]
+    Each word walks the run's crossings in order: it multiplies in the
+    factor its two letters read from the crossing's table, one included,
+    and swaps them, as a layer join does; an ``id`` is a wire and takes no
+    product.  A word whose value is zero is dropped at the end of a layer,
+    as the layer joins drop it."""
+    mul, nonzero = ring.ops["mul"], ring.nonzero
+    rows = [(list(w), u, v) for (w, u), v in a.entries.items()]
     for layer in layers:
         if any(table.signs is None for _, table in layer):
             return None
         kept = []
-        for letters, u, v, replay in rows:
-            pos = 0  # replayed: the blocks left of pos are multiplied in
+        for letters, u, v in rows:
             for p, table in layer:
                 x, y = letters[p], letters[p + 1]
                 letters[p], letters[p + 1] = y, x
-                if replay:
-                    for _ in range(p - pos):  # the id blocks on its left
-                        v = mul(v, one)
-                    v, pos = mul(v, table.by_input[x + y][0][1]), p + 2
-                else:
-                    f = table.signs[1].get(x + y)
-                    if f is not None:
-                        v, pos = mul(v, f), p + 2
-                        replay = not _plain(v)
-            if replay:
-                for _ in range(n - pos):
-                    v = mul(v, one)
+                v = mul(v, table.by_input[x + y][0][1])
             if nonzero(v):
-                kept.append((letters, u, v, replay))
+                kept.append((letters, u, v))
         rows = kept
-    return _raw_map((a.n_in, a.n_out, {("".join(letters), u): v for letters, u, v, _ in rows},
+    return _raw_map((a.n_in, a.n_out, {("".join(letters), u): v for letters, u, v in rows},
                      None, None))
 
 
@@ -314,7 +297,7 @@ def _fold(t: Term, ring: RingDescriptor, d: int, leaf) -> _RawMap:
     """The raw map of ``t``, folded (:func:`zwcalc.term.fold`) with each
     leaf source's raw map from ``leaf``."""
     join_run = _apply_run if ring.exact else _apply_run_in_order
-    wire = generator_map(_term.ID, ring, d)._raw if ring.exact else None
+    wire = generator_map(_term.ID, ring, d)._raw
     return _term.fold(t, leaf, lambda acc, blocks: _apply_blocks(acc, blocks, ring, wire),
                       lambda acc, layers: join_run(acc, layers, ring))
 
@@ -335,8 +318,10 @@ def interpret(t: Term, ring: RingDescriptor, d: int = 2) -> SparseMap:
     approximate complex ring.  A bare generator, a leaf that is a term,
     maps to its shared table from :func:`generator_map`, with read-only
     entries; other maps are joined on raw values and wrapped as ring
-    elements at the end.  Every run of wiring layers is joined in one
-    step, over C with the values of the layer joins bit for bit.
+    elements at the end.  An ``id`` block past the opening layer is a
+    wire, which takes no product, and every run of wiring layers is
+    joined in one step, over C with the values of the layer joins bit for
+    bit.
     """
     _check_dimension(ring, d)
     if type(t) is Generator:

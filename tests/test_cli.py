@@ -215,6 +215,17 @@ def test_universal_rejects_a_repeated_entry_at_d2(capsys):
     assert err.splitlines()[0].startswith("error: ") and "two entries for ('01', '')" in err
 
 
+@pytest.mark.parametrize("state, key", [
+    ('{"d":3,"in":0,"out":1,"entries":[{"out":"1","in":"","v":"1"}],"entries":[]}', "entries"),
+    ('{"d":3,"in":0,"out":1,"entries":[{"out":"1","in":"","v":"1","v":"2"}]}', "v"),
+])
+def test_universal_rejects_a_repeated_json_key(capsys, state, key):
+    # json.loads would keep the last value: the zero state, or v = 2
+    code, out, err = run(capsys, "universal", "--d", "3", state)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == f"error: the JSON key {key!r} is given twice"
+
+
 ZERO_STATE = '{"d": 2, "in": 0, "out": 3, "entries": [{"out": "000", "in": "", "v": "1"}]}'
 WIDE = " * ".join(["w(0,1)"] * 3000)
 DEEP = "(" * 2000 + "id" + ")" * 2000

@@ -217,12 +217,13 @@ def test_generator_tables_are_built_once_per_key(monkeypatch, fresh_tables):
     for t in (lhs, rhs, lhs):
         interpret(t, C, 3)
     interpret(rhs, C, 4)
-    for _ in range(2):  # the exact rings read the same table, and id's as their wire
+    for _ in range(2):  # Z builds its own tables once, id's as its wire too
         interpret(rhs, Z)
     keys = [(g.kind, g.n_in, g.n_out, str(r), d) for g, r, d in calls]
     assert sorted(keys) == sorted(set(keys)) == sorted(
         [("w", 1, 2, str(C), 3), ("id", 1, 1, str(C), 3), ("x", 2, 2, str(C), 3),
          ("w", 2, 1, str(C), 3), ("w", 2, 1, str(C), 4), ("w", 1, 2, str(C), 4),
+         ("id", 1, 1, str(C), 4),
          ("w", 2, 1, "Z", 2), ("w", 1, 2, "Z", 2), ("id", 1, 1, "Z", 2)])
 
 
@@ -293,10 +294,12 @@ def test_c_runs_give_the_layer_joins_values_bit_for_bit(seed):
     state = _c_state(rng, d)
     t = term.seq_all([state, *helpers.wiring_run(rng, state.n_out)])
 
+    wire = semantics.generator_map(ID, C, d)._raw
+
     def layer_by_layer(u):  # every layer joined alone; a small chain's key read as its chain
         return term.fold(u, lambda s: semantics.generator_map(s, C, d)._raw
                          if type(s) is term.Generator else layer_by_layer(term._assembled(s)),
-                         lambda acc, blocks: semantics._apply_blocks(acc, blocks, C),
+                         lambda acc, blocks: semantics._apply_blocks(acc, blocks, C, wire),
                          lambda acc, layers: None)
 
     by_layer = layer_by_layer(t)
@@ -305,15 +308,42 @@ def test_c_runs_give_the_layer_joins_values_bit_for_bit(seed):
         (k, repr(v)) for k, v in by_layer.entries.items()]
 
 
-def _joined_block_by_block(a, blocks, r) -> dict:
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_id_padding_keeps_every_c_value(seed):
+    # an id is a wire: plugging a layer of them, or a run of two, takes no
+    # product, so no zero part changes its sign
+    rng, C = random.Random(seed), ring.C()
+    d, parts = rng.randint(2, 4), (0.0, -0.0, 1.0, -1.0, 0.5, -2.5)
+    labels = [ring.complex_value(C, complex(rng.choice(parts), rng.choice(parts)))
+              for _ in range(2)]
+    t = term.par_all([term.zspider(0, rng.randint(1, 2), u) for u in labels])
+    wires = term.identity(t.n_out)
+
+    def values(u):
+        return [(k, repr(v.value)) for k, v in interpret(u, C, d).entries.items()]
+
+    assert values(t >> wires) == values(t >> wires >> wires) == values(t)
+
+
+def test_id_padding_keeps_the_sign_of_a_zero_part():
+    C = ring.C()
+    t = parse("z(0,1)[-1+0.0i] * z(0,1)[-1+0.0i]", C)
+    for u in (t, parse("z(0,1)[-1+0.0i] * z(0,1)[-1+0.0i] ; id * id", C)):
+        assert repr(interpret(u, C, 4).entries[("11", "")].value) == "(1-0j)"
+
+
+def _joined_block_by_block(a, blocks, r, wire) -> dict:
     """A plugged layer's join as written out: block by block over every
-    entry of ``a``, each product taken, ``id``'s too, and summed in order."""
+    entry of ``a``, each product taken but a ``wire``'s, whose letter is
+    copied, and summed in order."""
     mul, add = r.ops["mul"], r.ops["add"]
     rows, pos = [("", mid, u, v) for (mid, u), v in a.entries.items()], 0
     for b in blocks:
         index = semantics._by_input(b.entries)
-        rows = [(w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
-                for bw, bv in index.get(mid[pos:pos + b.n_in], ())]
+        rows = [(w + mid[pos], mid, u, v) for w, mid, u, v in rows] if b is wire else [
+            (w + bw, mid, u, mul(v, bv)) for w, mid, u, v in rows
+            for bw, bv in index.get(mid[pos:pos + b.n_in], ())]
         pos += b.n_in
     acc = {}
     for w, _, u, v in rows:
@@ -347,8 +377,6 @@ def test_a_one_block_layer_joins_as_block_by_block(case, seed):
                     term.zspider(rng.randint(0, 2), rng.randint(1, 2), label),
                     X, term.XINV, SWAP, term.CAP, CUP, ID, term.ket(rng.randrange(d))])
     left, right, k = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)
-    if not r.exact and rng.random() < 0.5:
-        left = right = 0  # over C, id blocks take the written-out join
     table = semantics.generator_map(g, r, d)._raw
     wire = semantics.generator_map(ID, r, d)._raw
     letters = "0123456789"[:d]
@@ -358,10 +386,10 @@ def test_a_one_block_layer_joins_as_block_by_block(case, seed):
                for _ in range(rng.randint(1, 8))}
     a = semantics._RawMap(k, n, entries)
     blocks = [wire] * left + [table] + [wire] * right
-    got = semantics._apply_blocks(a, blocks, r, wire if r.exact else None)
+    got = semantics._apply_blocks(a, blocks, r, wire)
     assert (got.n_in, got.n_out) == (k, n - table.n_in + table.n_out)
     assert [(key, repr(v)) for key, v in got.entries.items()] == [
-        (key, repr(v)) for key, v in _joined_block_by_block(a, blocks, r).items()]
+        (key, repr(v)) for key, v in _joined_block_by_block(a, blocks, r, wire).items()]
 
 
 def test_generator_errors_are_raised_on_every_call():

@@ -558,7 +558,7 @@ def test_fold_looks_each_distinct_leaf_up_once_per_call(monkeypatch, fresh_table
     calls = _spy(monkeypatch, module, lookup)
     spider = term.zspider(10, 10, QI.one)
     t = term.identity(10) >> spider >> term.identity(10)  # 20 id leaves
-    # over an exact ring both pillars also fetch id's table once, as their joins' wire
+    # both pillars also fetch id's table once, as their joins' wire
     want = {ID: 2, spider: 1}
     for _ in range(2):  # the memo lives for one call, so a second call looks up again
         calls.clear()

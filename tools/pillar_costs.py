@@ -53,7 +53,12 @@ crossing networks, and of ``interpret`` reading the diagrams back.
 ``term.SHARED_NETWORK_WIRES`` wires, so the first two steps are timed
 twice: "cold", with the shared networks dropped before every call
 (``cache_clear``), so each call builds its network, and "shared", with
-them kept, so a repeated permutation finds its network built.
+them kept, so a repeated permutation finds its network built.  The last
+line times the C run joins alone, as the default mode does the opening
+joins: one warm ``interpret`` pass over the diagrams records the
+arguments of every ``semantics._apply_run_in_order`` call, its layers
+as lists, the function is restored, and it is timed over the recorded
+calls (best of 5).
 
 With ``reconstruct`` it takes the benchmark's d = 2 states
 (``perfbench.workloads.RECONSTRUCT`` as ``workloads.build`` draws them,
@@ -216,8 +221,21 @@ def qudit_costs() -> None:
     for name, (step, calls) in steps.items():
         print(f"{len(calls)} calls of {name}: cold {best_of(each(cold(step), calls)):.4f} s  "
               f"shared {best_of(each(step, calls)):.4f} s")
-    read = best_of(each(semantics.interpret, [(t, p.ring(), p.d) for p, t in built]))
+    reads = [(t, p.ring(), p.d) for p, t in built]
+    read = best_of(each(semantics.interpret, reads))
     print(f"{len(states)} qudit states: interpret {read:.4f} s")
+    runs, real_run = [], semantics._apply_run_in_order
+
+    def recording(a, layers, r):  # a run's layers are read once: keep them as a list
+        runs.append((a, list(layers), r))
+        return real_run(*runs[-1])
+
+    semantics._apply_run_in_order = recording  # _fold looks the run join up per call
+    try:
+        each(semantics.interpret, reads)()
+    finally:
+        semantics._apply_run_in_order = real_run
+    print(f"  {len(runs)} C run joins: {best_of(each(real_run, runs)):.4f} s")
 
 
 def reconstruct_costs() -> None:
